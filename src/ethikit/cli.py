@@ -72,6 +72,14 @@ def _normalize_examples(examples, norm_cfg) -> list[Example]:
     return out
 
 
+def _learn_vocab(examples, vocab_size: int, min_freq: int) -> tok_mod.Vocab:
+    """Train a vocabulary on every text field of normalized examples."""
+    corpus = [ex.text_a for ex in examples]
+    corpus += [ex.text_b for ex in examples if ex.text_b is not None]
+    cfg = tok_mod.TokenizerConfig(vocab_size=vocab_size, min_frequency=min_freq)
+    return tok_mod.train_vocab(corpus, cfg)
+
+
 def _sparkline(values) -> str:
     lo, hi = min(values), max(values)
     span = hi - lo or 1.0
@@ -107,19 +115,6 @@ def cmd_build_vocab(args) -> int:
 
 
 # --- train ---
-
-def _model_config_from_args(args, vocab_size: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        max_len=args.max_len,
-        n_layers=args.layers,
-        n_heads=args.heads,
-        d_model=args.d_model,
-        d_ff=args.d_ff,
-        dropout_p=args.dropout,
-        seed=args.seed,
-    )
-
 
 def _optim_config_from_args(args) -> OptimConfig:
     return OptimConfig(
@@ -162,12 +157,7 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
         vocab = tok_mod.load_vocab(settings["vocab_file"])
         vocab_input = Path(settings["vocab_file"])
     else:
-        corpus = [ex.text_a for ex in examples]
-        corpus += [ex.text_b for ex in examples if ex.text_b is not None]
-        tok_cfg = tok_mod.TokenizerConfig(
-            vocab_size=settings["vocab_size"], min_frequency=settings["min_freq"]
-        )
-        vocab = tok_mod.train_vocab(corpus, tok_cfg)
+        vocab = _learn_vocab(examples, settings["vocab_size"], settings["min_freq"])
         vocab_input = None
     tok_mod.save_vocab(vocab, out_dir / "vocab.txt")
 
@@ -247,10 +237,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.exists():
-        print(f"error: checkpoint not found: {ckpt_path}", file=sys.stderr)
-        return 1
-    params, model_cfg = load_checkpoint(ckpt_path)
+    params, _ = load_checkpoint(ckpt_path)
     vocab_path = Path(args.vocab) if args.vocab else ckpt_path.parent / "vocab.txt"
     vocab = tok_mod.load_vocab(vocab_path)
 
@@ -273,11 +260,11 @@ def cmd_evaluate(args) -> int:
             encoding="utf-8",
         )
     if args.scores:
-        probs = trainer_mod.predict_probs(
-            params, examples, vocab, batch_size=args.batch_size, max_len=args.max_len
-        )
         lines = ["example_id,label,score"]
-        lines += [f"{i},{ex.label},{p!r}" for i, (ex, p) in enumerate(zip(examples, probs))]
+        lines += [
+            f"{i},{ex.label},{float(p)!r}"
+            for i, (ex, p) in enumerate(zip(examples, report.scores))
+        ]
         Path(args.scores).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
@@ -294,11 +281,7 @@ def cmd_filter_hard(args) -> int:
     if args.vocab:
         vocab = tok_mod.load_vocab(args.vocab)
     else:
-        corpus = [ex.text_a for ex in dev + pool]
-        corpus += [ex.text_b for ex in dev + pool if ex.text_b is not None]
-        vocab = tok_mod.train_vocab(
-            corpus, tok_mod.TokenizerConfig(vocab_size=args.vocab_size, min_frequency=1)
-        )
+        vocab = _learn_vocab(dev + pool, args.vocab_size, min_freq=1)
 
     proxy_model = ModelConfig(
         vocab_size=len(vocab), max_len=args.max_len, n_layers=1, n_heads=2,

@@ -47,12 +47,13 @@ class DomainSpec:
         return self.text_b_col is not None or self.pack_separator is not None
 
 
-def default_specs() -> dict[str, DomainSpec]:
-    """Domain specs bundled with the package (public ETHICS layout)."""
-    ref = resources.files("ethikit.data") / "domains.json"
-    raw = json.loads(ref.read_text(encoding="utf-8"))
+def _parse_specs(raw, source) -> dict[str, DomainSpec]:
+    """Build DomainSpecs from the decoded JSON object of a spec file."""
     specs = {}
     for domain, cols in raw.items():
+        for key in ("label_col", "text_a_col"):
+            if key not in cols:
+                raise ConfigError(f"{source}: spec for {domain!r} lacks {key!r}")
         specs[domain] = DomainSpec(
             domain=domain,
             label_col=cols["label_col"],
@@ -61,22 +62,18 @@ def default_specs() -> dict[str, DomainSpec]:
             pack_separator=cols.get("pack_separator"),
         )
     return specs
+
+
+def default_specs() -> dict[str, DomainSpec]:
+    """Domain specs bundled with the package (public ETHICS layout)."""
+    ref = resources.files("ethikit.data") / "domains.json"
+    return _parse_specs(json.loads(ref.read_text(encoding="utf-8")), ref)
 
 
 def load_specs(path) -> dict[str, DomainSpec]:
     """Load domain specs from a user-edited JSON file."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    specs = {}
-    for domain, cols in raw.items():
-        specs[domain] = DomainSpec(
-            domain=domain,
-            label_col=cols["label_col"],
-            text_a_col=cols["text_a_col"],
-            text_b_col=cols.get("text_b_col"),
-            pack_separator=cols.get("pack_separator"),
-        )
-    return specs
+        return _parse_specs(json.load(fh), path)
 
 
 def _parse_label(value: str, row_num: int) -> int:

@@ -8,7 +8,7 @@ equals brute-force pair counting exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -41,6 +41,7 @@ class EvalReport:
     f1: float
     auc: float
     n: int
+    scores: np.ndarray = field(repr=False, compare=False)  # one per example, as given
 
 
 def _check_pair(a, b):
@@ -134,6 +135,7 @@ def build_report(scores, labels, threshold: float = 0.5) -> EvalReport:
         f1=f1,
         auc=auc(scores, labels),
         n=cm.total,
+        scores=scores,
     )
 
 

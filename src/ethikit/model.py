@@ -196,7 +196,6 @@ class ForwardCache:
     """Intermediate activations and dropout mask needed for exact backprop."""
 
     ids: np.ndarray
-    mask_f: np.ndarray           # [B, L] in the compute dtype
     layer_caches: list[dict]
     h_cls: np.ndarray            # [B, D] encoder output at the CLS position
     head_mask: np.ndarray | None  # [B, D] Bernoulli keep mask, None when p == 0
@@ -218,7 +217,7 @@ def _check_batch(params: ModelParams, batch: TokenBatch) -> None:
 
 
 def _encoder(params: ModelParams, batch: TokenBatch, want_cache: bool):
-    """Shared encoder pass; returns (h_cls, mask_f, layer_caches or None)."""
+    """Shared encoder pass; returns (h_cls, layer_caches or None)."""
     cfg = params.cfg
     t = params.tensors
     dtype = params.dtype
@@ -254,13 +253,13 @@ def _encoder(params: ModelParams, batch: TokenBatch, want_cache: bool):
             )
         x = x_next
 
-    return x[:, 0, :], mask_f, layer_caches
+    return x[:, 0, :], layer_caches
 
 
 def cls_representation(params: ModelParams, batch: TokenBatch) -> np.ndarray:
     """Deterministic encoder output at the CLS position, before the head."""
     _check_batch(params, batch)
-    h_cls, _, _ = _encoder(params, batch, want_cache=False)
+    h_cls, _ = _encoder(params, batch, want_cache=False)
     return h_cls
 
 
@@ -280,7 +279,7 @@ def forward(
     """
     _check_batch(params, batch)
     cfg = params.cfg
-    h_cls, mask_f, layer_caches = _encoder(params, batch, want_cache=train)
+    h_cls, layer_caches = _encoder(params, batch, want_cache=train)
 
     if train:
         if cfg.dropout_p > 0.0:
@@ -304,7 +303,6 @@ def forward(
         return logits, None
     cache = ForwardCache(
         ids=batch.ids,
-        mask_f=mask_f,
         layer_caches=layer_caches,
         h_cls=h_cls,
         head_mask=head_mask,
@@ -477,27 +475,29 @@ def load_checkpoint(path):
         except UnicodeDecodeError as exc:
             raise CorruptHeader("undecodable header") from exc
         cfg = _cfg_from_text(header)
+        expected = param_shapes(cfg)
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(n_tensors):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
+            name = _read_exact(fh, name_len).decode("utf-8", errors="replace")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
             shape = tuple(
                 struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim)
             )
+            # Validate the declared layout before trusting it for a read size.
+            if name not in expected or name in tensors:
+                raise ShapeMismatch(f"unexpected or duplicate tensor {name!r}")
+            if shape != expected[name]:
+                raise ShapeMismatch(
+                    f"{name}: stored {shape}, config implies {expected[name]}"
+                )
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
             raw = _read_exact(fh, 4 * count)
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
             tensors[name] = arr.astype(cfg.dtype)
 
-    expected = param_shapes(cfg)
-    if set(tensors) != set(expected):
+    if len(tensors) != len(expected):
         raise ShapeMismatch("checkpoint tensors do not match the config layout")
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise ShapeMismatch(
-                f"{name}: stored {tensors[name].shape}, config implies {shape}"
-            )
     ordered = {name: tensors[name] for name in expected}
     return ModelParams(ordered, cfg), cfg

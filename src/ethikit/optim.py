@@ -9,7 +9,7 @@ The schedule step t counts flushes, not micro-batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class OptimState:
     n_acc: int
     t: int = 0
     counter: int = 0
-    decay_weights_only: bool = field(default=True, repr=False)
 
 
 def init_state(params: ModelParams, cfg: OptimConfig) -> OptimState:
@@ -125,9 +124,7 @@ def flush(
         m_hat = m / bias1
         v_hat = v / bias2
         update = eta * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        if cfg.weight_decay > 0.0 and (
-            is_weight_param(name) or not state.decay_weights_only
-        ):
+        if cfg.weight_decay > 0.0 and is_weight_param(name):
             update = update + eta * cfg.weight_decay * theta
         theta -= update.astype(theta.dtype, copy=False)
         state.g_acc[name][...] = 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from ethikit import _kernels
 from ethikit.errors import (
     ConfigError,
     DuplicateToken,
@@ -89,6 +88,38 @@ def _strip_prefix(symbol: str) -> str:
     return symbol
 
 
+def _count_pairs(seqs, freqs) -> dict[tuple[str, str], int]:
+    """Corpus count of every adjacent symbol pair across the word sequences."""
+    counts: dict[tuple[str, str], int] = {}
+    for seq, freq in zip(seqs, freqs):
+        for i in range(len(seq) - 1):
+            pair = (seq[i], seq[i + 1])
+            counts[pair] = counts.get(pair, 0) + freq
+    return counts
+
+
+def _apply_merge(seqs, left: str, right: str, merged: str) -> None:
+    """Rewrite every adjacent (left, right) into ``merged``, in place.
+
+    Overlapping occurrences are consumed greedily from the left, so with
+    left == right a run of three symbols merges only its first two.
+    """
+    for idx, seq in enumerate(seqs):
+        if left not in seq:
+            continue
+        out = []
+        i = 0
+        n = len(seq)
+        while i < n:
+            if i + 1 < n and seq[i] == left and seq[i + 1] == right:
+                out.append(merged)
+                i += 2
+            else:
+                out.append(seq[i])
+                i += 1
+        seqs[idx] = out
+
+
 def train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
     """Learn a subword vocabulary from normalized text.
 
@@ -119,7 +150,7 @@ def train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
     freqs: list[int] = [word_counts[w] for w in words]
 
     while len(tokens) < cfg.vocab_size:
-        counts = _kernels.count_pairs(seqs, freqs)
+        counts = _count_pairs(seqs, freqs)
         best = None
         best_count = 0
         for pair, count in counts.items():
@@ -131,7 +162,7 @@ def train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
         if best is None:
             break
         merged = best[0] + _strip_prefix(best[1])
-        _kernels.apply_merge(seqs, best[0], best[1], merged)
+        _apply_merge(seqs, best[0], best[1], merged)
         if merged not in token_set:
             tokens.append(merged)
             token_set.add(merged)
@@ -140,13 +171,32 @@ def train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
 
 
 def encode_word(word: str, vocab: Vocab) -> list[int]:
-    """Segment one whitespace-free word into token ids, [UNK] as fallback."""
-    pieces = _kernels.segment_word(
-        word, vocab.id_of, vocab.continuation_prefix, vocab.max_word_chars
-    )
-    if pieces is None:
+    """Segment one whitespace-free word into token ids by greedy longest match.
+
+    Non-initial pieces carry the continuation prefix. A word that is empty,
+    longer than ``vocab.max_word_chars`` or not fully coverable maps to a
+    single [UNK].
+    """
+    n = len(word)
+    if n == 0 or n > vocab.max_word_chars:
         return [UNK_ID]
-    return [vocab.id_of[p] for p in pieces]
+    id_of = vocab.id_of
+    ids: list[int] = []
+    start = 0
+    while start < n:
+        end = n
+        while start < end:
+            piece = word[start:end]
+            if start > 0:
+                piece = vocab.continuation_prefix + piece
+            if piece in id_of:
+                ids.append(id_of[piece])
+                break
+            end -= 1
+        else:
+            return [UNK_ID]
+        start = end
+    return ids
 
 
 def encode(text: str, vocab: Vocab) -> list[int]:

@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,8 @@ class TestEvaluateCommand:
         score_lines = scores_csv.read_text().strip().splitlines()
         assert score_lines[0] == "example_id,label,score"
         assert len(score_lines) == 41
+        for line in score_lines[1:]:
+            assert 0.0 <= float(line.split(",")[2]) <= 1.0, line
 
     def test_missing_checkpoint_exit_1(self, tmp_path, capsys):
         code = main([
@@ -139,6 +142,22 @@ class TestEvaluateCommand:
         ])
         assert code == 1
         assert "nowhere.ckpt" in capsys.readouterr().err
+
+    def test_oversized_tensor_dims_exit_1(self, tmp_path, train_file, capsys):
+        out_dir = run_train(tmp_path, train_file)
+        ckpt = out_dir / "best.ckpt"
+        data = bytearray(ckpt.read_bytes())
+        name = b"embed.tok"
+        ndim_at = data.index(name) + len(name)
+        assert data[ndim_at] == 2
+        struct.pack_into("<II", data, ndim_at + 1, 0xFFFFFFFF, 0xFFFFFFFF)
+        ckpt.write_bytes(bytes(data))
+        code = main([
+            "evaluate", "--checkpoint", str(ckpt),
+            "--data", str(train_file), "--domain", "justice", "--max-len", "16",
+        ])
+        assert code == 1
+        assert "embed.tok" in capsys.readouterr().err
 
 
 class TestFilterHardCommand:

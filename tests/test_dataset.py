@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -15,7 +16,13 @@ from ethikit.dataset import (
     serialize_split,
     verify_manifest,
 )
-from ethikit.errors import BadLabel, MissingColumn, MissingField, RaggedRow
+from ethikit.errors import (
+    BadLabel,
+    ConfigError,
+    MissingColumn,
+    MissingField,
+    RaggedRow,
+)
 
 
 class TestLoadSplit:
@@ -99,9 +106,16 @@ class TestSpecs:
         specs = load_specs(path)
         assert specs["justice"].label_col == "y"
 
-    def test_pack_and_pair_exclusive(self):
-        from ethikit.errors import ConfigError
+    @pytest.mark.parametrize("missing", ["label_col", "text_a_col"])
+    def test_missing_key_is_config_error(self, tmp_path, missing):
+        cols = {"label_col": "label", "text_a_col": "scenario"}
+        del cols[missing]
+        path = tmp_path / "domains.json"
+        path.write_text(json.dumps({"justice": cols}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"'justice'.*'{missing}'"):
+            load_specs(path)
 
+    def test_pack_and_pair_exclusive(self):
         with pytest.raises(ConfigError):
             DomainSpec("virtue", "label", "scenario",
                        text_b_col="x", pack_separator="[SEP]")
