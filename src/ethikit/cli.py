@@ -2,7 +2,8 @@
 
 Subcommands: normalize, build-vocab, train, evaluate, filter-hard, report.
 Every training run writes a manifest (resolved config, seed, input hashes)
-sufficient to replay it bit-exactly via ``train --replay``.
+sufficient to replay it bit-exactly via ``train --replay``, which first
+checks the tool version and re-hashes every recorded input.
 
 Exit codes: 0 success, 1 runtime error, 2 configuration error.
 """
@@ -26,7 +27,7 @@ from ethikit import report as report_mod
 from ethikit import tokenizer as tok_mod
 from ethikit import trainer as trainer_mod
 from ethikit.batching import DOMAINS, Example
-from ethikit.errors import ConfigError, EthikitError
+from ethikit.errors import ConfigError, EthikitError, ReplayMismatch
 from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
 from ethikit.optim import OptimConfig
 
@@ -196,11 +197,42 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
     return 0
 
 
+def _verified_replay_settings(manifest_path: Path) -> dict:
+    """The settings a manifest recorded, once its version and input hashes match.
+
+    A replay of changed inputs, or under another tool version, would not
+    reproduce the recorded run, so either refuses to start.
+    """
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path}: manifest is not a JSON object")
+    for key in ("config", "inputs"):
+        if not isinstance(manifest.get(key), dict):
+            raise ConfigError(f"{manifest_path}: manifest has no {key!r} object")
+    version = manifest.get("version")
+    if version != ethikit.__version__:
+        raise ReplayMismatch(
+            f"{manifest_path}: recorded by ethikit {version}, "
+            f"this is ethikit {ethikit.__version__}"
+        )
+    for name, entry in manifest["inputs"].items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                and isinstance(entry.get("sha256"), str)):
+            raise ConfigError(f"{manifest_path}: input {name!r} lacks a path or sha256")
+        actual = dataset_mod.file_sha256(entry["path"])
+        if actual != entry["sha256"]:
+            raise ReplayMismatch(
+                f"{entry['path']} ({name}) changed since the recorded run: "
+                f"sha256 {actual}, manifest has {entry['sha256']}"
+            )
+    return manifest["config"]
+
+
 def cmd_train(args) -> int:
     out_dir = _run_root() / args.out_dir
     if args.replay:
-        manifest = json.loads(Path(args.replay).read_text(encoding="utf-8"))
-        return _train_from_settings(manifest["config"], out_dir)
+        settings = _verified_replay_settings(Path(args.replay))
+        return _train_from_settings(settings, out_dir)
 
     data_dir = Path(args.data_dir)
     train_file = (

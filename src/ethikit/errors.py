@@ -104,6 +104,10 @@ class SingleClass(EthikitError):
     """AUC is undefined when only one label value is present."""
 
 
+class NonFiniteScore(EthikitError):
+    """A score to be ranked or thresholded is NaN or infinite."""
+
+
 # --- trainer / filtering ---
 
 class TooFewExamples(EthikitError):
@@ -120,3 +124,9 @@ class EmptyDataset(EthikitError):
 
 class QuantileOutOfRange(EthikitError):
     """The keep quantile must lie strictly between 0 and 1."""
+
+
+# --- cli ---
+
+class ReplayMismatch(EthikitError):
+    """A replayed run's inputs or tool version differ from its manifest."""

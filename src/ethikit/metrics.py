@@ -13,7 +13,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from ethikit.errors import EmptyInput, LengthMismatch, SingleClass
+from ethikit.errors import EmptyInput, LengthMismatch, NonFiniteScore, SingleClass
 
 
 class DegenerateMetricWarning(UserWarning):
@@ -54,6 +54,15 @@ def _check_pair(a, b):
     return a, b
 
 
+def _check_finite(scores: np.ndarray) -> None:
+    bad = ~np.isfinite(scores.astype(np.float64))
+    if bad.any():
+        raise NonFiniteScore(
+            f"{int(bad.sum())} of {scores.size} scores are NaN or infinite "
+            f"(first at index {int(np.argmax(bad))})"
+        )
+
+
 def confusion(preds, labels) -> ConfusionMatrix:
     """Count the four joint outcomes of binary predictions vs labels."""
     preds, labels = _check_pair(preds, labels)
@@ -90,9 +99,12 @@ def auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative, ties half.
 
     Midrank formulation of the Mann-Whitney U statistic; exact for float
-    scores because tied groups contribute integer-plus-half ranks.
+    scores because tied groups contribute integer-plus-half ranks. Raises
+    NonFiniteScore if any score is NaN or infinite, since such a score has
+    no place in the ranking.
     """
     scores, labels = _check_pair(scores, labels)
+    _check_finite(scores)
     labels = labels.astype(bool)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
@@ -122,8 +134,12 @@ def round_half_up(value: float, digits: int = 2) -> float:
 
 
 def build_report(scores, labels, threshold: float = 0.5) -> EvalReport:
-    """Threshold scores, then assemble the confusion matrix and all metrics."""
+    """Threshold scores, then assemble the confusion matrix and all metrics.
+
+    Raises NonFiniteScore if any score is NaN or infinite.
+    """
     scores, labels = _check_pair(scores, labels)
+    _check_finite(scores)
     preds = (np.asarray(scores, dtype=np.float64) >= threshold).astype(np.int64)
     cm = confusion(preds, labels)
     accuracy, precision, recall, f1 = scalar_metrics(cm)

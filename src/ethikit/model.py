@@ -10,6 +10,7 @@ probability at inference.
 from __future__ import annotations
 
 import io
+import os
 import struct
 from dataclasses import dataclass
 
@@ -50,6 +51,8 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
+        if self.n_heads < 1:
+            raise ConfigError("n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         if self.max_len < 2:
@@ -456,34 +459,40 @@ def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
         fh.write(buf.getvalue())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise TruncatedCheckpoint(f"expected {n} bytes, got {len(data)}")
-    return data
+def _read_exact(fh, n: int, size: int) -> bytes:
+    """Read exactly n bytes of a file of ``size`` bytes.
+
+    A declared length is checked against the bytes left before it is read,
+    so a corrupt length fails here instead of requesting gigabytes.
+    """
+    left = size - fh.tell()
+    if n > left:
+        raise TruncatedCheckpoint(f"expected {n} bytes, only {left} left in the file")
+    return fh.read(n)
 
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (params, cfg)."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise CorruptHeader("not a checkpoint file")
-        (header_len,) = struct.unpack("<I", _read_exact(fh, 4))
+        (header_len,) = struct.unpack("<I", _read_exact(fh, 4, size))
         try:
-            header = _read_exact(fh, header_len).decode("utf-8")
+            header = _read_exact(fh, header_len, size).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptHeader("undecodable header") from exc
         cfg = _cfg_from_text(header)
         expected = param_shapes(cfg)
-        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
+        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, size))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8", errors="replace")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, size))
+            name = _read_exact(fh, name_len, size).decode("utf-8", errors="replace")
+            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, size))
             shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim)
+                struct.unpack("<I", _read_exact(fh, 4, size))[0] for _ in range(ndim)
             )
             # Validate the declared layout before trusting it for a read size.
             if name not in expected or name in tensors:
@@ -493,9 +502,12 @@ def load_checkpoint(path):
                     f"{name}: stored {shape}, config implies {expected[name]}"
                 )
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(fh, 4 * count)
+            raw = _read_exact(fh, 4 * count, size)
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
             tensors[name] = arr.astype(cfg.dtype)
+        trailing = size - fh.tell()
+        if trailing:
+            raise CorruptHeader(f"{trailing} trailing bytes after the last tensor")
 
     if len(tensors) != len(expected):
         raise ShapeMismatch("checkpoint tensors do not match the config layout")

@@ -8,6 +8,7 @@ for non-initial pieces. Whole words that cannot be covered map to [UNK].
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -88,36 +89,38 @@ def _strip_prefix(symbol: str) -> str:
     return symbol
 
 
-def _count_pairs(seqs, freqs) -> dict[tuple[str, str], int]:
-    """Corpus count of every adjacent symbol pair across the word sequences."""
-    counts: dict[tuple[str, str], int] = {}
-    for seq, freq in zip(seqs, freqs):
-        for i in range(len(seq) - 1):
-            pair = (seq[i], seq[i + 1])
-            counts[pair] = counts.get(pair, 0) + freq
-    return counts
-
-
-def _apply_merge(seqs, left: str, right: str, merged: str) -> None:
-    """Rewrite every adjacent (left, right) into ``merged``, in place.
+def _merge_word(seq: list[str], left: str, right: str, merged: str) -> list[str]:
+    """Rewrite every adjacent (left, right) of one word into ``merged``.
 
     Overlapping occurrences are consumed greedily from the left, so with
     left == right a run of three symbols merges only its first two.
     """
-    for idx, seq in enumerate(seqs):
-        if left not in seq:
-            continue
-        out = []
-        i = 0
-        n = len(seq)
-        while i < n:
-            if i + 1 < n and seq[i] == left and seq[i + 1] == right:
-                out.append(merged)
-                i += 2
-            else:
-                out.append(seq[i])
-                i += 1
-        seqs[idx] = out
+    out = []
+    i = 0
+    n = len(seq)
+    while i < n:
+        if i + 1 < n and seq[i] == left and seq[i + 1] == right:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
+
+
+class _HeapEntry:
+    """``heapq`` entry that pops the highest count first, ties to the greatest pair."""
+
+    __slots__ = ("count", "pair")
+
+    def __init__(self, count: int, pair: tuple[str, str]):
+        self.count = count
+        self.pair = pair
+
+    def __lt__(self, other: "_HeapEntry") -> bool:
+        if self.count != other.count:
+            return self.count > other.count
+        return self.pair > other.pair
 
 
 def train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
@@ -126,7 +129,18 @@ def train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
     Single characters meeting the frequency floor seed the inventory; then the
     most frequent adjacent pair (ties to the lexicographically greatest pair)
     is merged repeatedly while its joint count still meets the floor and the
-    size budget allows. Deterministic for a fixed corpus and config.
+    size budget allows. A merge whose result is already a token is applied
+    but adds no token. Deterministic for a fixed corpus and config.
+
+    The pair counts are kept between merges rather than recounted: the
+    corpus is counted once, together with an index from each pair to the
+    words that hold it, and a merge recounts only those words (their old
+    pairs are subtracted, the word is rewritten, its new pairs are added).
+    The best pair comes from a lazy max-heap of (count, pair) entries, a
+    pair being pushed again whenever its count changes; an entry whose
+    count no longer matches the pair's current count is discarded when
+    popped. The result equals a full recount of every pair before every
+    merge.
     """
     word_counts: Counter[str] = Counter()
     for line in corpus:
@@ -149,20 +163,48 @@ def train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
     seqs: list[list[str]] = [_word_symbols(w) for w in words]
     freqs: list[int] = [word_counts[w] for w in words]
 
+    counts: dict[tuple[str, str], int] = {}
+    where: dict[tuple[str, str], list[int]] = {}
+    for idx, (seq, freq) in enumerate(zip(seqs, freqs)):
+        pairs = list(zip(seq, seq[1:]))
+        for pair in pairs:
+            counts[pair] = counts.get(pair, 0) + freq
+        for pair in set(pairs):
+            where.setdefault(pair, []).append(idx)
+    heap = [_HeapEntry(count, pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
+
     while len(tokens) < cfg.vocab_size:
-        counts = _count_pairs(seqs, freqs)
-        best = None
-        best_count = 0
-        for pair, count in counts.items():
-            if count < cfg.min_frequency:
-                continue
-            if count > best_count or (count == best_count and pair > best):
-                best = pair
-                best_count = count
-        if best is None:
+        while heap and counts.get(heap[0].pair) != heap[0].count:
+            heapq.heappop(heap)
+        if not heap or heap[0].count < cfg.min_frequency:
             break
-        merged = best[0] + _strip_prefix(best[1])
-        _apply_merge(seqs, best[0], best[1], merged)
+        left, right = heapq.heappop(heap).pair
+        merged = left + _strip_prefix(right)
+        delta: dict[tuple[str, str], int] = {}
+        for idx in where.pop((left, right)):
+            seq = seqs[idx]
+            new_seq = _merge_word(seq, left, right, merged)
+            if len(new_seq) == len(seq):
+                continue  # listed under a pair it has since lost
+            freq = freqs[idx]
+            old_pairs = list(zip(seq, seq[1:]))
+            new_pairs = list(zip(new_seq, new_seq[1:]))
+            for pair in old_pairs:
+                delta[pair] = delta.get(pair, 0) - freq
+            for pair in new_pairs:
+                delta[pair] = delta.get(pair, 0) + freq
+            for pair in set(new_pairs).difference(old_pairs):
+                where.setdefault(pair, []).append(idx)
+            seqs[idx] = new_seq
+        for pair, change in delta.items():
+            if not change:
+                continue
+            count = counts[pair] = counts.get(pair, 0) + change
+            if count:
+                heapq.heappush(heap, _HeapEntry(count, pair))
+            else:
+                del counts[pair]
         if merged not in token_set:
             tokens.append(merged)
             token_set.add(merged)

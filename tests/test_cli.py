@@ -3,6 +3,7 @@ import json
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ethikit.cli import main
@@ -102,6 +103,39 @@ class TestTrainCommand:
         assert (d1 / "best.ckpt").read_bytes() == (replay_dir / "best.ckpt").read_bytes()
         assert (d1 / "vocab.txt").read_bytes() == (replay_dir / "vocab.txt").read_bytes()
 
+    def test_replay_of_changed_input_exit_1(self, tmp_path, train_file, capsys):
+        d1 = run_train(tmp_path, train_file, "run1")
+        data = bytearray(train_file.read_bytes())
+        data[-2] ^= 0x01
+        train_file.write_bytes(bytes(data))
+        code = main(["train", "--replay", str(d1 / "manifest.json"),
+                     "--out-dir", str(tmp_path / "replayed")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(train_file) in err and "changed" in err
+        assert not (tmp_path / "replayed" / "best.ckpt").exists()
+
+    def test_replay_under_other_version_exit_1(self, tmp_path, train_file, capsys):
+        d1 = run_train(tmp_path, train_file, "run1")
+        manifest = json.loads((d1 / "manifest.json").read_text())
+        manifest["version"] = "0.0.0"
+        (d1 / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["train", "--replay", str(d1 / "manifest.json"),
+                     "--out-dir", str(tmp_path / "replayed")])
+        assert code == 1
+        assert "0.0.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["config", "inputs"])
+    def test_replay_manifest_missing_key_exit_2(self, tmp_path, train_file, capsys, key):
+        d1 = run_train(tmp_path, train_file, "run1")
+        manifest = json.loads((d1 / "manifest.json").read_text())
+        del manifest[key]
+        (d1 / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["train", "--replay", str(d1 / "manifest.json"),
+                     "--out-dir", str(tmp_path / "replayed")])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+
     def test_run_root_env(self, tmp_path, train_file, monkeypatch):
         monkeypatch.setenv("ETHIKIT_RUN_ROOT", str(tmp_path / "root"))
         code = main([
@@ -134,6 +168,22 @@ class TestEvaluateCommand:
         assert len(score_lines) == 41
         for line in score_lines[1:]:
             assert 0.0 <= float(line.split(",")[2]) <= 1.0, line
+
+    def test_non_finite_scores_exit_1(self, tmp_path, train_file, capsys, monkeypatch):
+        out_dir = run_train(tmp_path, train_file)
+
+        def nan_probs(params, dataset, *args, **kwargs):
+            probs = np.full(len(dataset), 0.5)
+            probs[1] = np.nan
+            return probs
+
+        monkeypatch.setattr("ethikit.trainer.predict_probs", nan_probs)
+        code = main([
+            "evaluate", "--checkpoint", str(out_dir / "best.ckpt"),
+            "--data", str(train_file), "--domain", "justice", "--max-len", "16",
+        ])
+        assert code == 1
+        assert "NaN or infinite" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_1(self, tmp_path, capsys):
         code = main([

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ethikit.errors import EmptyInput, LengthMismatch, SingleClass
+from ethikit.errors import EmptyInput, LengthMismatch, NonFiniteScore, SingleClass
 from ethikit.metrics import (
     ConfusionMatrix,
     DegenerateMetricWarning,
@@ -106,6 +106,11 @@ class TestAuc:
         assert auc(scores, labels) == auc(np.exp(scores), labels)
         assert auc(scores, labels) == auc(3.0 * scores + 7.0, labels)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(NonFiniteScore):
+            auc([0.2, bad, 0.9, 0.1], [0, 0, 1, 1])
+
 
 class TestReporting:
     def test_build_report_consistency(self):
@@ -115,6 +120,11 @@ class TestReporting:
         cm = report.confusion
         assert cm.total == report.n == 6
         assert report.accuracy == (cm.tp + cm.tn) / cm.total
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_build_report_rejects_non_finite_score(self, bad):
+        with pytest.raises(NonFiniteScore):
+            build_report([0.2, bad, 0.9, 0.1], [0, 0, 1, 1])
 
     def test_round_half_up(self):
         assert round_half_up(82.3275, 2) == 82.33

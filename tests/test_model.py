@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from ethikit.batching import TokenBatch
 from ethikit.errors import (
+    CheckpointError,
     ConfigError,
     CorruptHeader,
+    EthikitError,
     ShapeMismatch,
     StaleCache,
     TruncatedCheckpoint,
 )
 from ethikit.loss import bce, bce_grad_logits
 from ethikit.model import (
+    _CKPT_MAGIC,
     ModelConfig,
     backward,
     classify,
@@ -28,6 +33,14 @@ TOY = ModelConfig(
     vocab_size=30, max_len=12, n_layers=2, n_heads=2,
     d_model=16, d_ff=32, dropout_p=0.3, seed=7, dtype="float64",
 )
+TINY = ModelConfig(vocab_size=6, max_len=3, n_layers=1, n_heads=2, d_model=4, d_ff=4)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    save_checkpoint(init_params(TINY), TINY, path)
+    return path.read_bytes()
 
 
 def make_batch(cfg, n_rows=4, length=8, seed=0, pad_rows=()):
@@ -61,6 +74,11 @@ class TestConfig:
     def test_heads_must_divide(self):
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=10, n_heads=3, d_model=16)
+
+    def test_zero_heads_rejected(self):
+        # a checkpoint header with a flipped bit can say n_heads=0
+        with pytest.raises(ConfigError):
+            ModelConfig(vocab_size=10, n_heads=0, d_model=16)
 
     def test_dropout_range(self):
         with pytest.raises(ConfigError):
@@ -271,6 +289,61 @@ class TestCheckpoint:
         save_checkpoint(params, wrong, path)
         with pytest.raises(ShapeMismatch):
             load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY), TINY, path)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(CorruptHeader, match="16 trailing bytes"):
+            load_checkpoint(path)
+
+    def test_oversized_header_length_fails_before_reading(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(TINY), TINY, path)
+        data = bytearray(path.read_bytes())
+        data[len(_CKPT_MAGIC) + 3] ^= 0x80  # header length += 2 GiB
+        path.write_bytes(bytes(data))
+        with pytest.raises(TruncatedCheckpoint, match="only"):
+            load_checkpoint(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_checkpoint(self, tiny_checkpoint, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+        kind = data.draw(st.sampled_from(["truncate", "append", "flip"]))
+        if kind == "truncate":
+            cut = data.draw(st.integers(0, len(tiny_checkpoint) - 1))
+            path.write_bytes(tiny_checkpoint[:cut])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+        elif kind == "append":
+            extra = data.draw(st.binary(min_size=1, max_size=64))
+            path.write_bytes(tiny_checkpoint + extra)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+        else:
+            bit = data.draw(st.integers(0, 8 * len(tiny_checkpoint) - 1))
+            flipped = bytearray(tiny_checkpoint)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(path)
+            except EthikitError:
+                pass
+
+    def test_every_metadata_bit_flip_is_typed(self, tiny_checkpoint, tmp_path):
+        # The bytes before the first tensor's data hold every length and the
+        # config text; flip each of their bits in turn.
+        first_data = tiny_checkpoint.index(b"embed.tok") + len(b"embed.tok") + 1 + 8
+        path = tmp_path / "model.ckpt"
+        for bit in range(8 * first_data):
+            flipped = bytearray(tiny_checkpoint)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(path)
+            except EthikitError:
+                pass
 
     def test_shapes_cover_every_parameter(self):
         shapes = param_shapes(TOY)

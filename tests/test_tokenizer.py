@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ethikit.errors import DuplicateToken, EmptyCorpus, IdOutOfRange, MalformedVocab
 from ethikit.tokenizer import (
@@ -14,6 +18,80 @@ from ethikit.tokenizer import (
     save_vocab,
     train_vocab,
 )
+
+
+def _reference_train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
+    """Full-recount learner: every pair is counted afresh before every merge.
+
+    The oracle for ``train_vocab``, which keeps its pair counts between
+    merges; both must learn the same tokens in the same order.
+    """
+    word_counts = Counter()
+    for line in corpus:
+        word_counts.update(line.split())
+    if not word_counts:
+        raise EmptyCorpus("corpus contains no tokens")
+
+    char_counts = Counter()
+    for word, freq in word_counts.items():
+        for ch in word:
+            char_counts[ch] += freq
+    alphabet = sorted(
+        ch for ch, count in char_counts.items() if count >= cfg.min_frequency
+    )
+    tokens = list(SPECIAL_TOKENS) + alphabet
+    token_set = set(tokens)
+
+    words = sorted(word_counts)
+    seqs = [[w[0]] + [CONTINUATION_PREFIX + ch for ch in w[1:]] for w in words]
+    freqs = [word_counts[w] for w in words]
+
+    while len(tokens) < cfg.vocab_size:
+        counts = {}
+        for seq, freq in zip(seqs, freqs):
+            for i in range(len(seq) - 1):
+                pair = (seq[i], seq[i + 1])
+                counts[pair] = counts.get(pair, 0) + freq
+        best = None
+        best_count = 0
+        for pair, count in counts.items():
+            if count < cfg.min_frequency:
+                continue
+            if count > best_count or (count == best_count and pair > best):
+                best = pair
+                best_count = count
+        if best is None:
+            break
+        left, right = best
+        if right.startswith(CONTINUATION_PREFIX):
+            merged = left + right[len(CONTINUATION_PREFIX):]
+        else:
+            merged = left + right
+        for idx, seq in enumerate(seqs):
+            out = []
+            i = 0
+            while i < len(seq):
+                if i + 1 < len(seq) and seq[i] == left and seq[i + 1] == right:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(seq[i])
+                    i += 1
+            seqs[idx] = out
+        if merged not in token_set:
+            tokens.append(merged)
+            token_set.add(merged)
+
+    return Vocab(tokens, max_word_chars=cfg.max_word_chars)
+
+
+@st.composite
+def _small_alphabet_corpora(draw):
+    """Lines over 1-5 letters, so runs like aaaa and abab force overlapping merges."""
+    letters = "abcde"[: draw(st.integers(1, 5))]
+    word = st.text(alphabet=letters, min_size=1, max_size=8)
+    line = st.lists(word, min_size=1, max_size=8).map(" ".join)
+    return draw(st.lists(line, min_size=1, max_size=6))
 
 
 class TestTrainVocab:
@@ -59,6 +137,27 @@ class TestTrainVocab:
         ids = encode("aaaa aaa aaaaa aaaaaaa abab aba cd dc zz", vocab)
         assert ids == [UNK_ID, 14, 14, 9, UNK_ID, 13, 12, 10, 15, UNK_ID]
         assert encode_word("aaaaaaa", Vocab(vocab.tokens)) == [14, 9, 9]
+
+    @given(
+        corpus=_small_alphabet_corpora(),
+        vocab_size=st.integers(6, 60),
+        min_frequency=st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_recount(self, corpus, vocab_size, min_frequency):
+        cfg = TokenizerConfig(vocab_size=vocab_size, min_frequency=min_frequency)
+        assert train_vocab(corpus, cfg).tokens == _reference_train_vocab(corpus, cfg).tokens
+
+    def test_merge_into_existing_token_applied_but_not_added(self):
+        # Merging [PAD + ##] yields "[PAD]", already a special token: it adds
+        # nothing, but the words are rewritten, so [PAD] + ##x can follow.
+        corpus = ["[PAD]x [PAD]x [PAD]"]
+        cfg = TokenizerConfig(vocab_size=50, min_frequency=2)
+        vocab = train_vocab(corpus, cfg)
+        assert vocab.tokens == SPECIAL_TOKENS + (
+            "A", "D", "P", "[", "]", "x", "[P", "[PA", "[PAD", "[PAD]x",
+        )
+        assert vocab.tokens == _reference_train_vocab(corpus, cfg).tokens
 
     def test_learned_subwords_meet_frequency_floor(self):
         corpus = ["walked walking walker talked talking"] * 2
