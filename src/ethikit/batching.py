@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ethikit import tokenizer
-from ethikit.errors import EmptyBatch, InvalidLength, MissingField
+from ethikit.errors import EmptyBatch, InvalidConfig, InvalidLength, MissingField
 from ethikit.tokenizer import CLS_ID, PAD_ID, SEP_ID, Vocab
 
 DOMAINS = ("commonsense", "justice", "virtue", "deontology")
@@ -95,7 +95,7 @@ def make_batches(
 ) -> list[TokenBatch]:
     """Shuffle (when seeded), chunk, and pad; the last partial batch is kept."""
     if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+        raise InvalidConfig("batch_size must be >= 1")
     examples = list(examples)
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(len(examples))

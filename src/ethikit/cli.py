@@ -169,12 +169,10 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
         optim=optim_cfg,
         epochs=settings["epochs"],
         batch_size=settings["batch_size"],
-        max_len=settings["max_len"],
-        seed=settings["seed"],
     )
 
     train_set, val_set = trainer_mod.split_train_val(
-        examples, ratio=settings["val_ratio"], seed=settings["seed"]
+        examples, ratio=settings["val_ratio"], seed=model_cfg.seed
     )
     best_params, logs = trainer_mod.train(train_set, val_set, vocab, train_cfg)
 
@@ -184,9 +182,7 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
     inputs = {"train_file": train_file}
     if vocab_input is not None:
         inputs["vocab_file"] = vocab_input
-    _write_manifest(
-        out_dir / "manifest.json", "train", settings, settings["seed"], inputs
-    )
+    _write_manifest(out_dir / "manifest.json", "train", settings, model_cfg.seed, inputs)
 
     last = logs[-1]
     print(f"trained {settings['epochs']} epoch(s) on {len(train_set)} examples "
@@ -248,8 +244,6 @@ def cmd_train(args) -> int:
         "min_freq": args.min_freq,
         "epochs": args.epochs,
         "batch_size": args.batch_size,
-        "max_len": args.max_len,
-        "seed": args.seed,
         "val_ratio": args.val_ratio,
         "model": {
             "max_len": args.max_len,
@@ -277,9 +271,7 @@ def cmd_evaluate(args) -> int:
     examples = dataset_mod.load_split(args.data, spec)
     examples = _normalize_examples(examples, norm_mod.default_config())
 
-    report = trainer_mod.evaluate(
-        params, examples, vocab, batch_size=args.batch_size, max_len=args.max_len
-    )
+    report = trainer_mod.evaluate(params, examples, vocab, batch_size=args.batch_size)
     print(metrics_mod.render_confusion(report.confusion))
     print(f"accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} f1={report.f1:.4f} auc={report.auc:.4f} "
@@ -317,32 +309,28 @@ def cmd_filter_hard(args) -> int:
 
     proxy_model = ModelConfig(
         vocab_size=len(vocab), max_len=args.max_len, n_layers=1, n_heads=2,
-        d_model=32, d_ff=64, dropout_p=0.1, seed=args.seed,
+        d_model=32, d_ff=64, dropout_p=0.1,
     )
     proxy_train = trainer_mod.TrainConfig(
         model=proxy_model,
         optim=OptimConfig(eta0=args.lr, n_acc=1),
         epochs=args.epochs,
         batch_size=args.batch_size,
-        max_len=args.max_len,
-        seed=args.seed,
     )
     cfg = hard_mod.FilterConfig(
         proxy=proxy_train, n_proxies=args.proxies,
         keep_quantile=args.quantile, seed=args.seed,
     )
     proxies = hard_mod.train_proxies(dev, cfg, vocab)
-    scores = hard_mod.score_examples(proxies, pool, vocab, args.batch_size, args.max_len)
-    hard, _ = hard_mod.filter_hard(pool, scores, args.quantile)
-
-    # Serialize the raw (pre-normalization) rows so the output stays in the
-    # same format as its input.
-    hard_raw = [pool_raw[i] for i in hard_mod.hard_indices(scores, args.quantile)]
+    scores = hard_mod.score_examples(proxies, pool, vocab, args.batch_size)
+    # Partition the raw (pre-normalization) rows, parallel to the scored
+    # pool, so the output stays in the same format as its input.
+    hard_raw, _ = hard_mod.filter_hard(pool_raw, scores, cfg.keep_quantile)
     dataset_mod.serialize_split(hard_raw, spec, args.out)
     score_path = Path(args.scores_out) if args.scores_out else Path(args.out).with_suffix(".scores.csv")
     lines = ["example_id,score"] + [f"{s.example_id},{s.score!r}" for s in scores]
     score_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"kept {len(hard)} hard of {len(pool)} pool examples -> {args.out}")
+    print(f"kept {len(hard_raw)} hard of {len(pool)} pool examples -> {args.out}")
     return 0
 
 
@@ -416,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write metrics CSV here")
     p.add_argument("--scores", help="write per-example scores CSV here")
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-len", type=int, default=128)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("filter-hard", help="build an adversarially hard subset")

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ethikit.errors import EmptyDataset, QuantileOutOfRange
-from ethikit.loss import PROB_CLAMP
+from ethikit.errors import EmptyDataset, InvalidConfig, QuantileOutOfRange
+from ethikit.loss import bce_terms
 from ethikit.model import ModelParams
 from ethikit.tokenizer import Vocab
 from ethikit.trainer import TrainConfig, predict_probs, split_train_val
@@ -30,7 +30,7 @@ class FilterConfig:
 
     def __post_init__(self) -> None:
         if self.n_proxies < 1:
-            raise ValueError("n_proxies must be >= 1")
+            raise InvalidConfig("n_proxies must be >= 1")
         if not 0.0 < self.keep_quantile < 1.0:
             raise QuantileOutOfRange("keep_quantile must lie in (0, 1)")
 
@@ -49,38 +49,28 @@ def train_proxies(dev_set, cfg: FilterConfig, vocab: Vocab) -> list[ModelParams]
     proxies = []
     for i in range(cfg.n_proxies):
         seed = cfg.seed + i
-        proxy_cfg = replace(
-            cfg.proxy,
-            seed=seed,
-            model=replace(cfg.proxy.model, seed=seed),
-        )
+        proxy_cfg = replace(cfg.proxy, model=replace(cfg.proxy.model, seed=seed))
         dev_train, dev_val = split_train_val(dev_set, seed=seed)
         params, _ = train_model(dev_train, dev_val, vocab, proxy_cfg)
         proxies.append(params)
     return proxies
 
 
-def _per_example_bce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
-
-
 def score_examples(
-    proxies,
-    pool,
-    vocab: Vocab,
-    batch_size: int = 32,
-    max_len: int = 128,
+    proxies, pool, vocab: Vocab, batch_size: int = 32
 ) -> list[DifficultyScore]:
-    """Mean per-example cross-entropy across proxies, eval mode."""
+    """Mean per-example cross-entropy across proxies, eval mode.
+
+    Each proxy truncates at its own ``max_len``.
+    """
     pool = list(pool)
     if not pool:
         raise EmptyDataset("empty pool")
     labels = np.array([ex.label for ex in pool], dtype=np.float64)
     total = np.zeros(len(pool), dtype=np.float64)
     for proxy in proxies:
-        probs = predict_probs(proxy, pool, vocab, batch_size, max_len)
-        total += _per_example_bce(probs, labels)
+        probs = predict_probs(proxy, pool, vocab, batch_size)
+        total += bce_terms(probs, labels)
     mean = total / len(proxies)
     return [DifficultyScore(example_id=i, score=float(s)) for i, s in enumerate(mean)]
 

@@ -31,9 +31,13 @@ def bce(probs, labels) -> LossValue:
         raise LengthMismatch(f"{probs.shape} vs {labels.shape}")
     if probs.size == 0:
         raise EmptyInput("no samples")
+    return LossValue(mean_loss=float(bce_terms(probs, labels).mean()), n=probs.size)
+
+
+def bce_terms(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-example binary cross-entropy of clamped probabilities."""
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    terms = labels * np.log(p) + (1.0 - labels) * np.log1p(-p)
-    return LossValue(mean_loss=float(-terms.mean()), n=probs.size)
+    return -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
 
 
 def bce_grad_logits(logits, labels) -> np.ndarray:

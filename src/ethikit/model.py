@@ -51,8 +51,9 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
-        if self.n_heads < 1:
-            raise ConfigError("n_heads must be >= 1")
+        for name in ("n_layers", "n_heads", "d_model", "d_ff"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         if self.max_len < 2:

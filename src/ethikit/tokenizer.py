@@ -26,22 +26,19 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 
 CONTINUATION_PREFIX = "##"
 
-DEFAULT_MAX_WORD_CHARS = 100
+MAX_WORD_CHARS = 100
 
 
 @dataclass(frozen=True)
 class TokenizerConfig:
     vocab_size: int = 8000
     min_frequency: int = 2
-    max_word_chars: int = DEFAULT_MAX_WORD_CHARS
 
     def __post_init__(self) -> None:
         if self.vocab_size <= len(SPECIAL_TOKENS):
             raise ConfigError("vocab_size must exceed the special-token count")
         if self.min_frequency < 1:
             raise ConfigError("min_frequency must be >= 1")
-        if self.max_word_chars < 1:
-            raise ConfigError("max_word_chars must be >= 1")
 
 
 class Vocab:
@@ -49,7 +46,7 @@ class Vocab:
 
     continuation_prefix = CONTINUATION_PREFIX
 
-    def __init__(self, tokens, max_word_chars: int = DEFAULT_MAX_WORD_CHARS):
+    def __init__(self, tokens):
         tokens = tuple(tokens)
         if tokens[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
             raise MalformedVocab(
@@ -62,7 +59,6 @@ class Vocab:
             id_of[tok] = i
         self.tokens = tokens
         self.id_of = id_of
-        self.max_word_chars = max_word_chars
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -209,18 +205,18 @@ def train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
             tokens.append(merged)
             token_set.add(merged)
 
-    return Vocab(tokens, max_word_chars=cfg.max_word_chars)
+    return Vocab(tokens)
 
 
 def encode_word(word: str, vocab: Vocab) -> list[int]:
     """Segment one whitespace-free word into token ids by greedy longest match.
 
     Non-initial pieces carry the continuation prefix. A word that is empty,
-    longer than ``vocab.max_word_chars`` or not fully coverable maps to a
-    single [UNK].
+    longer than ``MAX_WORD_CHARS`` or not fully coverable maps to a single
+    [UNK].
     """
     n = len(word)
-    if n == 0 or n > vocab.max_word_chars:
+    if n == 0 or n > MAX_WORD_CHARS:
         return [UNK_ID]
     id_of = vocab.id_of
     ids: list[int] = []
@@ -272,9 +268,9 @@ def save_vocab(vocab: Vocab, path) -> None:
             fh.write(tok + "\n")
 
 
-def load_vocab(path, max_word_chars: int = DEFAULT_MAX_WORD_CHARS) -> Vocab:
+def load_vocab(path) -> Vocab:
     with open(path, encoding="utf-8") as fh:
         tokens = [line.rstrip("\n") for line in fh]
     if len(tokens) < len(SPECIAL_TOKENS):
         raise MalformedVocab(f"{path}: fewer than {len(SPECIAL_TOKENS)} tokens")
-    return Vocab(tokens, max_word_chars=max_word_chars)
+    return Vocab(tokens)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ethikit import loss as loss_mod
 from ethikit import metrics as metrics_mod
-from ethikit.batching import DEFAULT_MAX_LEN, make_batches
+from ethikit.batching import make_batches
 from ethikit.errors import EmptyDataset, InvalidConfig, TooFewExamples
 from ethikit.model import ModelConfig, ModelParams, backward, classify, forward, init_params
 from ethikit.optim import OptimConfig, accumulate, flush, init_state
@@ -29,21 +29,12 @@ class TrainConfig:
     optim: OptimConfig = field(default_factory=OptimConfig)
     epochs: int = 5
     batch_size: int = 32
-    max_len: int = DEFAULT_MAX_LEN
-    seed: int = 0
-    early_stop_patience: int | None = None
-
-    @property
-    def n_acc(self) -> int:
-        return self.optim.n_acc
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise InvalidConfig("epochs must be >= 1")
         if self.batch_size < 1:
             raise InvalidConfig("batch_size must be >= 1")
-        if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise InvalidConfig("early_stop_patience must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -102,22 +93,23 @@ def split_train_val(examples, ratio: float = 0.8, seed: int = 0):
 
 
 def predict_probs(
-    params: ModelParams,
-    dataset,
-    vocab: Vocab,
-    batch_size: int = 32,
-    max_len: int = DEFAULT_MAX_LEN,
+    params: ModelParams, dataset, vocab: Vocab, batch_size: int = 32
 ) -> np.ndarray:
-    """Eval-mode probabilities for every example, in dataset order."""
+    """Eval-mode probabilities for every example, in dataset order.
+
+    Sequences are truncated at the model's own ``max_len``.
+    """
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("nothing to score")
-    batches = make_batches(dataset, vocab, batch_size, shuffle_seed=None, max_len=max_len)
+    batches = make_batches(
+        dataset, vocab, batch_size, shuffle_seed=None, max_len=params.cfg.max_len
+    )
     return np.concatenate([classify(params, b) for b in batches])
 
 
-def _eval_loss_acc(params, dataset, vocab, batch_size, max_len):
-    probs = predict_probs(params, dataset, vocab, batch_size, max_len)
+def _eval_loss_acc(params, dataset, vocab, batch_size):
+    probs = predict_probs(params, dataset, vocab, batch_size)
     labels = np.array([ex.label for ex in dataset], dtype=np.float64)
     mean_loss = loss_mod.bce(probs, labels).mean_loss
     acc = float(((probs >= 0.5).astype(np.int64) == labels.astype(np.int64)).mean())
@@ -125,23 +117,23 @@ def _eval_loss_acc(params, dataset, vocab, batch_size, max_len):
 
 
 def evaluate(
-    params: ModelParams,
-    dataset,
-    vocab: Vocab,
-    batch_size: int = 32,
-    max_len: int = DEFAULT_MAX_LEN,
+    params: ModelParams, dataset, vocab: Vocab, batch_size: int = 32
 ) -> metrics_mod.EvalReport:
     """Full metric report at threshold 0.5 over a labeled dataset."""
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    probs = predict_probs(params, dataset, vocab, batch_size, max_len)
+    probs = predict_probs(params, dataset, vocab, batch_size)
     labels = np.array([ex.label for ex in dataset], dtype=np.int64)
     return metrics_mod.build_report(probs, labels)
 
 
 def train(train_set, val_set, vocab: Vocab, cfg: TrainConfig):
-    """Run the fine-tuning loop; returns (best params, per-epoch logs)."""
+    """Run the fine-tuning loop; returns (best params, per-epoch logs).
+
+    Batches are cut at ``cfg.model.max_len``; ``cfg.model.seed`` seeds both
+    the per-epoch shuffle and the dropout masks.
+    """
     train_set = list(train_set)
     val_set = list(val_set)
     if not train_set:
@@ -151,19 +143,17 @@ def train(train_set, val_set, vocab: Vocab, cfg: TrainConfig):
 
     params = init_params(cfg.model)
     state = init_state(params, cfg.optim)
-    dropout_rng = np.random.default_rng(cfg.seed)
+    dropout_rng = np.random.default_rng(cfg.model.seed)
 
     logs: list[EpochLog] = []
     best_params = params.copy()
     best_key: tuple[float, float] | None = None
-    best_acc = -1.0
-    best_acc_epoch = 0
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         batches = make_batches(
             train_set, vocab, cfg.batch_size,
-            shuffle_seed=(cfg.seed, epoch), max_len=cfg.max_len,
+            shuffle_seed=(cfg.model.seed, epoch), max_len=cfg.model.max_len,
         )
         for batch in batches:
             logits, cache = forward(params, batch, train=True, rng=dropout_rng)
@@ -176,12 +166,8 @@ def train(train_set, val_set, vocab: Vocab, cfg: TrainConfig):
         if state.counter > 0:
             flush(params, state, cfg.optim, allow_partial=True)
 
-        train_loss, train_acc = _eval_loss_acc(
-            params, train_set, vocab, cfg.batch_size, cfg.max_len
-        )
-        val_loss, val_acc = _eval_loss_acc(
-            params, val_set, vocab, cfg.batch_size, cfg.max_len
-        )
+        train_loss, train_acc = _eval_loss_acc(params, train_set, vocab, cfg.batch_size)
+        val_loss, val_acc = _eval_loss_acc(params, val_set, vocab, cfg.batch_size)
         logs.append(EpochLog(
             epoch=epoch,
             train_loss=train_loss,
@@ -195,13 +181,5 @@ def train(train_set, val_set, vocab: Vocab, cfg: TrainConfig):
         if best_key is None or key > best_key:
             best_key = key
             best_params = params.copy()
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_acc_epoch = epoch
-        elif (
-            cfg.early_stop_patience is not None
-            and epoch - best_acc_epoch >= cfg.early_stop_patience
-        ):
-            break
 
     return best_params, logs

@@ -295,8 +295,7 @@ def test_c09_overfit_surrogate(separable_set, separable_vocab):
                         n_heads=2, d_model=32, d_ff=64, dropout_p=0.3, seed=0)
     optim = OptimConfig(eta0=0.02, weight_decay=0.01, n_acc=4)
     # 64 examples / batch 16 = 4 micro-batches = exactly one flush per epoch
-    cfg = TrainConfig(model=model, optim=optim, epochs=200, batch_size=16,
-                      max_len=16, seed=0)
+    cfg = TrainConfig(model=model, optim=optim, epochs=200, batch_size=16)
     _, logs = train(separable_set, separable_set[:16], separable_vocab, cfg)
     hit = next((i for i, log in enumerate(logs, start=1) if log.train_acc >= 0.95), None)
     elapsed = time.perf_counter() - started
@@ -316,7 +315,7 @@ def test_c10_hard_filter_property(separable_vocab):
         cfg = ModelConfig(vocab_size=len(separable_vocab), max_len=16, n_layers=1,
                           n_heads=2, d_model=16, d_ff=32, dropout_p=0.0, seed=seed)
         proxy = init_params(cfg)
-        scores = score_examples([proxy], pool, separable_vocab, max_len=16)
+        scores = score_examples([proxy], pool, separable_vocab)
         ids = set(hard_indices(scores, 0.5))
         values = np.array([s.score for s in scores])
         if values[list(ids)].mean() >= values.mean():
@@ -330,23 +329,23 @@ def test_c10_hard_filter_property(separable_vocab):
                               dropout_p=0.1, seed=0)
     proxy_train_cfg = TrainConfig(
         model=proxy_model, optim=OptimConfig(eta0=0.02, n_acc=1),
-        epochs=20, batch_size=16, max_len=16, seed=0,
+        epochs=20, batch_size=16,
     )
     fcfg = FilterConfig(proxy=proxy_train_cfg, n_proxies=2, seed=5)
     proxies = train_proxies(dev, fcfg, separable_vocab)
-    scores = score_examples(proxies, pool, separable_vocab, max_len=16)
+    scores = score_examples(proxies, pool, separable_vocab)
     hard, _ = filter_hard(pool, scores, 0.5)
 
     main_model = ModelConfig(vocab_size=len(separable_vocab), max_len=16,
                              n_layers=2, n_heads=2, d_model=32, d_ff=64,
                              dropout_p=0.1, seed=42)
     main_cfg = TrainConfig(model=main_model, optim=OptimConfig(eta0=0.02, n_acc=2),
-                           epochs=25, batch_size=16, max_len=16, seed=42)
+                           epochs=25, batch_size=16)
     # clean validation set so best-checkpoint selection tracks real skill
     val = make_separable_examples(32, seed=99)
     main, _ = train(dev, val, separable_vocab, main_cfg)
-    acc_pool = evaluate(main, pool, separable_vocab, max_len=16).accuracy
-    acc_hard = evaluate(main, hard, separable_vocab, max_len=16).accuracy
+    acc_pool = evaluate(main, pool, separable_vocab).accuracy
+    acc_hard = evaluate(main, hard, separable_vocab).accuracy
     assert acc_hard <= acc_pool
     _report(10, f"separation held in {holds}/100 seeded runs; main-model accuracy "
                 f"{acc_hard:.3f} on hard <= {acc_pool:.3f} on pool")

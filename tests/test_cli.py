@@ -154,7 +154,6 @@ class TestEvaluateCommand:
         code = main([
             "evaluate", "--checkpoint", str(out_dir / "best.ckpt"),
             "--data", str(train_file), "--domain", "justice",
-            "--max-len", "16",
             "--report", str(report_csv), "--scores", str(scores_csv),
         ])
         assert code == 0
@@ -169,6 +168,21 @@ class TestEvaluateCommand:
         for line in score_lines[1:]:
             assert 0.0 <= float(line.split(",")[2]) <= 1.0, line
 
+    def test_truncates_at_checkpoint_max_len(self, tmp_path, capsys):
+        # 24 words per row: longer than the 16 positions the model was trained with
+        examples = make_separable_examples(40, seed=21)
+        for ex in examples:
+            ex.text_a = " ".join([ex.text_a] * 4)
+        long_file = tmp_path / "justice_long.csv"
+        serialize_split(examples, default_specs()["justice"], long_file)
+        out_dir = run_train(tmp_path, long_file)
+        code = main([
+            "evaluate", "--checkpoint", str(out_dir / "best.ckpt"),
+            "--data", str(long_file), "--domain", "justice",
+        ])
+        assert code == 0
+        assert "n=40" in capsys.readouterr().out
+
     def test_non_finite_scores_exit_1(self, tmp_path, train_file, capsys, monkeypatch):
         out_dir = run_train(tmp_path, train_file)
 
@@ -180,7 +194,7 @@ class TestEvaluateCommand:
         monkeypatch.setattr("ethikit.trainer.predict_probs", nan_probs)
         code = main([
             "evaluate", "--checkpoint", str(out_dir / "best.ckpt"),
-            "--data", str(train_file), "--domain", "justice", "--max-len", "16",
+            "--data", str(train_file), "--domain", "justice",
         ])
         assert code == 1
         assert "NaN or infinite" in capsys.readouterr().err
@@ -204,7 +218,7 @@ class TestEvaluateCommand:
         ckpt.write_bytes(bytes(data))
         code = main([
             "evaluate", "--checkpoint", str(ckpt),
-            "--data", str(train_file), "--domain", "justice", "--max-len", "16",
+            "--data", str(train_file), "--domain", "justice",
         ])
         assert code == 1
         assert "embed.tok" in capsys.readouterr().err
@@ -233,6 +247,30 @@ class TestFilterHardCommand:
         scores = (out.with_suffix(".scores.csv")).read_text().strip().splitlines()
         assert scores[0] == "example_id,score"
         assert len(scores) == 33
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--d-model", "0"]),
+        ("train", ["--d-ff", "0"]),
+        ("train", ["--layers", "-1"]),
+        ("evaluate", ["--batch-size", "0"]),
+        ("filter-hard", ["--proxies", "0"]),
+    ])
+    def test_config_error_exit_2(self, tmp_path, train_file, capsys, command, flags):
+        if command == "train":
+            argv = ["train", "--train-file", str(train_file), "--domain", "justice",
+                    "--out-dir", str(tmp_path / "bad"), *FAST_TRAIN_FLAGS]
+        elif command == "evaluate":
+            argv = ["evaluate", "--checkpoint", str(run_train(tmp_path, train_file) / "best.ckpt"),
+                    "--data", str(train_file), "--domain", "justice"]
+        else:
+            argv = ["filter-hard", "--dev", str(train_file), "--pool", str(train_file),
+                    "--domain", "justice", "--out", str(tmp_path / "hard.csv"),
+                    "--vocab-size", "300"]
+        capsys.readouterr()
+        assert main([*argv, *flags]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -23,7 +23,7 @@ def proxy_train_config(vocab, epochs=8, seed=0):
     model = ModelConfig(vocab_size=len(vocab), max_len=16, n_layers=1, n_heads=2,
                         d_model=16, d_ff=32, dropout_p=0.1, seed=seed)
     return TrainConfig(model=model, optim=OptimConfig(eta0=0.02, n_acc=1),
-                       epochs=epochs, batch_size=16, max_len=16, seed=seed)
+                       epochs=epochs, batch_size=16)
 
 
 class TestTrainProxies:
@@ -54,7 +54,7 @@ class TestScoreExamples:
         proxy = init_params(cfg)
         proxy.tensors["head.w"][...] = 0.0
         proxy.tensors["head.b"][...] = 0.0
-        scores = score_examples([proxy], separable_set, separable_vocab, max_len=16)
+        scores = score_examples([proxy], separable_set, separable_vocab)
         assert all(s.score == pytest.approx(math.log(2), abs=1e-12) for s in scores)
 
     def _constant_prob_proxy(self, vocab, prob):
@@ -73,23 +73,23 @@ class TestScoreExamples:
             self._constant_prob_proxy(separable_vocab, math.exp(-0.2)),
             self._constant_prob_proxy(separable_vocab, math.exp(-0.6)),
         ]
-        (score,) = score_examples(proxies, [example], separable_vocab, max_len=16)
+        (score,) = score_examples(proxies, [example], separable_vocab)
         assert score.score == pytest.approx(0.4, abs=1e-6)  # float32 logits
 
     def test_perfect_proxy_scores_bounded_by_clamp(self, separable_vocab):
         # probabilities saturated at the right label cost at most the clamp
         pos = self._constant_prob_proxy(separable_vocab, 1.0 - 1e-12)
         examples = [Example("justice", "the cat", label=1)]
-        (score,) = score_examples([pos], examples, separable_vocab, max_len=16)
+        (score,) = score_examples([pos], examples, separable_vocab)
         assert score.score <= 2e-7
 
     def test_trained_proxy_scores_low(self, separable_set, separable_vocab):
         cfg = proxy_train_config(separable_vocab, epochs=30)
         params, _ = train(separable_set, separable_set[:16],
                           separable_vocab, cfg)
-        report = evaluate(params, separable_set, separable_vocab, max_len=16)
+        report = evaluate(params, separable_set, separable_vocab)
         assert report.accuracy >= 0.95
-        scores = score_examples([params], separable_set, separable_vocab, max_len=16)
+        scores = score_examples([params], separable_set, separable_vocab)
         assert np.mean([s.score for s in scores]) < 0.35
 
     def test_empty_pool(self, separable_vocab):
@@ -150,7 +150,7 @@ class TestSeparationProperty:
                               n_layers=1, n_heads=2, d_model=16, d_ff=32,
                               dropout_p=0.0, seed=seed)
             proxy = init_params(cfg)
-            scores = score_examples([proxy], pool, separable_vocab, max_len=16)
+            scores = score_examples([proxy], pool, separable_vocab)
             ids = set(hard_indices(scores, 0.5))
             values = np.array([s.score for s in scores])
             hard_mean = values[[i in ids for i in range(len(pool))]].mean()
@@ -166,15 +166,15 @@ class TestSeparationProperty:
             proxy=proxy_train_config(separable_vocab, epochs=20), n_proxies=2, seed=5
         )
         proxies = train_proxies(dev, filter_cfg, separable_vocab)
-        scores = score_examples(proxies, pool, separable_vocab, max_len=16)
+        scores = score_examples(proxies, pool, separable_vocab)
         hard, _ = filter_hard(pool, scores, 0.5)
 
         main_cfg = toy_main_config(separable_vocab)
         # clean validation set so best-checkpoint selection tracks real skill
         val = make_separable_examples(32, seed=99)
         main, _ = train(dev, val, separable_vocab, main_cfg)
-        acc_pool = evaluate(main, pool, separable_vocab, max_len=16).accuracy
-        acc_hard = evaluate(main, hard, separable_vocab, max_len=16).accuracy
+        acc_pool = evaluate(main, pool, separable_vocab).accuracy
+        acc_hard = evaluate(main, hard, separable_vocab).accuracy
         assert acc_pool >= 0.7  # the model must actually learn the rule
         assert acc_hard <= acc_pool
 
@@ -187,7 +187,7 @@ class TestSeparationProperty:
                 proxy=proxy_train_config(separable_vocab, epochs=3), n_proxies=2, seed=1
             )
             proxies = train_proxies(dev, cfg, separable_vocab)
-            scores = score_examples(proxies, pool, separable_vocab, max_len=16)
+            scores = score_examples(proxies, pool, separable_vocab)
             return hard_indices(scores, 0.5)
 
         assert run() == run()
@@ -197,4 +197,4 @@ def toy_main_config(vocab):
     model = ModelConfig(vocab_size=len(vocab), max_len=16, n_layers=2, n_heads=2,
                         d_model=32, d_ff=64, dropout_p=0.1, seed=42)
     return TrainConfig(model=model, optim=OptimConfig(eta0=0.02, n_acc=2),
-                       epochs=25, batch_size=16, max_len=16, seed=42)
+                       epochs=25, batch_size=16)

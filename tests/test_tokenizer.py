@@ -82,7 +82,7 @@ def _reference_train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
             tokens.append(merged)
             token_set.add(merged)
 
-    return Vocab(tokens, max_word_chars=cfg.max_word_chars)
+    return Vocab(tokens)
 
 
 @st.composite
@@ -127,16 +127,17 @@ class TestTrainVocab:
         # Pins the merge order, including overlapping merges of repeated
         # symbols (aaaa, abab), the tie rule (round two has five pairs at
         # count 3 and takes the lexicographically greatest, c + ##d) and the
-        # over-long-word fallback to [UNK].
+        # over-long-word fallback to [UNK]: 99 and 101 a's are both coverable
+        # as aaa + ##aa..., but 101 exceeds the 100-character cap.
         corpus = ["aaaa aaa abab abab cd cd dc", "aaaa abab ba ba cd dc"]
-        cfg = TokenizerConfig(vocab_size=16, min_frequency=2, max_word_chars=6)
+        cfg = TokenizerConfig(vocab_size=16, min_frequency=2)
         vocab = train_vocab(corpus, cfg)
         assert vocab.tokens == SPECIAL_TOKENS + (
             "a", "b", "c", "d", "##aa", "cd", "ab", "aba", "abab", "aaa", "dc",
         )
-        ids = encode("aaaa aaa aaaaa aaaaaaa abab aba cd dc zz", vocab)
+        ids = encode(f"aaaa aaa aaaaa {'a' * 101} abab aba cd dc zz", vocab)
         assert ids == [UNK_ID, 14, 14, 9, UNK_ID, 13, 12, 10, 15, UNK_ID]
-        assert encode_word("aaaaaaa", Vocab(vocab.tokens)) == [14, 9, 9]
+        assert encode_word("a" * 99, vocab) == [14] + [9] * 48
 
     @given(
         corpus=_small_alphabet_corpora(),
@@ -192,8 +193,12 @@ class TestEncode:
         assert encode_word("zzz", tiny_vocab) == [UNK_ID]
 
     def test_over_long_word_unk(self, tiny_vocab):
-        long_vocab = Vocab(tiny_vocab.tokens, max_word_chars=5)
-        assert encode_word("unhappiness", long_vocab) == [UNK_ID]
+        # both words are coverable; only the 101-character one exceeds the cap
+        fits = "un" + "happi" * 18 + "ness"
+        too_long = "un" + "happi" * 19 + "ness"
+        assert (len(fits), len(too_long)) == (96, 101)
+        assert len(encode_word(fits, tiny_vocab)) == 20
+        assert encode_word(too_long, tiny_vocab) == [UNK_ID]
 
     def test_empty_text(self, tiny_vocab):
         assert encode("", tiny_vocab) == []

@@ -24,8 +24,7 @@ def toy_train_config(vocab, epochs=5, seed=0, lr=0.02, batch_size=16, n_acc=4):
     model = ModelConfig(vocab_size=len(vocab), max_len=16, n_layers=1, n_heads=2,
                         d_model=32, d_ff=64, dropout_p=0.3, seed=seed)
     optim = OptimConfig(eta0=lr, n_acc=n_acc)
-    return TrainConfig(model=model, optim=optim, epochs=epochs,
-                       batch_size=batch_size, max_len=16, seed=seed)
+    return TrainConfig(model=model, optim=optim, epochs=epochs, batch_size=batch_size)
 
 
 class TestSplit:
@@ -123,24 +122,15 @@ class TestTrain:
         path = tmp_path / "best.ckpt"
         save_checkpoint(best, cfg.model, path)
         reloaded, _ = load_checkpoint(path)
-        report = evaluate(reloaded, val_set, separable_vocab,
-                          batch_size=cfg.batch_size, max_len=cfg.max_len)
+        report = evaluate(reloaded, val_set, separable_vocab, batch_size=cfg.batch_size)
         assert report.accuracy == best_val_acc
-
-    def test_early_stop_halts(self, separable_set, separable_vocab):
-        cfg = dataclasses.replace(
-            toy_train_config(separable_vocab, epochs=40, lr=1e-9),
-            early_stop_patience=2,
-        )
-        _, logs = train(separable_set[:32], separable_set[32:], separable_vocab, cfg)
-        assert len(logs) < 40
 
 
 class TestEvaluate:
     def test_perfect_predictor(self, separable_set, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=30)
         best, _ = train(separable_set, separable_set[:16], separable_vocab, cfg)
-        report = evaluate(best, separable_set, separable_vocab, max_len=16)
+        report = evaluate(best, separable_set, separable_vocab)
         assert report.accuracy == 1.0
         assert report.auc == 1.0
 
@@ -175,8 +165,8 @@ class TestEvaluate:
     def test_predict_probs_order_stable(self, separable_set, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=1)
         params, _ = train(separable_set, separable_set[:8], separable_vocab, cfg)
-        a = predict_probs(params, separable_set, separable_vocab, max_len=16)
-        b = predict_probs(params, separable_set, separable_vocab, max_len=16)
+        a = predict_probs(params, separable_set, separable_vocab)
+        b = predict_probs(params, separable_set, separable_vocab)
         assert np.array_equal(a, b)
         assert len(a) == len(separable_set)
 
