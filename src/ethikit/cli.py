@@ -146,6 +146,15 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int, inputs: d
 
 def _train_from_settings(settings: dict, out_dir: Path) -> int:
     """Shared by fresh runs and manifest replays; settings are plain JSON types."""
+    # Every setting is checked before the data is read or a file is written.
+    # The vocab size is known only once the vocab is, so the first check
+    # uses the smallest valid one.
+    train_cfg = trainer_mod.TrainConfig(
+        model=ModelConfig(**settings["model"], vocab_size=len(tok_mod.SPECIAL_TOKENS)),
+        optim=OptimConfig(**settings["optim"]),
+        epochs=settings["epochs"],
+        batch_size=settings["batch_size"],
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     specs = dataset_mod.default_specs()
     spec = specs[settings["domain"]]
@@ -162,14 +171,8 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
         vocab_input = None
     tok_mod.save_vocab(vocab, out_dir / "vocab.txt")
 
-    model_cfg = ModelConfig(**settings["model"], vocab_size=len(vocab))
-    optim_cfg = OptimConfig(**settings["optim"])
-    train_cfg = trainer_mod.TrainConfig(
-        model=model_cfg,
-        optim=optim_cfg,
-        epochs=settings["epochs"],
-        batch_size=settings["batch_size"],
-    )
+    model_cfg = dataclasses.replace(train_cfg.model, vocab_size=len(vocab))
+    train_cfg = dataclasses.replace(train_cfg, model=model_cfg)
 
     train_set, val_set = trainer_mod.split_train_val(
         examples, ratio=settings["val_ratio"], seed=model_cfg.seed
@@ -309,7 +312,7 @@ def cmd_filter_hard(args) -> int:
 
     proxy_model = ModelConfig(
         vocab_size=len(vocab), max_len=args.max_len, n_layers=1, n_heads=2,
-        d_model=32, d_ff=64, dropout_p=0.1,
+        d_model=32, d_ff=64, dropout_p=0.1, seed=args.seed,
     )
     proxy_train = trainer_mod.TrainConfig(
         model=proxy_model,
@@ -318,8 +321,7 @@ def cmd_filter_hard(args) -> int:
         batch_size=args.batch_size,
     )
     cfg = hard_mod.FilterConfig(
-        proxy=proxy_train, n_proxies=args.proxies,
-        keep_quantile=args.quantile, seed=args.seed,
+        proxy=proxy_train, n_proxies=args.proxies, keep_quantile=args.quantile,
     )
     proxies = hard_mod.train_proxies(dev, cfg, vocab)
     scores = hard_mod.score_examples(proxies, pool, vocab, args.batch_size)

@@ -26,7 +26,6 @@ class FilterConfig:
     proxy: TrainConfig
     n_proxies: int = 2
     keep_quantile: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_proxies < 1:
@@ -42,13 +41,16 @@ class DifficultyScore:
 
 
 def train_proxies(dev_set, cfg: FilterConfig, vocab: Vocab) -> list[ModelParams]:
-    """Independently seeded proxy trainings on the development set."""
+    """Independently seeded proxy trainings on the development set.
+
+    Proxy ``i`` trains with seed ``cfg.proxy.model.seed + i``.
+    """
     dev_set = list(dev_set)
     if not dev_set:
         raise EmptyDataset("empty development set")
     proxies = []
     for i in range(cfg.n_proxies):
-        seed = cfg.seed + i
+        seed = cfg.proxy.model.seed + i
         proxy_cfg = replace(cfg.proxy, model=replace(cfg.proxy.model, seed=seed))
         dev_train, dev_val = split_train_val(dev_set, seed=seed)
         params, _ = train_model(dev_train, dev_val, vocab, proxy_cfg)

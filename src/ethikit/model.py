@@ -4,12 +4,15 @@ Forward and backward passes are written out by hand on numpy arrays; the
 backward pass is exact reverse-mode differentiation through every layer, so
 no parameter is ever excluded from updates. Dropout follows the classic
 scheme: activations are zeroed during training and scaled by the keep
-probability at inference.
+probability at inference. Every activation, logit and gradient is computed in
+the configured dtype, and the last layer computes only the CLS row, the one
+row the head reads.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -145,16 +148,16 @@ def init_params(cfg: ModelConfig) -> ModelParams:
 
 # --- elementwise pieces ---
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy scalars: a numpy float64 scalar would promote
+# float32 activations to float64 (NEP 50).
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
-
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def _gelu(x: np.ndarray):
+    """Exact GELU; also returns its erf term, which the backward pass reuses."""
+    erf_term = erf(x * _INV_SQRT2)
+    return 0.5 * x * (1.0 + erf_term), erf_term
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -220,40 +223,48 @@ def _check_batch(params: ModelParams, batch: TokenBatch) -> None:
         raise ShapeMismatch("token id outside the model vocabulary")
 
 
+def _query_rows(cfg: ModelConfig, layer: int, length: int) -> int:
+    """Positions a layer computes past K/V: only CLS in the last layer.
+
+    The head reads the CLS row of the last layer alone, so there every
+    position still supplies keys and values but only row 0 is a query.
+    """
+    return 1 if layer == cfg.n_layers - 1 else length
+
+
 def _encoder(params: ModelParams, batch: TokenBatch, want_cache: bool):
     """Shared encoder pass; returns (h_cls, layer_caches or None)."""
     cfg = params.cfg
     t = params.tensors
-    dtype = params.dtype
     ids = batch.ids
     length = ids.shape[1]
-    mask_f = batch.mask.astype(dtype)
-    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
-    attn_bias = ((mask_f - 1.0) * MASK_BIAS)[:, None, None, :]
+    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+    attn_bias = ((batch.mask.astype(params.dtype) - 1.0) * MASK_BIAS)[:, None, None, :]
 
     x = t["embed.tok"][ids] + t["embed.pos"][None, :length, :]
     layer_caches: list[dict] | None = [] if want_cache else None
 
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        q = _split_heads(x @ t[p + "attn.wq"] + t[p + "attn.bq"], cfg.n_heads)
+        x_q = x[:, : _query_rows(cfg, i, length)]
+        q = _split_heads(x_q @ t[p + "attn.wq"] + t[p + "attn.bq"], cfg.n_heads)
         k = _split_heads(x @ t[p + "attn.wk"] + t[p + "attn.bk"], cfg.n_heads)
         v = _split_heads(x @ t[p + "attn.wv"] + t[p + "attn.bv"], cfg.n_heads)
         scores = q @ k.transpose(0, 1, 3, 2) * scale + attn_bias
         probs = _softmax(scores)
         ctx = _merge_heads(probs @ v)
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
-        h1 = x + attn_out
+        h1 = x_q + attn_out
         x_mid, ln1 = _layer_norm(h1, t[p + "ln1.g"], t[p + "ln1.b"])
         ff_pre = x_mid @ t[p + "ff.w1"] + t[p + "ff.b1"]
-        act = _gelu(ff_pre)
+        act, erf_term = _gelu(ff_pre)
         ff_out = act @ t[p + "ff.w2"] + t[p + "ff.b2"]
         h2 = x_mid + ff_out
         x_next, ln2 = _layer_norm(h2, t[p + "ln2.g"], t[p + "ln2.b"])
         if want_cache:
             layer_caches.append(
-                dict(x_in=x, q=q, k=k, v=v, probs=probs, ctx=ctx,
-                     ln1=ln1, x_mid=x_mid, ff_pre=ff_pre, act=act, ln2=ln2)
+                dict(x_in=x, q=q, k=k, v=v, probs=probs, ctx=ctx, ln1=ln1,
+                     x_mid=x_mid, ff_pre=ff_pre, erf=erf_term, act=act, ln2=ln2)
             )
         x = x_next
 
@@ -280,6 +291,7 @@ def forward(
     dropout, no rescaling) and returns a cache for backward; eval mode is
     deterministic and scales the head input by the keep probability instead.
     ``head_mask`` reuses a previously sampled mask, e.g. for gradient checks.
+    Logits, like every activation, are in the parameters' dtype.
     """
     _check_batch(params, batch)
     cfg = params.cfg
@@ -318,9 +330,22 @@ def forward(
 
 
 def classify(params: ModelParams, batch: TokenBatch) -> np.ndarray:
-    """Eval-mode probabilities; logits are clamped to +-30 before the sigmoid."""
+    """Eval-mode float64 probabilities; logits are clamped to +-30 first."""
     logits, _ = forward(params, batch, train=False)
-    return expit(np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP))
+    return expit(np.clip(logits.astype(np.float64), -LOGIT_CLAMP, LOGIT_CLAMP))
+
+
+def _scatter_rows(n_rows: int, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Sum ``rows[j]`` into row ``ids[j]`` of an [n_rows, D] zero array.
+
+    A stable sort groups equal ids, and one ``add.reduceat`` sums each group.
+    """
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+    out = np.zeros((n_rows, rows.shape[1]), dtype=rows.dtype)
+    out[sorted_ids[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
 
 
 def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
@@ -337,20 +362,21 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
     dtype = params.dtype
     dl = dl_dlogits.astype(dtype)
     grads: dict[str, np.ndarray] = {}
-    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
-    b, length = cache.ids.shape
+    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
+    length = cache.ids.shape[1]
 
     grads["head.w"] = cache.h_task.T @ dl
     grads["head.b"] = np.asarray(dl.sum(), dtype=dtype)
     d_h_task = dl[:, None] * t["head.w"][None, :]
     d_h_cls = d_h_task if cache.head_mask is None else d_h_task * cache.head_mask
 
-    dx = np.zeros((b, length, cfg.d_model), dtype=dtype)
-    dx[:, 0, :] = d_h_cls
+    # Gradient with respect to the last layer's output, whose only row is CLS.
+    dx = d_h_cls[:, None, :]
 
     for i in reversed(range(cfg.n_layers)):
         p = f"layers.{i}."
         lc = cache.layer_caches[i]
+        n_q = _query_rows(cfg, i, length)
 
         dh2, g_ln2g, g_ln2b = _layer_norm_backward(dx, lc["ln2"], t[p + "ln2.g"])
         grads[p + "ln2.g"] = g_ln2g
@@ -362,7 +388,12 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
         grads[p + "ff.w2"] = flat_act.T @ d_ff_out.reshape(-1, cfg.d_model)
         grads[p + "ff.b2"] = d_ff_out.sum(axis=(0, 1))
         d_act = d_ff_out @ t[p + "ff.w2"].T
-        d_ff_pre = d_act * _gelu_grad(lc["ff_pre"])
+        ff_pre = lc["ff_pre"]
+        gelu_grad = (
+            0.5 * (1.0 + lc["erf"])
+            + ff_pre * np.exp(-0.5 * ff_pre * ff_pre) * _INV_SQRT_2PI
+        )
+        d_ff_pre = d_act * gelu_grad
         flat_mid = lc["x_mid"].reshape(-1, cfg.d_model)
         grads[p + "ff.w1"] = flat_mid.T @ d_ff_pre.reshape(-1, cfg.d_ff)
         grads[p + "ff.b1"] = d_ff_pre.sum(axis=(0, 1))
@@ -372,7 +403,7 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
         grads[p + "ln1.g"] = g_ln1g
         grads[p + "ln1.b"] = g_ln1b
 
-        # h1 = x_in + ctx @ wo + bo
+        # h1 = x_in[:, :n_q] + ctx @ wo + bo
         d_attn_out = dh1
         flat_ctx = lc["ctx"].reshape(-1, cfg.d_model)
         grads[p + "attn.wo"] = flat_ctx.T @ d_attn_out.reshape(-1, cfg.d_model)
@@ -386,18 +417,21 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
         d_q = d_scores @ lc["k"] * scale
         d_k = d_scores.transpose(0, 1, 3, 2) @ lc["q"] * scale
 
+        # Q reads the first n_q rows of x_in, K and V read all of them.
         x_in = lc["x_in"]
-        flat_x = x_in.reshape(-1, cfg.d_model)
-        dx = dh1.copy()
-        for proj, d_split in (("q", d_q), ("k", d_k), ("v", d_v)):
-            d_merged = _merge_heads(d_split)
-            grads[p + f"attn.w{proj}"] = flat_x.T @ d_merged.reshape(-1, cfg.d_model)
-            grads[p + f"attn.b{proj}"] = d_merged.sum(axis=(0, 1))
-            dx += d_merged @ t[p + f"attn.w{proj}"].T
+        d_q, d_k, d_v = (_merge_heads(d) for d in (d_q, d_k, d_v))
+        for proj, d_proj, x_proj in (
+            ("q", d_q, x_in[:, :n_q]), ("k", d_k, x_in), ("v", d_v, x_in)
+        ):
+            flat_x = x_proj.reshape(-1, cfg.d_model)
+            grads[p + f"attn.w{proj}"] = flat_x.T @ d_proj.reshape(-1, cfg.d_model)
+            grads[p + f"attn.b{proj}"] = d_proj.sum(axis=(0, 1))
+        dx = d_k @ t[p + "attn.wk"].T + d_v @ t[p + "attn.wv"].T
+        dx[:, :n_q] += dh1 + d_q @ t[p + "attn.wq"].T
 
-    g_tok = np.zeros_like(t["embed.tok"])
-    np.add.at(g_tok, cache.ids, dx)
-    grads["embed.tok"] = g_tok
+    grads["embed.tok"] = _scatter_rows(
+        cfg.vocab_size, cache.ids.reshape(-1), dx.reshape(-1, cfg.d_model)
+    )
     g_pos = np.zeros_like(t["embed.pos"])
     g_pos[:length] = dx.sum(axis=0)
     grads["embed.pos"] = g_pos

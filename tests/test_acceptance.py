@@ -326,12 +326,12 @@ def test_c10_hard_filter_property(separable_vocab):
     dev = make_separable_examples(96, seed=11, flip_fraction=0.2)
     proxy_model = ModelConfig(vocab_size=len(separable_vocab), max_len=16,
                               n_layers=1, n_heads=2, d_model=16, d_ff=32,
-                              dropout_p=0.1, seed=0)
+                              dropout_p=0.1, seed=5)
     proxy_train_cfg = TrainConfig(
         model=proxy_model, optim=OptimConfig(eta0=0.02, n_acc=1),
         epochs=20, batch_size=16,
     )
-    fcfg = FilterConfig(proxy=proxy_train_cfg, n_proxies=2, seed=5)
+    fcfg = FilterConfig(proxy=proxy_train_cfg, n_proxies=2)
     proxies = train_proxies(dev, fcfg, separable_vocab)
     scores = score_examples(proxies, pool, separable_vocab)
     hard, _ = filter_hard(pool, scores, 0.5)

@@ -272,6 +272,12 @@ class TestBadNumbers:
         assert main([*argv, *flags]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_bad_model_config_writes_nothing(self, tmp_path, train_file):
+        out_dir = tmp_path / "bad"
+        assert main(["train", "--train-file", str(train_file), "--domain", "justice",
+                     "--out-dir", str(out_dir), *FAST_TRAIN_FLAGS, "--layers", "-1"]) == 2
+        assert not (out_dir / "vocab.txt").exists()
+
 
 class TestReportCommand:
     def _eval_csv(self, tmp_path):

@@ -15,7 +15,7 @@ from ethikit.hard_filter import (
 )
 from ethikit.model import ModelConfig, init_params
 from ethikit.optim import OptimConfig
-from ethikit.trainer import TrainConfig, evaluate, train
+from ethikit.trainer import TrainConfig, evaluate, split_train_val, train
 from tests.conftest import make_separable_examples
 
 
@@ -28,8 +28,8 @@ def proxy_train_config(vocab, epochs=8, seed=0):
 
 class TestTrainProxies:
     def test_two_proxies_differ(self, separable_set, separable_vocab):
-        cfg = FilterConfig(proxy=proxy_train_config(separable_vocab, epochs=1),
-                           n_proxies=2, seed=0)
+        cfg = FilterConfig(proxy=proxy_train_config(separable_vocab, epochs=1, seed=0),
+                           n_proxies=2)
         proxies = train_proxies(separable_set, cfg, separable_vocab)
         assert len(proxies) == 2
         assert any(
@@ -37,14 +37,24 @@ class TestTrainProxies:
         )
 
     def test_single_proxy_ok(self, separable_set, separable_vocab):
-        cfg = FilterConfig(proxy=proxy_train_config(separable_vocab, epochs=1),
-                           n_proxies=1, seed=0)
+        cfg = FilterConfig(proxy=proxy_train_config(separable_vocab, epochs=1, seed=0),
+                           n_proxies=1)
         assert len(train_proxies(separable_set, cfg, separable_vocab)) == 1
 
     def test_empty_dev_set(self, separable_vocab):
         cfg = FilterConfig(proxy=proxy_train_config(separable_vocab), n_proxies=1)
         with pytest.raises(EmptyDataset):
             train_proxies([], cfg, separable_vocab)
+
+    def test_proxy_seed_is_model_seed_plus_index(self, separable_set, separable_vocab):
+        cfg = FilterConfig(proxy=proxy_train_config(separable_vocab, epochs=1, seed=5),
+                           n_proxies=2)
+        second = train_proxies(separable_set, cfg, separable_vocab)[1]
+        alone_cfg = proxy_train_config(separable_vocab, epochs=1, seed=6)
+        dev_train, dev_val = split_train_val(separable_set, seed=6)
+        alone, _ = train(dev_train, dev_val, separable_vocab, alone_cfg)
+        for name in alone.names:
+            assert np.array_equal(second[name], alone[name]), name
 
 
 class TestScoreExamples:
@@ -163,7 +173,7 @@ class TestSeparationProperty:
         dev = make_separable_examples(96, seed=11, flip_fraction=0.2)
         pool = make_separable_examples(96, seed=13, flip_fraction=0.2)
         filter_cfg = FilterConfig(
-            proxy=proxy_train_config(separable_vocab, epochs=20), n_proxies=2, seed=5
+            proxy=proxy_train_config(separable_vocab, epochs=20, seed=5), n_proxies=2
         )
         proxies = train_proxies(dev, filter_cfg, separable_vocab)
         scores = score_examples(proxies, pool, separable_vocab)
@@ -184,7 +194,7 @@ class TestSeparationProperty:
 
         def run():
             cfg = FilterConfig(
-                proxy=proxy_train_config(separable_vocab, epochs=3), n_proxies=2, seed=1
+                proxy=proxy_train_config(separable_vocab, epochs=3, seed=1), n_proxies=2
             )
             proxies = train_proxies(dev, cfg, separable_vocab)
             scores = score_examples(proxies, pool, separable_vocab)

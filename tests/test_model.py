@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy.special import erf, expit
 
 from ethikit.batching import TokenBatch
 from ethikit.errors import (
@@ -17,7 +19,14 @@ from ethikit.errors import (
 from ethikit.loss import bce, bce_grad_logits
 from ethikit.model import (
     _CKPT_MAGIC,
+    MASK_BIAS,
     ModelConfig,
+    ModelParams,
+    _layer_norm,
+    _layer_norm_backward,
+    _merge_heads,
+    _softmax,
+    _split_heads,
     backward,
     classify,
     cls_representation,
@@ -68,6 +77,85 @@ def randomize(params, seed=11, scale=0.5):
         else:
             t[...] = rng.normal(0.0, 0.1, size=t.shape)
     return params
+
+
+def _reference_train_step(params, batch, head_mask, dl_dlogits):
+    """Train-mode logits and gradients from the full-sequence encoder.
+
+    Every layer, the last included, computes every position, and the
+    embedding gradient is scattered with ``np.add.at``: the straightforward
+    encoder that the CLS-only last layer and the sorted scatter must match.
+    """
+    cfg = params.cfg
+    t = params.tensors
+    ids = batch.ids
+    b, length = ids.shape
+    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+    attn_bias = ((batch.mask.astype(params.dtype) - 1.0) * MASK_BIAS)[:, None, None, :]
+
+    x = t["embed.tok"][ids] + t["embed.pos"][None, :length, :]
+    caches = []
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}."
+        q = _split_heads(x @ t[p + "attn.wq"] + t[p + "attn.bq"], cfg.n_heads)
+        k = _split_heads(x @ t[p + "attn.wk"] + t[p + "attn.bk"], cfg.n_heads)
+        v = _split_heads(x @ t[p + "attn.wv"] + t[p + "attn.bv"], cfg.n_heads)
+        probs = _softmax(q @ k.transpose(0, 1, 3, 2) * scale + attn_bias)
+        ctx = _merge_heads(probs @ v)
+        x_mid, ln1 = _layer_norm(x + ctx @ t[p + "attn.wo"] + t[p + "attn.bo"],
+                                 t[p + "ln1.g"], t[p + "ln1.b"])
+        ff_pre = x_mid @ t[p + "ff.w1"] + t[p + "ff.b1"]
+        act = 0.5 * ff_pre * (1.0 + erf(ff_pre / np.sqrt(2.0)))
+        x_next, ln2 = _layer_norm(x_mid + act @ t[p + "ff.w2"] + t[p + "ff.b2"],
+                                  t[p + "ln2.g"], t[p + "ln2.b"])
+        caches.append(dict(x_in=x, q=q, k=k, v=v, probs=probs, ctx=ctx, ln1=ln1,
+                           x_mid=x_mid, ff_pre=ff_pre, act=act, ln2=ln2))
+        x = x_next
+    h_task = head_mask * x[:, 0, :]
+    logits = h_task @ t["head.w"] + t["head.b"]
+
+    grads = {"head.w": h_task.T @ dl_dlogits, "head.b": np.asarray(dl_dlogits.sum())}
+    dx = np.zeros_like(x)
+    dx[:, 0, :] = dl_dlogits[:, None] * t["head.w"][None, :] * head_mask
+    for i in reversed(range(cfg.n_layers)):
+        p = f"layers.{i}."
+        lc = caches[i]
+        dh2, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_backward(
+            dx, lc["ln2"], t[p + "ln2.g"])
+        grads[p + "ff.w2"] = lc["act"].reshape(-1, cfg.d_ff).T @ dh2.reshape(-1, cfg.d_model)
+        grads[p + "ff.b2"] = dh2.sum(axis=(0, 1))
+        z = lc["ff_pre"]
+        gelu_grad = (0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+                     + z * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi))
+        d_ff_pre = (dh2 @ t[p + "ff.w2"].T) * gelu_grad
+        grads[p + "ff.w1"] = (lc["x_mid"].reshape(-1, cfg.d_model).T
+                              @ d_ff_pre.reshape(-1, cfg.d_ff))
+        grads[p + "ff.b1"] = d_ff_pre.sum(axis=(0, 1))
+        dh1, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_backward(
+            dh2 + d_ff_pre @ t[p + "ff.w1"].T, lc["ln1"], t[p + "ln1.g"])
+        grads[p + "attn.wo"] = lc["ctx"].reshape(-1, cfg.d_model).T @ dh1.reshape(-1, cfg.d_model)
+        grads[p + "attn.bo"] = dh1.sum(axis=(0, 1))
+        d_ctx = _split_heads(dh1 @ t[p + "attn.wo"].T, cfg.n_heads)
+        probs = lc["probs"]
+        d_probs = d_ctx @ lc["v"].transpose(0, 1, 3, 2)
+        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+        d_split = {
+            "q": d_scores @ lc["k"] * scale,
+            "k": d_scores.transpose(0, 1, 3, 2) @ lc["q"] * scale,
+            "v": probs.transpose(0, 1, 3, 2) @ d_ctx,
+        }
+        flat_x = lc["x_in"].reshape(-1, cfg.d_model)
+        dx = dh1.copy()
+        for proj, d in d_split.items():
+            d_merged = _merge_heads(d)
+            grads[p + f"attn.w{proj}"] = flat_x.T @ d_merged.reshape(-1, cfg.d_model)
+            grads[p + f"attn.b{proj}"] = d_merged.sum(axis=(0, 1))
+            dx += d_merged @ t[p + f"attn.w{proj}"].T
+    grads["embed.tok"] = np.zeros_like(t["embed.tok"])
+    np.add.at(grads["embed.tok"], ids, dx)
+    grads["embed.pos"] = np.zeros_like(t["embed.pos"])
+    grads["embed.pos"][:length] = dx.sum(axis=0)
+    return logits, grads
 
 
 class TestConfig:
@@ -248,6 +336,91 @@ class TestBackward:
             backward(other, cache, np.zeros(4))
         with pytest.raises(StaleCache):
             backward(params, None, np.zeros(4))
+
+
+@st.composite
+def encoder_cases(draw):
+    """A float64 config, randomized parameters, a padded batch and a head mask."""
+    n_heads = draw(st.sampled_from([1, 2, 4]))
+    length = draw(st.integers(2, 9))
+    cfg = ModelConfig(
+        vocab_size=draw(st.integers(6, 24)),
+        max_len=length + draw(st.integers(0, 3)),
+        n_layers=draw(st.integers(1, 3)),
+        n_heads=n_heads,
+        d_model=n_heads * draw(st.integers(1, 5)),
+        d_ff=draw(st.integers(1, 24)),
+        dropout_p=0.3,
+        dtype="float64",
+    )
+    n_rows = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**16))
+    keeps = draw(st.lists(st.integers(2, length), min_size=n_rows, max_size=n_rows))
+    rng = np.random.default_rng(seed)
+    batch = make_batch(cfg, n_rows=n_rows, length=length, seed=seed,
+                       pad_rows=[(row, keep) for row, keep in enumerate(keeps)
+                                 if keep < length])
+    params = randomize(init_params(cfg), seed=seed)
+    head_mask = (rng.random((n_rows, cfg.d_model)) < 0.7).astype(np.float64)
+    return params, batch, head_mask
+
+
+class TestFullSequenceOracle:
+    @given(case=encoder_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_logits_and_gradients_match(self, case):
+        params, batch, head_mask = case
+        logits, cache = forward(params, batch, train=True, head_mask=head_mask)
+        dl = bce_grad_logits(logits, batch.labels)
+        grads = backward(params, cache, dl)
+        ref_logits, ref_grads = _reference_train_step(params, batch, head_mask, dl)
+
+        assert np.abs(logits - ref_logits).max() <= 1e-12 * np.abs(ref_logits).max()
+        assert set(grads) == set(ref_grads)
+        # Round-off of the whole backward pass: a tensor whose gradient is
+        # orders of magnitude below the largest one (saturated softmax rows)
+        # carries absolute errors of that size, not of its own.
+        floor = 1e-13 * max(np.abs(ref).max() for ref in ref_grads.values())
+        for name, ref in ref_grads.items():
+            err = np.abs(grads[name] - ref).max()
+            if name.endswith("attn.bk"):
+                # Adding bk shifts every score of a query row by the same
+                # amount, which softmax ignores: its gradient is zero.
+                assert err <= floor, name
+            else:
+                assert err <= 1e-9 * np.abs(ref).max() + floor, name
+
+    def test_float32_tracks_float64(self):
+        # Same weights, cast down: float32 logits within 1e-4 of the float64
+        # logits, relative to the largest of them.
+        params64 = randomize(init_params(TOY))
+        cfg32 = replace(TOY, dtype="float32")
+        params32 = ModelParams(
+            {name: t.astype(np.float32) for name, t in params64.tensors.items()}, cfg32
+        )
+        batch = make_batch(TOY, n_rows=6, length=12, pad_rows=[(1, 5), (4, 9)])
+        ref, _ = forward(params64, batch)
+        out, _ = forward(params32, batch)
+        assert out.dtype == np.float32
+        assert np.abs(out - ref).max() <= 1e-4 * np.abs(ref).max()
+
+
+class TestComputeDtype:
+    def test_float32_model_stays_float32(self):
+        cfg = replace(TOY, dtype="float32")
+        params = randomize(init_params(cfg))
+        batch = make_batch(cfg, pad_rows=[(1, 5)])
+        logits, cache = forward(params, batch, train=True,
+                                rng=np.random.default_rng(0))
+        assert logits.dtype == np.float32
+        cached = [cache.h_cls, cache.head_mask, cache.h_task]
+        for lc in cache.layer_caches:
+            for value in lc.values():
+                cached.extend(value if isinstance(value, tuple) else [value])
+        assert all(a.dtype == np.float32 for a in cached)
+        grads = backward(params, cache, bce_grad_logits(logits, batch.labels))
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        assert classify(params, batch).dtype == np.float64
 
 
 class TestCheckpoint:
