@@ -1,8 +1,10 @@
 """Fixed-shape model inputs: sequence templates, truncation, dynamic padding.
 
 Single-text domains produce [CLS] text [SEP]; pair domains append the second
-segment and another [SEP]. Padding length adapts to the longest sequence in
-each batch, capped by the maximum sequence length.
+segment and another [SEP]. ``encode_examples`` applies the template once per
+example; every later consumer batches those ids, in an order it chooses, and
+truncates them to its own maximum length. Padding length adapts to the
+longest sequence in each batch, capped by the maximum sequence length.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ class Example:
     text_a: str
     text_b: str | None = None
     label: int = 0
+
+
+@dataclass(frozen=True, slots=True)
+class EncodedExample:
+    """One example's untruncated template ids and its label."""
+
+    ids: tuple[int, ...]
+    label: int
 
 
 @dataclass
@@ -60,13 +70,21 @@ def format_sequence(ex: Example, vocab: Vocab) -> list[int]:
     return ids
 
 
-def truncate(ids: list[int], l_max: int) -> list[int]:
+def encode_examples(examples, vocab: Vocab) -> list[EncodedExample]:
+    """Apply the template to each example once; ids are not yet truncated."""
+    return [
+        EncodedExample(ids=tuple(format_sequence(ex, vocab)), label=ex.label)
+        for ex in examples
+    ]
+
+
+def truncate(ids, l_max: int) -> list[int]:
     """Cap length at l_max, forcing a trailing SEP when anything was cut."""
     if l_max < 2:
         raise InvalidLength(f"l_max={l_max} cannot hold CLS and SEP")
     if len(ids) <= l_max:
         return list(ids)
-    return ids[: l_max - 1] + [SEP_ID]
+    return [*ids[: l_max - 1], SEP_ID]
 
 
 def pad_batch(seqs, labels, l_cap: int) -> TokenBatch:
@@ -87,21 +105,21 @@ def pad_batch(seqs, labels, l_cap: int) -> TokenBatch:
 
 
 def make_batches(
-    examples,
-    vocab: Vocab,
+    encoded,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    shuffle_seed=None,
+    order=None,
     max_len: int = DEFAULT_MAX_LEN,
 ) -> list[TokenBatch]:
-    """Shuffle (when seeded), chunk, and pad; the last partial batch is kept."""
+    """Take rows in ``order`` (default: as given), truncate, chunk, and pad.
+
+    ``encoded`` holds ``encode_examples`` records; ``order`` is a sequence of
+    row indices. The last partial batch is kept.
+    """
     if batch_size < 1:
         raise InvalidConfig("batch_size must be >= 1")
-    examples = list(examples)
-    if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(len(examples))
-        examples = [examples[i] for i in order]
-    seqs = [truncate(format_sequence(ex, vocab), max_len) for ex in examples]
-    labels = [ex.label for ex in examples]
+    rows = list(encoded) if order is None else [encoded[i] for i in order]
+    seqs = [truncate(row.ids, max_len) for row in rows]
+    labels = [row.label for row in rows]
     batches = []
     for start in range(0, len(seqs), batch_size):
         stop = start + batch_size

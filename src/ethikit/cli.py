@@ -26,7 +26,7 @@ from ethikit import normalize as norm_mod
 from ethikit import report as report_mod
 from ethikit import tokenizer as tok_mod
 from ethikit import trainer as trainer_mod
-from ethikit.batching import DOMAINS, Example
+from ethikit.batching import DOMAINS, Example, encode_examples
 from ethikit.errors import ConfigError, EthikitError, ReplayMismatch
 from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
 from ethikit.optim import OptimConfig
@@ -177,7 +177,9 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
     train_set, val_set = trainer_mod.split_train_val(
         examples, ratio=settings["val_ratio"], seed=model_cfg.seed
     )
-    best_params, logs = trainer_mod.train(train_set, val_set, vocab, train_cfg)
+    best_params, logs = trainer_mod.train(
+        encode_examples(train_set, vocab), encode_examples(val_set, vocab), train_cfg
+    )
 
     save_checkpoint(best_params, model_cfg, out_dir / "best.ckpt")
     (out_dir / "epochs.csv").write_text(trainer_mod.epoch_logs_csv(logs), encoding="utf-8")
@@ -273,8 +275,9 @@ def cmd_evaluate(args) -> int:
     spec = dataset_mod.default_specs()[args.domain]
     examples = dataset_mod.load_split(args.data, spec)
     examples = _normalize_examples(examples, norm_mod.default_config())
+    encoded = encode_examples(examples, vocab)
 
-    report = trainer_mod.evaluate(params, examples, vocab, batch_size=args.batch_size)
+    report = trainer_mod.evaluate(params, encoded, batch_size=args.batch_size)
     print(metrics_mod.render_confusion(report.confusion))
     print(f"accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} f1={report.f1:.4f} auc={report.auc:.4f} "

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ethikit.batching import encode_examples
 from ethikit.errors import EmptyDataset, InvalidConfig, QuantileOutOfRange
 from ethikit.loss import bce_terms
 from ethikit.model import ModelParams
@@ -43,9 +44,10 @@ class DifficultyScore:
 def train_proxies(dev_set, cfg: FilterConfig, vocab: Vocab) -> list[ModelParams]:
     """Independently seeded proxy trainings on the development set.
 
-    Proxy ``i`` trains with seed ``cfg.proxy.model.seed + i``.
+    Proxy ``i`` trains with seed ``cfg.proxy.model.seed + i``. The set is
+    encoded once; every proxy splits and trains on those ids.
     """
-    dev_set = list(dev_set)
+    dev_set = encode_examples(dev_set, vocab)
     if not dev_set:
         raise EmptyDataset("empty development set")
     proxies = []
@@ -53,7 +55,7 @@ def train_proxies(dev_set, cfg: FilterConfig, vocab: Vocab) -> list[ModelParams]
         seed = cfg.proxy.model.seed + i
         proxy_cfg = replace(cfg.proxy, model=replace(cfg.proxy.model, seed=seed))
         dev_train, dev_val = split_train_val(dev_set, seed=seed)
-        params, _ = train_model(dev_train, dev_val, vocab, proxy_cfg)
+        params, _ = train_model(dev_train, dev_val, proxy_cfg)
         proxies.append(params)
     return proxies
 
@@ -63,15 +65,16 @@ def score_examples(
 ) -> list[DifficultyScore]:
     """Mean per-example cross-entropy across proxies, eval mode.
 
-    Each proxy truncates at its own ``max_len``.
+    The pool is encoded once for all proxies; each proxy truncates at its
+    own ``max_len``.
     """
-    pool = list(pool)
+    pool = encode_examples(pool, vocab)
     if not pool:
         raise EmptyDataset("empty pool")
     labels = np.array([ex.label for ex in pool], dtype=np.float64)
     total = np.zeros(len(pool), dtype=np.float64)
     for proxy in proxies:
-        probs = predict_probs(proxy, pool, vocab, batch_size)
+        probs = predict_probs(proxy, pool, batch_size)
         total += bce_terms(probs, labels)
     mean = total / len(proxies)
     return [DifficultyScore(example_id=i, score=float(s)) for i, s in enumerate(mean)]

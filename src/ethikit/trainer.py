@@ -1,6 +1,8 @@
 """Fine-tuning loop: stratified split, epochs, accumulation cadence, curves.
 
-Each epoch shuffles the training set, walks micro-batches through
+Training, scoring and evaluation take sets already encoded by
+``batching.encode_examples``, so no text is tokenized here. Each epoch
+shuffles the training set, walks micro-batches through
 forward/loss/backward/accumulate, flushes every ``n_acc`` micro-batches (plus
 one leftover flush for a partial window at the epoch boundary), then records
 eval-mode loss and accuracy on both splits. The best checkpoint by validation
@@ -20,7 +22,6 @@ from ethikit.batching import make_batches
 from ethikit.errors import EmptyDataset, InvalidConfig, TooFewExamples
 from ethikit.model import ModelConfig, ModelParams, backward, classify, forward, init_params
 from ethikit.optim import OptimConfig, accumulate, flush, init_state
-from ethikit.tokenizer import Vocab
 
 
 @dataclass(frozen=True)
@@ -92,24 +93,20 @@ def split_train_val(examples, ratio: float = 0.8, seed: int = 0):
     return train, val
 
 
-def predict_probs(
-    params: ModelParams, dataset, vocab: Vocab, batch_size: int = 32
-) -> np.ndarray:
-    """Eval-mode probabilities for every example, in dataset order.
+def predict_probs(params: ModelParams, dataset, batch_size: int = 32) -> np.ndarray:
+    """Eval-mode probabilities for every encoded example, in dataset order.
 
     Sequences are truncated at the model's own ``max_len``.
     """
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("nothing to score")
-    batches = make_batches(
-        dataset, vocab, batch_size, shuffle_seed=None, max_len=params.cfg.max_len
-    )
+    batches = make_batches(dataset, batch_size, max_len=params.cfg.max_len)
     return np.concatenate([classify(params, b) for b in batches])
 
 
-def _eval_loss_acc(params, dataset, vocab, batch_size):
-    probs = predict_probs(params, dataset, vocab, batch_size)
+def _eval_loss_acc(params, dataset, batch_size):
+    probs = predict_probs(params, dataset, batch_size)
     labels = np.array([ex.label for ex in dataset], dtype=np.float64)
     mean_loss = loss_mod.bce(probs, labels).mean_loss
     acc = float(((probs >= 0.5).astype(np.int64) == labels.astype(np.int64)).mean())
@@ -117,19 +114,19 @@ def _eval_loss_acc(params, dataset, vocab, batch_size):
 
 
 def evaluate(
-    params: ModelParams, dataset, vocab: Vocab, batch_size: int = 32
+    params: ModelParams, dataset, batch_size: int = 32
 ) -> metrics_mod.EvalReport:
-    """Full metric report at threshold 0.5 over a labeled dataset."""
+    """Full metric report at threshold 0.5 over a labeled, encoded dataset."""
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    probs = predict_probs(params, dataset, vocab, batch_size)
+    probs = predict_probs(params, dataset, batch_size)
     labels = np.array([ex.label for ex in dataset], dtype=np.int64)
     return metrics_mod.build_report(probs, labels)
 
 
-def train(train_set, val_set, vocab: Vocab, cfg: TrainConfig):
-    """Run the fine-tuning loop; returns (best params, per-epoch logs).
+def train(train_set, val_set, cfg: TrainConfig):
+    """Run the fine-tuning loop on encoded sets; returns (best params, logs).
 
     Batches are cut at ``cfg.model.max_len``; ``cfg.model.seed`` seeds both
     the per-epoch shuffle and the dropout masks.
@@ -151,9 +148,9 @@ def train(train_set, val_set, vocab: Vocab, cfg: TrainConfig):
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
+        order = np.random.default_rng((cfg.model.seed, epoch)).permutation(len(train_set))
         batches = make_batches(
-            train_set, vocab, cfg.batch_size,
-            shuffle_seed=(cfg.model.seed, epoch), max_len=cfg.model.max_len,
+            train_set, cfg.batch_size, order=order, max_len=cfg.model.max_len
         )
         for batch in batches:
             logits, cache = forward(params, batch, train=True, rng=dropout_rng)
@@ -166,8 +163,8 @@ def train(train_set, val_set, vocab: Vocab, cfg: TrainConfig):
         if state.counter > 0:
             flush(params, state, cfg.optim, allow_partial=True)
 
-        train_loss, train_acc = _eval_loss_acc(params, train_set, vocab, cfg.batch_size)
-        val_loss, val_acc = _eval_loss_acc(params, val_set, vocab, cfg.batch_size)
+        train_loss, train_acc = _eval_loss_acc(params, train_set, cfg.batch_size)
+        val_loss, val_acc = _eval_loss_acc(params, val_set, cfg.batch_size)
         logs.append(EpochLog(
             epoch=epoch,
             train_loss=train_loss,

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ethikit.batching import Example
+from ethikit.batching import Example, encode_examples
 from ethikit.tokenizer import TokenizerConfig, Vocab, train_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -52,3 +52,8 @@ def separable_set():
 def separable_vocab(separable_set) -> Vocab:
     corpus = [ex.text_a for ex in separable_set]
     return train_vocab(corpus, TokenizerConfig(vocab_size=300, min_frequency=1))
+
+
+@pytest.fixture(scope="session")
+def separable_encoded(separable_set, separable_vocab):
+    return encode_examples(separable_set, separable_vocab)

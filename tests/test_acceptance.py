@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ethikit.batching import TokenBatch
+from ethikit.batching import TokenBatch, encode_examples
 from ethikit.cli import main as cli_main
 from ethikit.dataset import (
     SplitManifest,
@@ -287,7 +287,7 @@ def test_c08_metrics_oracle():
                f"scalar metrics match hand fixtures")
 
 
-def test_c09_overfit_surrogate(separable_set, separable_vocab):
+def test_c09_overfit_surrogate(separable_encoded, separable_vocab):
     started = time.perf_counter()
     # schedule, moments, decay, accumulation, and dropout follow the training
     # recipe; the base rate is raised for from-scratch toy dimensions
@@ -296,7 +296,7 @@ def test_c09_overfit_surrogate(separable_set, separable_vocab):
     optim = OptimConfig(eta0=0.02, weight_decay=0.01, n_acc=4)
     # 64 examples / batch 16 = 4 micro-batches = exactly one flush per epoch
     cfg = TrainConfig(model=model, optim=optim, epochs=200, batch_size=16)
-    _, logs = train(separable_set, separable_set[:16], separable_vocab, cfg)
+    _, logs = train(separable_encoded, separable_encoded[:16], cfg)
     hit = next((i for i, log in enumerate(logs, start=1) if log.train_acc >= 0.95), None)
     elapsed = time.perf_counter() - started
     assert hit is not None and hit <= 200
@@ -343,9 +343,10 @@ def test_c10_hard_filter_property(separable_vocab):
                            epochs=25, batch_size=16)
     # clean validation set so best-checkpoint selection tracks real skill
     val = make_separable_examples(32, seed=99)
-    main, _ = train(dev, val, separable_vocab, main_cfg)
-    acc_pool = evaluate(main, pool, separable_vocab).accuracy
-    acc_hard = evaluate(main, hard, separable_vocab).accuracy
+    enc = lambda examples: encode_examples(examples, separable_vocab)
+    main, _ = train(enc(dev), enc(val), main_cfg)
+    acc_pool = evaluate(main, enc(pool)).accuracy
+    acc_hard = evaluate(main, enc(hard)).accuracy
     assert acc_hard <= acc_pool
     _report(10, f"separation held in {holds}/100 seeded runs; main-model accuracy "
                 f"{acc_hard:.3f} on hard <= {acc_pool:.3f} on pool")

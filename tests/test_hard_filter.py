@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ethikit.batching import Example
+from ethikit.batching import Example, encode_examples
 from ethikit.errors import EmptyDataset, QuantileOutOfRange
 from ethikit.hard_filter import (
     DifficultyScore,
@@ -52,7 +52,8 @@ class TestTrainProxies:
         second = train_proxies(separable_set, cfg, separable_vocab)[1]
         alone_cfg = proxy_train_config(separable_vocab, epochs=1, seed=6)
         dev_train, dev_val = split_train_val(separable_set, seed=6)
-        alone, _ = train(dev_train, dev_val, separable_vocab, alone_cfg)
+        alone, _ = train(encode_examples(dev_train, separable_vocab),
+                         encode_examples(dev_val, separable_vocab), alone_cfg)
         for name in alone.names:
             assert np.array_equal(second[name], alone[name]), name
 
@@ -93,11 +94,11 @@ class TestScoreExamples:
         (score,) = score_examples([pos], examples, separable_vocab)
         assert score.score <= 2e-7
 
-    def test_trained_proxy_scores_low(self, separable_set, separable_vocab):
+    def test_trained_proxy_scores_low(self, separable_set, separable_encoded,
+                                      separable_vocab):
         cfg = proxy_train_config(separable_vocab, epochs=30)
-        params, _ = train(separable_set, separable_set[:16],
-                          separable_vocab, cfg)
-        report = evaluate(params, separable_set, separable_vocab)
+        params, _ = train(separable_encoded, separable_encoded[:16], cfg)
+        report = evaluate(params, separable_encoded)
         assert report.accuracy >= 0.95
         scores = score_examples([params], separable_set, separable_vocab)
         assert np.mean([s.score for s in scores]) < 0.35
@@ -182,9 +183,10 @@ class TestSeparationProperty:
         main_cfg = toy_main_config(separable_vocab)
         # clean validation set so best-checkpoint selection tracks real skill
         val = make_separable_examples(32, seed=99)
-        main, _ = train(dev, val, separable_vocab, main_cfg)
-        acc_pool = evaluate(main, pool, separable_vocab).accuracy
-        acc_hard = evaluate(main, hard, separable_vocab).accuracy
+        enc = lambda examples: encode_examples(examples, separable_vocab)
+        main, _ = train(enc(dev), enc(val), main_cfg)
+        acc_pool = evaluate(main, enc(pool)).accuracy
+        acc_hard = evaluate(main, enc(hard)).accuracy
         assert acc_pool >= 0.7  # the model must actually learn the rule
         assert acc_hard <= acc_pool
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ethikit.trainer as trainer_mod
-from ethikit.batching import Example
+from ethikit.batching import Example, encode_examples
 from ethikit.errors import EmptyDataset, InvalidConfig, TooFewExamples
 from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
 from ethikit.optim import OptimConfig
@@ -69,10 +69,10 @@ class TestSplit:
 
 
 class TestTrain:
-    def test_overfits_separable_fixture(self, separable_set, separable_vocab):
+    def test_overfits_separable_fixture(self, separable_encoded, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=30)
         # batch 16 over 64 examples, n_acc 4 -> exactly one flush per epoch
-        _, logs = train(separable_set, separable_set[:16], separable_vocab, cfg)
+        _, logs = train(separable_encoded, separable_encoded[:16], cfg)
         assert max(log.train_acc for log in logs) >= 0.95
         assert logs[-1].train_loss < logs[0].train_loss
 
@@ -80,24 +80,24 @@ class TestTrain:
         with pytest.raises(InvalidConfig):
             toy_train_config(separable_vocab, epochs=0)
 
-    def test_empty_sets_rejected(self, separable_set, separable_vocab):
+    def test_empty_sets_rejected(self, separable_encoded, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=1)
         with pytest.raises(EmptyDataset):
-            train([], separable_set, separable_vocab, cfg)
+            train([], separable_encoded, cfg)
         with pytest.raises(EmptyDataset):
-            train(separable_set, [], separable_vocab, cfg)
+            train(separable_encoded, [], cfg)
 
-    def test_deterministic_logs_and_params(self, separable_set, separable_vocab):
+    def test_deterministic_logs_and_params(self, separable_encoded, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=3)
-        train_set, val_set = separable_set[:48], separable_set[48:]
-        p1, logs1 = train(train_set, val_set, separable_vocab, cfg)
-        p2, logs2 = train(train_set, val_set, separable_vocab, cfg)
+        train_set, val_set = separable_encoded[:48], separable_encoded[48:]
+        p1, logs1 = train(train_set, val_set, cfg)
+        p2, logs2 = train(train_set, val_set, cfg)
         for name in p1.names:
             assert p1[name].tobytes() == p2[name].tobytes()
         strip = lambda log: dataclasses.replace(log, seconds=0.0)
         assert [strip(a) for a in logs1] == [strip(b) for b in logs2]
 
-    def test_flush_cadence(self, separable_set, separable_vocab, monkeypatch):
+    def test_flush_cadence(self, separable_encoded, separable_vocab, monkeypatch):
         calls = []
         real_flush = trainer_mod.flush
         monkeypatch.setattr(
@@ -106,31 +106,31 @@ class TestTrain:
                              real_flush(*a, **k))[1],
         )
         cfg = toy_train_config(separable_vocab, epochs=2, batch_size=10, n_acc=4)
-        train(separable_set, separable_set[:8], separable_vocab, cfg)
+        train(separable_encoded, separable_encoded[:8], cfg)
         # 64 examples / batch 10 -> 7 micro-batches; ceil(7/4) = 2 flushes/epoch
         per_epoch = len(calls) // 2
         assert per_epoch == math.ceil(7 / 4)
         assert calls == [False, True, False, True]
 
-    def test_best_checkpoint_fidelity(self, tmp_path, separable_set, separable_vocab):
+    def test_best_checkpoint_fidelity(self, tmp_path, separable_encoded, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=4)
-        train_set, val_set = separable_set[:48], separable_set[48:]
-        best, logs = train(train_set, val_set, separable_vocab, cfg)
+        train_set, val_set = separable_encoded[:48], separable_encoded[48:]
+        best, logs = train(train_set, val_set, cfg)
         best_val_acc = max(
             (log.val_acc, -log.val_loss) for log in logs
         )[0]
         path = tmp_path / "best.ckpt"
         save_checkpoint(best, cfg.model, path)
         reloaded, _ = load_checkpoint(path)
-        report = evaluate(reloaded, val_set, separable_vocab, batch_size=cfg.batch_size)
+        report = evaluate(reloaded, val_set, batch_size=cfg.batch_size)
         assert report.accuracy == best_val_acc
 
 
 class TestEvaluate:
-    def test_perfect_predictor(self, separable_set, separable_vocab):
+    def test_perfect_predictor(self, separable_encoded, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=30)
-        best, _ = train(separable_set, separable_set[:16], separable_vocab, cfg)
-        report = evaluate(best, separable_set, separable_vocab)
+        best, _ = train(separable_encoded, separable_encoded[:16], cfg)
+        report = evaluate(best, separable_encoded)
         assert report.accuracy == 1.0
         assert report.auc == 1.0
 
@@ -160,15 +160,15 @@ class TestEvaluate:
         from ethikit.model import init_params
 
         with pytest.raises(EmptyDataset):
-            evaluate(init_params(cfg), [], separable_vocab)
+            evaluate(init_params(cfg), [])
 
-    def test_predict_probs_order_stable(self, separable_set, separable_vocab):
+    def test_predict_probs_order_stable(self, separable_encoded, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=1)
-        params, _ = train(separable_set, separable_set[:8], separable_vocab, cfg)
-        a = predict_probs(params, separable_set, separable_vocab)
-        b = predict_probs(params, separable_set, separable_vocab)
+        params, _ = train(separable_encoded, separable_encoded[:8], cfg)
+        a = predict_probs(params, separable_encoded)
+        b = predict_probs(params, separable_encoded)
         assert np.array_equal(a, b)
-        assert len(a) == len(separable_set)
+        assert len(a) == len(separable_encoded)
 
 
 class TestEpochCsv:
