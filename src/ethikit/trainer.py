@@ -96,13 +96,21 @@ def split_train_val(examples, ratio: float = 0.8, seed: int = 0):
 def predict_probs(params: ModelParams, dataset, batch_size: int = 32) -> np.ndarray:
     """Eval-mode probabilities for every encoded example, in dataset order.
 
-    Sequences are truncated at the model's own ``max_len``.
+    Sequences are truncated at the model's own ``max_len``. Rows are batched
+    in order of truncated length, so each batch pads to little more than its
+    own rows, and the probabilities are scattered back into dataset order.
     """
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("nothing to score")
-    batches = make_batches(dataset, batch_size, max_len=params.cfg.max_len)
-    return np.concatenate([classify(params, b) for b in batches])
+    max_len = params.cfg.max_len
+    lengths = np.fromiter((min(len(ex.ids), max_len) for ex in dataset),
+                          dtype=np.int64, count=len(dataset))
+    order = np.argsort(lengths, kind="stable")
+    batches = make_batches(dataset, batch_size, order=order, max_len=max_len)
+    probs = np.empty(len(dataset), dtype=np.float64)
+    probs[order] = np.concatenate([classify(params, b) for b in batches])
+    return probs
 
 
 def _eval_loss_acc(params, dataset, batch_size):

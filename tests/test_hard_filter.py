@@ -58,6 +58,23 @@ class TestTrainProxies:
             assert np.array_equal(second[name], alone[name]), name
 
 
+class TestEncodeOnce:
+    def test_one_encode_call_per_text_field(self, separable_vocab, monkeypatch):
+        import ethikit.tokenizer as tokenizer_mod
+
+        calls = []
+        real_encode = tokenizer_mod.encode
+        monkeypatch.setattr(tokenizer_mod, "encode",
+                            lambda text, vocab: (calls.append(text), real_encode(text, vocab))[1])
+        pair = lambda ex: Example("deontology", ex.text_a, text_b="the cat", label=ex.label)
+        dev = [pair(ex) for ex in make_separable_examples(20, seed=1)]
+        pool = [pair(ex) for ex in make_separable_examples(30, seed=2)]
+        cfg = FilterConfig(proxy=proxy_train_config(separable_vocab, epochs=2), n_proxies=3)
+        proxies = train_proxies(dev, cfg, separable_vocab)
+        score_examples(proxies, pool, separable_vocab)
+        assert len(calls) == 2 * (len(dev) + len(pool))
+
+
 class TestScoreExamples:
     def test_constant_half_proxy_scores_ln2(self, separable_set, separable_vocab):
         cfg = ModelConfig(vocab_size=len(separable_vocab), max_len=16, n_layers=1,

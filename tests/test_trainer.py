@@ -7,7 +7,14 @@ import pytest
 import ethikit.trainer as trainer_mod
 from ethikit.batching import Example, encode_examples
 from ethikit.errors import EmptyDataset, InvalidConfig, TooFewExamples
-from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
+from ethikit.batching import make_batches
+from ethikit.model import (
+    ModelConfig,
+    classify,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from ethikit.optim import OptimConfig
 from ethikit.trainer import (
     EpochLog,
@@ -157,8 +164,6 @@ class TestEvaluate:
     def test_empty_dataset(self, separable_vocab):
         cfg = ModelConfig(vocab_size=len(separable_vocab), max_len=8, n_layers=1,
                           n_heads=2, d_model=16, d_ff=32)
-        from ethikit.model import init_params
-
         with pytest.raises(EmptyDataset):
             evaluate(init_params(cfg), [])
 
@@ -169,6 +174,32 @@ class TestEvaluate:
         b = predict_probs(params, separable_encoded)
         assert np.array_equal(a, b)
         assert len(a) == len(separable_encoded)
+
+    @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
+    def test_length_sorted_scores_match_per_example(self, separable_vocab, dtype, tol):
+        # rows of shuffled lengths, some cut at max_len, scored in batches
+        # against one row at a time in dataset order
+        rng = np.random.default_rng(3)
+        words = ["the", "cat", "sat", "good", "bad", "mat", "dog"]
+        examples = [
+            Example("justice", " ".join(rng.choice(words, size=int(n))), label=i % 2)
+            for i, n in enumerate(rng.integers(1, 30, size=45))
+        ]
+        encoded = encode_examples(examples, separable_vocab)
+        cfg = ModelConfig(vocab_size=len(separable_vocab), max_len=16, n_layers=2,
+                          n_heads=2, d_model=16, d_ff=32, dropout_p=0.1, seed=4,
+                          dtype=dtype)
+        params = init_params(cfg)
+        for tensor in params.tensors.values():
+            tensor[...] = rng.normal(0.0, 0.5, tensor.shape)
+        batched = predict_probs(params, encoded, batch_size=8)
+        single = np.array([
+            classify(params, batch)[0]
+            for ex in encoded
+            for batch in make_batches([ex], 1, max_len=cfg.max_len)
+        ])
+        assert np.abs(batched - single).max() <= tol
+        assert np.ptp(single) > 1e-4  # rows score 100x the float32 tolerance apart
 
 
 class TestEpochCsv:
