@@ -302,6 +302,22 @@ def cmd_evaluate(args) -> int:
 # --- filter-hard ---
 
 def cmd_filter_hard(args) -> int:
+    # Every setting is checked before a file is read; the vocab size is known
+    # only once the vocab is, so the first check uses the smallest valid one.
+    proxy_model = ModelConfig(
+        vocab_size=len(tok_mod.SPECIAL_TOKENS), max_len=args.max_len, n_layers=1,
+        n_heads=2, d_model=32, d_ff=64, dropout_p=0.1, seed=args.seed,
+    )
+    proxy_train = trainer_mod.TrainConfig(
+        model=proxy_model,
+        optim=OptimConfig(eta0=args.lr, n_acc=1),
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+    )
+    cfg = hard_mod.FilterConfig(
+        proxy=proxy_train, n_proxies=args.proxies, keep_quantile=args.quantile,
+    )
+
     spec = dataset_mod.default_specs()[args.domain]
     norm_cfg = norm_mod.default_config()
     dev = _normalize_examples(dataset_mod.load_split(args.dev, spec), norm_cfg)
@@ -313,18 +329,9 @@ def cmd_filter_hard(args) -> int:
     else:
         vocab = _learn_vocab(dev + pool, args.vocab_size, min_freq=1)
 
-    proxy_model = ModelConfig(
-        vocab_size=len(vocab), max_len=args.max_len, n_layers=1, n_heads=2,
-        d_model=32, d_ff=64, dropout_p=0.1, seed=args.seed,
-    )
-    proxy_train = trainer_mod.TrainConfig(
-        model=proxy_model,
-        optim=OptimConfig(eta0=args.lr, n_acc=1),
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-    )
-    cfg = hard_mod.FilterConfig(
-        proxy=proxy_train, n_proxies=args.proxies, keep_quantile=args.quantile,
+    proxy_model = dataclasses.replace(proxy_model, vocab_size=len(vocab))
+    cfg = dataclasses.replace(
+        cfg, proxy=dataclasses.replace(proxy_train, model=proxy_model)
     )
     proxies = hard_mod.train_proxies(dev, cfg, vocab)
     scores = hard_mod.score_examples(proxies, pool, vocab, args.batch_size)

@@ -21,6 +21,7 @@ from ethikit.errors import (
     MissingColumn,
     MissingField,
     RaggedRow,
+    reading,
 )
 
 # Table of published per-domain example counts for the fixed splits.
@@ -85,7 +86,7 @@ def _parse_label(value: str, row_num: int) -> int:
 
 def load_split(path, spec: DomainSpec) -> list[Example]:
     """Parse one delimiter-separated file into Examples."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with reading(path), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -3,6 +3,8 @@
 All errors derive from EthikitError so CLI handlers can catch one base class.
 """
 
+from contextlib import contextmanager
+
 
 class EthikitError(Exception):
     """Base class for all toolkit errors."""
@@ -54,6 +56,21 @@ class BadLabel(EthikitError):
 
 class RaggedRow(EthikitError):
     """A data row has a different field count than the header."""
+
+
+class UnreadableFile(EthikitError):
+    """An input path is a directory, or its text is not valid UTF-8."""
+
+
+@contextmanager
+def reading(path):
+    """Turn a directory path or undecodable text met inside into UnreadableFile."""
+    try:
+        yield
+    except IsADirectoryError as exc:
+        raise UnreadableFile(f"{path}: is a directory, not a file") from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 # --- model / optimizer ---
@@ -124,6 +141,10 @@ class EmptyDataset(EthikitError):
 
 class QuantileOutOfRange(EthikitError):
     """The keep quantile must lie strictly between 0 and 1."""
+
+
+class NonFiniteTraining(EthikitError):
+    """Training produced a NaN or infinite logit or accumulated gradient."""
 
 
 # --- cli ---

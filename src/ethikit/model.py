@@ -27,6 +27,7 @@ from ethikit.errors import (
     ShapeMismatch,
     StaleCache,
     TruncatedCheckpoint,
+    reading,
 )
 
 LN_EPS = 1e-5
@@ -508,7 +509,7 @@ def _read_exact(fh, n: int, size: int) -> bytes:
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (params, cfg)."""
-    with open(path, "rb") as fh:
+    with reading(path), open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:

@@ -18,6 +18,7 @@ from ethikit.errors import (
     EmptyCorpus,
     IdOutOfRange,
     MalformedVocab,
+    reading,
 )
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -269,7 +270,7 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, encoding="utf-8") as fh:
+    with reading(path), open(path, encoding="utf-8") as fh:
         tokens = [line.rstrip("\n") for line in fh]
     if len(tokens) < len(SPECIAL_TOKENS):
         raise MalformedVocab(f"{path}: fewer than {len(SPECIAL_TOKENS)} tokens")

@@ -19,7 +19,7 @@ import numpy as np
 from ethikit import loss as loss_mod
 from ethikit import metrics as metrics_mod
 from ethikit.batching import make_batches
-from ethikit.errors import EmptyDataset, InvalidConfig, TooFewExamples
+from ethikit.errors import EmptyDataset, InvalidConfig, NonFiniteTraining, TooFewExamples
 from ethikit.model import ModelConfig, ModelParams, backward, classify, forward, init_params
 from ethikit.optim import OptimConfig, accumulate, flush, init_state
 
@@ -133,11 +133,26 @@ def evaluate(
     return metrics_mod.build_report(probs, labels)
 
 
+def _require_finite(epoch: int, step: int, named_tensors) -> None:
+    """Stop training at the first NaN or infinite tensor, before it is applied."""
+    for name, value in named_tensors:
+        if not np.isfinite(value).all():
+            raise NonFiniteTraining(
+                f"epoch {epoch}, flush step {step}: {name} is NaN or infinite"
+            )
+
+
+def _require_finite_grads(epoch: int, state) -> None:
+    _require_finite(epoch, state.t + 1,
+                    ((f"gradient of {name}", g) for name, g in state.g_acc.items()))
+
+
 def train(train_set, val_set, cfg: TrainConfig):
     """Run the fine-tuning loop on encoded sets; returns (best params, logs).
 
     Batches are cut at ``cfg.model.max_len``; ``cfg.model.seed`` seeds both
-    the per-epoch shuffle and the dropout masks.
+    the per-epoch shuffle and the dropout masks. A NaN or infinite logit, or
+    accumulated gradient at a flush, raises ``NonFiniteTraining``.
     """
     train_set = list(train_set)
     val_set = list(val_set)
@@ -162,13 +177,16 @@ def train(train_set, val_set, cfg: TrainConfig):
         )
         for batch in batches:
             logits, cache = forward(params, batch, train=True, rng=dropout_rng)
+            _require_finite(epoch, state.t + 1, [("logits", logits)])
             grads = backward(
                 params, cache, loss_mod.bce_grad_logits(logits, batch.labels)
             )
             accumulate(state, grads)
             if state.counter == cfg.optim.n_acc:
+                _require_finite_grads(epoch, state)
                 flush(params, state, cfg.optim)
         if state.counter > 0:
+            _require_finite_grads(epoch, state)
             flush(params, state, cfg.optim, allow_partial=True)
 
         train_loss, train_acc = _eval_loss_acc(params, train_set, cfg.batch_size)

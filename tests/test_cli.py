@@ -272,11 +272,83 @@ class TestBadNumbers:
         assert main([*argv, *flags]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--max-len", "1"], ["--proxies", "0"]])
+    def test_filter_hard_checks_config_before_reading(self, tmp_path, capsys, flags):
+        # neither input exists, so exit 2 proves no file was opened first
+        missing = tmp_path / "missing.csv"
+        code = main(["filter-hard", "--dev", str(missing), "--pool", str(missing),
+                     "--domain", "justice", "--out", str(tmp_path / "hard.csv"), *flags])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_model_config_writes_nothing(self, tmp_path, train_file):
         out_dir = tmp_path / "bad"
         assert main(["train", "--train-file", str(train_file), "--domain", "justice",
                      "--out-dir", str(out_dir), *FAST_TRAIN_FLAGS, "--layers", "-1"]) == 2
         assert not (out_dir / "vocab.txt").exists()
+
+
+class TestUnreadableInputs:
+    """Inputs that cannot be read as the file they claim to be end in exit 1."""
+
+    @pytest.fixture
+    def latin1_csv(self, tmp_path) -> Path:
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("label,scenario\n1,I paid the caf\xe9 bill\n".encode("latin-1"))
+        return path
+
+    def test_non_utf8_csv(self, tmp_path, latin1_csv, capsys):
+        code = main(["train", "--train-file", str(latin1_csv), "--domain", "justice",
+                     "--out-dir", str(tmp_path / "run"), *FAST_TRAIN_FLAGS])
+        assert code == 1
+        assert f"{latin1_csv}: not UTF-8" in capsys.readouterr().err
+
+    def test_directory_as_train_file(self, tmp_path, capsys):
+        code = main(["train", "--train-file", str(tmp_path), "--domain", "justice",
+                     "--out-dir", str(tmp_path / "run"), *FAST_TRAIN_FLAGS])
+        assert code == 1
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_directory_as_checkpoint(self, tmp_path, train_file, capsys):
+        code = main(["evaluate", "--checkpoint", str(tmp_path),
+                     "--data", str(train_file), "--domain", "justice"])
+        assert code == 1
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_non_utf8_vocab(self, tmp_path, train_file, capsys):
+        out_dir = run_train(tmp_path, train_file)
+        vocab = out_dir / "vocab.txt"
+        vocab.write_bytes(vocab.read_bytes() + "caf\xe9\n".encode("latin-1"))
+        code = main(["evaluate", "--checkpoint", str(out_dir / "best.ckpt"),
+                     "--data", str(train_file), "--domain", "justice"])
+        assert code == 1
+        assert f"{vocab}: not UTF-8" in capsys.readouterr().err
+
+
+class TestNonFiniteTraining:
+    def test_nan_gradient_exit_1_without_checkpoint(self, tmp_path, train_file,
+                                                   capsys, monkeypatch):
+        import ethikit.trainer as trainer_mod
+
+        real_backward = trainer_mod.backward
+        calls = []
+
+        def nan_on_third(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:
+                grads["layers.0.ff.w1"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(trainer_mod, "backward", nan_on_third)
+        out_dir = tmp_path / "run"
+        # 32 training rows in batches of 8 with --grad-accum 1: one flush per batch
+        code = main(["train", "--train-file", str(train_file), "--domain", "justice",
+                     "--out-dir", str(out_dir), *FAST_TRAIN_FLAGS, "--grad-accum", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "epoch 0, flush step 3: gradient of layers.0.ff.w1" in err
+        assert not (out_dir / "best.ckpt").exists()
 
 
 class TestReportCommand:

@@ -6,7 +6,7 @@ import pytest
 
 import ethikit.trainer as trainer_mod
 from ethikit.batching import Example, encode_examples
-from ethikit.errors import EmptyDataset, InvalidConfig, TooFewExamples
+from ethikit.errors import EmptyDataset, InvalidConfig, NonFiniteTraining, TooFewExamples
 from ethikit.batching import make_batches
 from ethikit.model import (
     ModelConfig,
@@ -118,6 +118,26 @@ class TestTrain:
         per_epoch = len(calls) // 2
         assert per_epoch == math.ceil(7 / 4)
         assert calls == [False, True, False, True]
+
+    def test_non_finite_logits_stop_training(self, separable_encoded, separable_vocab,
+                                             monkeypatch):
+        real_forward = trainer_mod.forward
+        calls = []
+
+        def inf_on_sixth(*args, **kwargs):
+            logits, cache = real_forward(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 6:
+                logits = logits.copy()
+                logits[2] = np.inf
+            return logits, cache
+
+        monkeypatch.setattr(trainer_mod, "forward", inf_on_sixth)
+        # 4 micro-batches per epoch, n_acc 4: the sixth is epoch 1's second,
+        # bound for flush step 2
+        cfg = toy_train_config(separable_vocab, epochs=2)
+        with pytest.raises(NonFiniteTraining, match="epoch 1, flush step 2: logits"):
+            train(separable_encoded, separable_encoded[:16], cfg)
 
     def test_best_checkpoint_fidelity(self, tmp_path, separable_encoded, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=4)
