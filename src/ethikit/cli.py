@@ -302,8 +302,9 @@ def cmd_evaluate(args) -> int:
 # --- filter-hard ---
 
 def cmd_filter_hard(args) -> int:
-    # Every setting is checked before a file is read; the vocab size is known
-    # only once the vocab is, so the first check uses the smallest valid one.
+    # The model and training settings are checked before a file is read. The
+    # vocab size is known only once the vocab is, so the first check uses the
+    # smallest valid one.
     proxy_model = ModelConfig(
         vocab_size=len(tok_mod.SPECIAL_TOKENS), max_len=args.max_len, n_layers=1,
         n_heads=2, d_model=32, d_ff=64, dropout_p=0.1, seed=args.seed,
