@@ -133,18 +133,13 @@ def evaluate(
     return metrics_mod.build_report(probs, labels)
 
 
-def _require_finite(epoch: int, step: int, named_tensors) -> None:
+def _require_finite(epoch: int, step: int, tensors: dict, kind: str = "") -> None:
     """Stop training at the first NaN or infinite tensor, before it is applied."""
-    for name, value in named_tensors:
+    for name, value in tensors.items():
         if not np.isfinite(value).all():
             raise NonFiniteTraining(
-                f"epoch {epoch}, flush step {step}: {name} is NaN or infinite"
+                f"epoch {epoch}, flush step {step}: {kind}{name} is NaN or infinite"
             )
-
-
-def _require_finite_grads(epoch: int, state) -> None:
-    _require_finite(epoch, state.t + 1,
-                    ((f"gradient of {name}", g) for name, g in state.g_acc.items()))
 
 
 def train(train_set, val_set, cfg: TrainConfig):
@@ -177,16 +172,16 @@ def train(train_set, val_set, cfg: TrainConfig):
         )
         for batch in batches:
             logits, cache = forward(params, batch, train=True, rng=dropout_rng)
-            _require_finite(epoch, state.t + 1, [("logits", logits)])
+            _require_finite(epoch, state.t + 1, {"logits": logits})
             grads = backward(
                 params, cache, loss_mod.bce_grad_logits(logits, batch.labels)
             )
             accumulate(state, grads)
             if state.counter == cfg.optim.n_acc:
-                _require_finite_grads(epoch, state)
+                _require_finite(epoch, state.t + 1, state.g_acc, "gradient of ")
                 flush(params, state, cfg.optim)
         if state.counter > 0:
-            _require_finite_grads(epoch, state)
+            _require_finite(epoch, state.t + 1, state.g_acc, "gradient of ")
             flush(params, state, cfg.optim, allow_partial=True)
 
         train_loss, train_acc = _eval_loss_acc(params, train_set, cfg.batch_size)
