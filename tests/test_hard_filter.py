@@ -64,8 +64,12 @@ class TestEncodeOnce:
 
         calls = []
         real_encode = tokenizer_mod.encode
-        monkeypatch.setattr(tokenizer_mod, "encode",
-                            lambda text, vocab: (calls.append(text), real_encode(text, vocab))[1])
+
+        def counted_encode(text, vocab):
+            calls.append(text)
+            return real_encode(text, vocab)
+
+        monkeypatch.setattr(tokenizer_mod, "encode", counted_encode)
         pair = lambda ex: Example("deontology", ex.text_a, text_b="the cat", label=ex.label)
         dev = [pair(ex) for ex in make_separable_examples(20, seed=1)]
         pool = [pair(ex) for ex in make_separable_examples(30, seed=2)]
