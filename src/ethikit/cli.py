@@ -27,7 +27,7 @@ from ethikit import report as report_mod
 from ethikit import tokenizer as tok_mod
 from ethikit import trainer as trainer_mod
 from ethikit.batching import DOMAINS, Example, encode_examples
-from ethikit.errors import ConfigError, EthikitError, ReplayMismatch
+from ethikit.errors import ConfigError, EthikitError, ReplayMismatch, reading
 from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
 from ethikit.optim import OptimConfig
 
@@ -73,11 +73,10 @@ def _normalize_examples(examples, norm_cfg) -> list[Example]:
     return out
 
 
-def _learn_vocab(examples, vocab_size: int, min_freq: int) -> tok_mod.Vocab:
+def _learn_vocab(examples, cfg: tok_mod.TokenizerConfig) -> tok_mod.Vocab:
     """Train a vocabulary on every text field of normalized examples."""
     corpus = [ex.text_a for ex in examples]
     corpus += [ex.text_b for ex in examples if ex.text_b is not None]
-    cfg = tok_mod.TokenizerConfig(vocab_size=vocab_size, min_frequency=min_freq)
     return tok_mod.train_vocab(corpus, cfg)
 
 
@@ -155,6 +154,9 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
         epochs=settings["epochs"],
         batch_size=settings["batch_size"],
     )
+    tok_cfg = None if settings.get("vocab_file") else tok_mod.TokenizerConfig(
+        vocab_size=settings["vocab_size"], min_frequency=settings["min_freq"]
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     specs = dataset_mod.default_specs()
     spec = specs[settings["domain"]]
@@ -163,11 +165,11 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
     norm_cfg = norm_mod.default_config()
     examples = _normalize_examples(examples, norm_cfg)
 
-    if settings.get("vocab_file"):
+    if tok_cfg is None:
         vocab = tok_mod.load_vocab(settings["vocab_file"])
         vocab_input = Path(settings["vocab_file"])
     else:
-        vocab = _learn_vocab(examples, settings["vocab_size"], settings["min_freq"])
+        vocab = _learn_vocab(examples, tok_cfg)
         vocab_input = None
     tok_mod.save_vocab(vocab, out_dir / "vocab.txt")
 
@@ -204,7 +206,8 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
     A replay of changed inputs, or under another tool version, would not
     reproduce the recorded run, so either refuses to start.
     """
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    with reading(manifest_path):
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     if not isinstance(manifest, dict):
         raise ConfigError(f"{manifest_path}: manifest is not a JSON object")
     for key in ("config", "inputs"):
@@ -302,9 +305,9 @@ def cmd_evaluate(args) -> int:
 # --- filter-hard ---
 
 def cmd_filter_hard(args) -> int:
-    # The model and training settings are checked before a file is read. The
-    # vocab size is known only once the vocab is, so the first check uses the
-    # smallest valid one.
+    # The model, training and tokenizer settings are checked before a file is
+    # read. The vocab size is known only once the vocab is, so the first model
+    # check uses the smallest valid one.
     proxy_model = ModelConfig(
         vocab_size=len(tok_mod.SPECIAL_TOKENS), max_len=args.max_len, n_layers=1,
         n_heads=2, d_model=32, d_ff=64, dropout_p=0.1, seed=args.seed,
@@ -318,6 +321,9 @@ def cmd_filter_hard(args) -> int:
     cfg = hard_mod.FilterConfig(
         proxy=proxy_train, n_proxies=args.proxies, keep_quantile=args.quantile,
     )
+    tok_cfg = None if args.vocab else tok_mod.TokenizerConfig(
+        vocab_size=args.vocab_size, min_frequency=1
+    )
 
     spec = dataset_mod.default_specs()[args.domain]
     norm_cfg = norm_mod.default_config()
@@ -325,10 +331,10 @@ def cmd_filter_hard(args) -> int:
     pool_raw = dataset_mod.load_split(args.pool, spec)
     pool = _normalize_examples(pool_raw, norm_cfg)
 
-    if args.vocab:
+    if tok_cfg is None:
         vocab = tok_mod.load_vocab(args.vocab)
     else:
-        vocab = _learn_vocab(dev + pool, args.vocab_size, min_freq=1)
+        vocab = _learn_vocab(dev + pool, tok_cfg)
 
     proxy_model = dataclasses.replace(proxy_model, vocab_size=len(vocab))
     cfg = dataclasses.replace(

@@ -73,7 +73,7 @@ def default_specs() -> dict[str, DomainSpec]:
 
 def load_specs(path) -> dict[str, DomainSpec]:
     """Load domain specs from a user-edited JSON file."""
-    with open(path, encoding="utf-8") as fh:
+    with reading(path), open(path, encoding="utf-8") as fh:
         return _parse_specs(json.load(fh), path)
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ethikit.errors import EmptyInput, LengthMismatch
+from ethikit.special import expit
 
 PROB_CLAMP = 1e-7
 

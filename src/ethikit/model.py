@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, expit
 
 from ethikit.batching import TokenBatch
 from ethikit.errors import (
@@ -29,6 +28,7 @@ from ethikit.errors import (
     TruncatedCheckpoint,
     reading,
 )
+from ethikit.special import erf, expit
 
 LN_EPS = 1e-5
 MASK_BIAS = 1e30

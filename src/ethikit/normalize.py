@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from ethikit.errors import ConfigError
+from ethikit.errors import ConfigError, reading
 
 # Non-alphanumeric punctuation retained by strip_noise.
 KEEP_PUNCT = frozenset(".,!?;:'\"-()")
@@ -59,7 +59,7 @@ def load_config(path) -> NormConfig:
     whitelist: set[str] = set()
     contractions: dict[str, str] = {}
     threshold = 3
-    with open(path, encoding="utf-8") as fh:
+    with reading(path), open(path, encoding="utf-8") as fh:
         text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

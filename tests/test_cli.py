@@ -1,11 +1,15 @@
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ethikit
 from ethikit.cli import main
 from ethikit.dataset import default_specs, serialize_split
 from tests.conftest import make_separable_examples
@@ -33,6 +37,23 @@ def run_train(tmp_path, train_file, out_name="run1", extra=()) -> Path:
     ])
     assert code == 0
     return out_dir
+
+
+def test_train_runs_without_scipy(tmp_path, train_file):
+    # A fresh interpreter, so modules loaded by other tests do not count.
+    script = (
+        "import sys\n"
+        "from ethikit.cli import main\n"
+        f"code = main(['train', '--train-file', {str(train_file)!r}, '--domain', 'justice',"
+        f" '--out-dir', {str(tmp_path / 'run')!r}, *{FAST_TRAIN_FLAGS!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(ethikit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 class TestNormalizeCommand:
@@ -272,12 +293,21 @@ class TestBadNumbers:
         assert main([*argv, *flags]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--max-len", "1"], ["--proxies", "0"]])
+    @pytest.mark.parametrize(
+        "flags", [["--max-len", "1"], ["--proxies", "0"], ["--vocab-size", "3"]]
+    )
     def test_filter_hard_checks_config_before_reading(self, tmp_path, capsys, flags):
         # neither input exists, so exit 2 proves no file was opened first
         missing = tmp_path / "missing.csv"
         code = main(["filter-hard", "--dev", str(missing), "--pool", str(missing),
                      "--domain", "justice", "--out", str(tmp_path / "hard.csv"), *flags])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--vocab-size", "3"], ["--min-freq", "0"]])
+    def test_train_checks_tokenizer_config_before_reading(self, tmp_path, capsys, flags):
+        code = main(["train", "--train-file", str(tmp_path / "missing.csv"),
+                     "--domain", "justice", "--out-dir", str(tmp_path / "run"), *flags])
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
@@ -314,6 +344,17 @@ class TestUnreadableInputs:
                      "--data", str(train_file), "--domain", "justice"])
         assert code == 1
         assert "is a directory" in capsys.readouterr().err
+
+    def test_directory_as_replay_manifest(self, tmp_path, capsys):
+        code = main(["train", "--replay", str(tmp_path), "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_non_utf8_normalize_config(self, tmp_path, capsys):
+        config = tmp_path / "norm.cfg"
+        config.write_bytes("acronym = CAF\xc9\n".encode("latin-1"))
+        assert main(["normalize", "--config", str(config)]) == 1
+        assert f"{config}: not UTF-8" in capsys.readouterr().err
 
     def test_non_utf8_vocab(self, tmp_path, train_file, capsys):
         out_dir = run_train(tmp_path, train_file)

@@ -22,6 +22,7 @@ from ethikit.errors import (
     MissingColumn,
     MissingField,
     RaggedRow,
+    UnreadableFile,
 )
 
 
@@ -113,6 +114,14 @@ class TestSpecs:
         path = tmp_path / "domains.json"
         path.write_text(json.dumps({"justice": cols}), encoding="utf-8")
         with pytest.raises(ConfigError, match=f"'justice'.*'{missing}'"):
+            load_specs(path)
+
+    def test_unreadable_spec_file(self, tmp_path):
+        with pytest.raises(UnreadableFile, match="is a directory"):
+            load_specs(tmp_path)
+        path = tmp_path / "domains.json"
+        path.write_bytes('{"justice": {"label_col": "\xe9"}}'.encode("latin-1"))
+        with pytest.raises(UnreadableFile, match="not UTF-8"):
             load_specs(path)
 
     def test_pack_and_pair_exclusive(self):

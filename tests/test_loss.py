@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,12 @@ class TestBceGradLogits:
                 mid = bce(expit(np.array([z])), [label]).mean_loss
                 right = bce(expit(np.array([z + h])), [label]).mean_loss
                 assert left + right - 2 * mid >= -1e-12
+
+    def test_extreme_logits_finite_and_warning_free(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grads = bce_grad_logits(np.array([1000.0, -1000.0]), np.array([0, 1]))
+        assert grads.tolist() == [0.5, -0.5]
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
