@@ -89,10 +89,20 @@ def _sparkline(values) -> str:
 
 # --- normalize ---
 
+def _stdin_lines() -> list[str]:
+    """Standard input decoded strictly as UTF-8, split at each newline."""
+    with reading("<stdin>"):
+        text = sys.stdin.buffer.read().decode("utf-8")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def cmd_normalize(args) -> int:
     cfg = norm_mod.load_config(args.config) if args.config else norm_mod.default_config()
-    for line in sys.stdin:
-        sys.stdout.write(norm_mod.normalize(line.rstrip("\n"), cfg) + "\n")
+    for line in _stdin_lines():
+        sys.stdout.write(norm_mod.normalize(line, cfg) + "\n")
     return 0
 
 
@@ -100,9 +110,9 @@ def cmd_normalize(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     if args.input == "-":
-        lines = [line.rstrip("\n") for line in sys.stdin]
+        lines = _stdin_lines()
     else:
-        with open(args.input, encoding="utf-8") as fh:
+        with reading(args.input), open(args.input, encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
     if args.normalize:
         cfg_norm = norm_mod.default_config()

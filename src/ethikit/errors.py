@@ -59,16 +59,18 @@ class RaggedRow(EthikitError):
 
 
 class UnreadableFile(EthikitError):
-    """An input path is a directory, or its text is not valid UTF-8."""
+    """An input path is a directory or not permitted, or its text is not valid UTF-8."""
 
 
 @contextmanager
 def reading(path):
-    """Turn a directory path or undecodable text met inside into UnreadableFile."""
+    """Turn a directory, a denied permission or undecodable text into UnreadableFile."""
     try:
         yield
     except IsADirectoryError as exc:
         raise UnreadableFile(f"{path}: is a directory, not a file") from exc
+    except PermissionError as exc:
+        raise UnreadableFile(f"{path}: permission denied") from exc
     except UnicodeDecodeError as exc:
         raise UnreadableFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
 

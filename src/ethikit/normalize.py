@@ -99,8 +99,14 @@ def _letters(token: str) -> int:
     return sum(1 for ch in token if ch.isalpha())
 
 
+@lru_cache(maxsize=1 << 14)
 def _is_shouted(token: str) -> bool:
-    """True when the token has at least one letter and no lowercase letters."""
+    """True when the token has at least one letter and no lowercase letters.
+
+    Cached: a corpus repeats its tokens, so each distinct token is checked
+    once. ``str.isupper`` is not a stand-in; it disagrees on code points
+    such as U+03D2 and U+2102, which have no case mapping.
+    """
     cased = [ch for ch in token if ch.lower() != ch.upper()]
     return bool(cased) and all(ch == ch.upper() for ch in cased)
 
@@ -120,8 +126,9 @@ def normalize_case(text: str, cfg: NormConfig) -> str:
     """
     parts = _WS_SPLIT_RE.split(text)
     # Even indices are tokens (possibly empty at the edges), odd are whitespace.
-    token_idx = [i for i in range(0, len(parts), 2) if parts[i]]
-    shouted = {i: _is_shouted(parts[i]) for i in token_idx}
+    shouted = [_is_shouted(token) for token in parts[::2]]
+    if not any(shouted):
+        return text
 
     run: list[int] = []
 
@@ -134,8 +141,8 @@ def normalize_case(text: str, cfg: NormConfig) -> str:
                     parts[i] = parts[i].lower()
         run.clear()
 
-    for i in token_idx:
-        if shouted[i]:
+    for i, is_shouted in zip(range(0, len(parts), 2), shouted):
+        if is_shouted:
             run.append(i)
         else:
             flush_run()
@@ -155,20 +162,46 @@ def expand_contractions(text: str, cfg: NormConfig) -> str:
 
     Matching is case-insensitive; a leading capital on the contraction is
     carried onto the expansion. Apostrophes that are not part of a table key
-    (possessives, o'clock) are left alone.
+    (possessives, o'clock) are left alone, as is a match whose lowercase is
+    not a key ("it'ſ", with a long s, matches "it's" case-insensitively).
+    Every key holds an apostrophe, so text without one is returned as is.
     """
-    if not cfg.contraction_table:
+    if not cfg.contraction_table or "'" not in text:
         return text
     pattern = _contraction_re(tuple(sorted(cfg.contraction_table)))
 
     def replace(match: re.Match[str]) -> str:
         found = match.group(0)
-        expansion = cfg.contraction_table[found.lower()]
+        expansion = cfg.contraction_table.get(found.lower())
+        if expansion is None:
+            return found
         if found[0].isupper() and expansion:
             expansion = expansion[0].upper() + expansion[1:]
         return expansion
 
     return pattern.sub(replace, text)
+
+
+class _NoiseTable(dict):
+    """``str.translate`` table for strip_noise, filled on first sight of a code point.
+
+    Whitespace maps to a space, letters, digits and KEEP_PUNCT to themselves,
+    and everything else to None (dropped).
+    """
+
+    def __missing__(self, code: int):
+        ch = chr(code)
+        if ch.isspace():
+            out = " "
+        elif ch.isalpha() or ch.isdigit() or ch in KEEP_PUNCT:
+            out = code
+        else:
+            out = None
+        self[code] = out
+        return out
+
+
+_NOISE_TABLE = _NoiseTable()
 
 
 def strip_noise(text: str) -> str:
@@ -177,13 +210,7 @@ def strip_noise(text: str) -> str:
     Keeps letters, digits, and sentence punctuation; every whitespace run
     becomes one space; control characters and symbols are removed.
     """
-    out: list[str] = []
-    for ch in text:
-        if ch.isspace():
-            out.append(" ")
-        elif ch.isalpha() or ch.isdigit() or ch in KEEP_PUNCT:
-            out.append(ch)
-    collapsed = _MULTI_SPACE_RE.sub(" ", "".join(out))
+    collapsed = _MULTI_SPACE_RE.sub(" ", text.translate(_NOISE_TABLE))
     return collapsed.strip()
 
 

@@ -43,7 +43,11 @@ class TokenizerConfig:
 
 
 class Vocab:
-    """Immutable subword inventory with dense ids; specials occupy 0..4."""
+    """Immutable subword inventory with dense ids; specials occupy 0..4.
+
+    Each vocab also memoises the ids of every word ``encode`` has segmented
+    with it, so a repeated word is segmented once.
+    """
 
     continuation_prefix = CONTINUATION_PREFIX
 
@@ -60,6 +64,7 @@ class Vocab:
             id_of[tok] = i
         self.tokens = tokens
         self.id_of = id_of
+        self._word_ids: dict[str, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -239,10 +244,17 @@ def encode_word(word: str, vocab: Vocab) -> list[int]:
 
 
 def encode(text: str, vocab: Vocab) -> list[int]:
-    """Whitespace-split then encode each word; no specials are added here."""
+    """Whitespace-split then encode each word; no specials are added here.
+
+    A word is segmented once per vocab; later occurrences reuse its ids.
+    """
     ids: list[int] = []
+    word_ids = vocab._word_ids
     for word in text.split():
-        ids.extend(encode_word(word, vocab))
+        cached = word_ids.get(word)
+        if cached is None:
+            cached = word_ids[word] = tuple(encode_word(word, vocab))
+        ids.extend(cached)
     return ids
 
 

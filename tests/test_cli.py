@@ -39,6 +39,11 @@ def run_train(tmp_path, train_file, out_name="run1", extra=()) -> Path:
     return out_dir
 
 
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin that, like it, reads the given bytes."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+
+
 def test_train_runs_without_scipy(tmp_path, train_file):
     # A fresh interpreter, so modules loaded by other tests do not count.
     script = (
@@ -58,10 +63,15 @@ def test_train_runs_without_scipy(tmp_path, train_file):
 
 class TestNormalizeCommand:
     def test_stdin_to_stdout(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO("can't   do THAT\nI am here\n"))
+        monkeypatch.setattr("sys.stdin", _stdin(b"can't   do THAT\nI am here\n"))
         assert main(["normalize"]) == 0
         out = capsys.readouterr().out
         assert out == "cannot do that\nI am here\n"
+
+    def test_last_line_without_newline(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", _stdin(b"I am here\r\n\nTHE END"))
+        assert main(["normalize"]) == 0
+        assert capsys.readouterr().out == "I am here\n\nthe end\n"
 
 
 class TestBuildVocabCommand:
@@ -355,6 +365,32 @@ class TestUnreadableInputs:
         config.write_bytes("acronym = CAF\xc9\n".encode("latin-1"))
         assert main(["normalize", "--config", str(config)]) == 1
         assert f"{config}: not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_build_vocab_input(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes("caf\xe9 bar\n".encode("latin-1"))
+        out = tmp_path / "vocab.txt"
+        assert main(["build-vocab", "--input", str(corpus), "--out", str(out)]) == 1
+        assert f"{corpus}: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_directory_as_build_vocab_input(self, tmp_path, capsys):
+        out = tmp_path / "vocab.txt"
+        assert main(["build-vocab", "--input", str(tmp_path), "--out", str(out)]) == 1
+        assert "is a directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["normalize"], ["build-vocab", "--input", "-"]])
+    def test_non_utf8_stdin(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setattr("sys.stdin", _stdin(b"caf\xe9 bar\n"))
+        out = tmp_path / "vocab.txt"
+        if argv[0] == "build-vocab":
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "<stdin>: not UTF-8" in captured.err
+        assert not out.exists()
 
     def test_non_utf8_vocab(self, tmp_path, train_file, capsys):
         out_dir = run_train(tmp_path, train_file)

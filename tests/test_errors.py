@@ -1,0 +1,24 @@
+import re
+
+import pytest
+
+from ethikit.errors import UnreadableFile, reading
+
+
+class TestReading:
+    @pytest.mark.parametrize("exc, message", [
+        (IsADirectoryError(21, "Is a directory"), "data.csv: is a directory, not a file"),
+        (PermissionError(13, "Permission denied"), "data.csv: permission denied"),
+        (UnicodeDecodeError("utf-8", b"\xe9", 0, 1, "invalid continuation byte"),
+         "data.csv: not UTF-8 text (invalid continuation byte)"),
+    ])
+    def test_maps_to_unreadable_file(self, exc, message):
+        with pytest.raises(UnreadableFile, match=re.escape(message)) as info:
+            with reading("data.csv"):
+                raise exc
+        assert info.value.__cause__ is exc
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(FileNotFoundError):
+            with reading("data.csv"):
+                raise FileNotFoundError(2, "No such file or directory")

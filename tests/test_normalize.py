@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ethikit import normalize as normalize_mod
 from ethikit.errors import ConfigError
 from ethikit.normalize import (
     KEEP_PUNCT,
@@ -18,6 +21,116 @@ from ethikit.normalize import (
 @pytest.fixture(scope="module")
 def cfg():
     return default_config()
+
+
+# --- references: each stage doing its work per occurrence ---
+
+def _reference_is_shouted(token):
+    cased = [ch for ch in token if ch.lower() != ch.upper()]
+    return bool(cased) and all(ch == ch.upper() for ch in cased)
+
+
+def _reference_normalize_case(text, cfg):
+    """Every token checked where it occurs; no early return."""
+    parts = re.split(r"(\s+)", text)
+    token_idx = [i for i in range(0, len(parts), 2) if parts[i]]
+    run = []
+
+    def flush_run():
+        letters = sum(1 for i in run for ch in parts[i] if ch.isalpha())
+        if letters > cfg.allcaps_threshold:
+            for i in run:
+                if re.sub(r"^\W+|\W+$", "", parts[i]) not in cfg.acronym_whitelist:
+                    parts[i] = parts[i].lower()
+        run.clear()
+
+    for i in token_idx:
+        if _reference_is_shouted(parts[i]):
+            run.append(i)
+        else:
+            flush_run()
+    flush_run()
+    return "".join(parts)
+
+
+def _reference_expand_contractions(text, cfg):
+    """The table's matcher run on every text, apostrophe or not."""
+    if not cfg.contraction_table:
+        return text
+    ordered = sorted(cfg.contraction_table, key=len, reverse=True)
+    alternation = "|".join(re.escape(k) for k in ordered)
+    pattern = re.compile(rf"(?<![\w'])({alternation})(?![\w'])", re.IGNORECASE)
+
+    def replace(match):
+        found = match.group(0)
+        expansion = cfg.contraction_table.get(found.lower())
+        if expansion is None:
+            return found
+        if found[0].isupper() and expansion:
+            expansion = expansion[0].upper() + expansion[1:]
+        return expansion
+
+    return pattern.sub(replace, text)
+
+
+def _reference_strip_noise(text):
+    """One keep/space/drop decision per character occurrence."""
+    out = []
+    for ch in text:
+        if ch.isspace():
+            out.append(" ")
+        elif ch.isalpha() or ch.isdigit() or ch in KEEP_PUNCT:
+            out.append(ch)
+    return re.sub(" {2,}", " ", "".join(out)).strip()
+
+
+# Pieces where Unicode's case, space and letter rules disagree with ASCII
+# intuition, mixed with contractions and shouted runs.
+_TRICKY_PIECES = [
+    " ", " ", "  ", "\t", "\n", "\r", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f",
+    "\u2028", "\x00", "\u200b", "ß", "ẞ", "Σ", "ς", "σ", "ΟΔΟΣ", "\u03d2", "\u2102",
+    "ℂℂℂ", "İ", "ǅ", "ſ", "K", "'", "’", "can't", "CAN'T", "Won't", "it's",
+    "IT'ſ", "o'clock", "dog's", "THE", "US", "IX", "NOT", "OK", "WE'RE", "HELLO!",
+    "(WRONG)", "—", "☂", "1984", "٣",
+]
+_unicode_text = st.lists(
+    st.one_of(st.sampled_from(_TRICKY_PIECES), st.text(max_size=6)), max_size=24,
+).map("".join)
+
+
+class TestAgainstReferences:
+    """Each stage gives the per-occurrence reference's output."""
+
+    def test_strip_noise_every_code_point(self, monkeypatch):
+        # A fresh table, so every entry is filled by this string; the second
+        # pass reads the filled table.
+        monkeypatch.setattr(normalize_mod, "_NOISE_TABLE", normalize_mod._NoiseTable())
+        text = "".join(map(chr, range(0x110000)))
+        expected = _reference_strip_noise(text)
+        assert strip_noise(text) == expected
+        assert strip_noise(text) == expected
+
+    @given(_unicode_text)
+    @settings(max_examples=300, deadline=None)
+    def test_each_stage(self, text):
+        cfg = default_config()
+        assert normalize_case(text, cfg) == _reference_normalize_case(text, cfg)
+        assert expand_contractions(text, cfg) == _reference_expand_contractions(text, cfg)
+        assert strip_noise(text) == _reference_strip_noise(text)
+
+    @given(_unicode_text)
+    @settings(max_examples=300, deadline=None)
+    def test_pipeline(self, text):
+        cfg = default_config()
+        expected = _reference_strip_noise(_reference_expand_contractions(
+            _reference_normalize_case(text, cfg), cfg))
+        assert normalize(text, cfg) == expected
+
+    def test_no_case_mapping_is_not_shouted(self, cfg):
+        # U+2102 is an uppercase letter to str.isupper, but has no lowercase,
+        # so it does not join the run and "IS" stays under the threshold.
+        assert normalize_case("\u2102\u2102 IS", cfg) == "\u2102\u2102 IS"
+        assert normalize_case("\u03d2\u03d2 IS", cfg) == "\u03d2\u03d2 IS"
 
 
 class TestNormalizeCase:
@@ -59,6 +172,11 @@ class TestExpandContractions:
 
     def test_not_inside_words(self, cfg):
         assert expand_contractions("scant'stop", cfg) == "scant'stop"
+
+    def test_case_insensitive_match_that_is_not_a_key(self, cfg):
+        # The pattern matches long s (U+017F) as "s", but "it'\u017f" is no key.
+        assert expand_contractions("IT'\u017f so", cfg) == "IT'\u017f so"
+        assert normalize("it'\u017f so", cfg) == "it'\u017f so"
 
 
 class TestStripNoise:

@@ -212,6 +212,37 @@ class TestEncode:
         vocab = train_vocab(["aaab aaab aaab"], cfg)
         assert encode("aaab zzz", vocab) == [vocab.id_of["aaab"], UNK_ID]
 
+    @given(
+        st.lists(st.one_of(
+            st.text(alphabet="abcehinpstuz", max_size=12),
+            st.sampled_from(["unhappiness", "un" + "happi" * 19 + "ness", "thecat", "ß"]),
+        ), max_size=12),
+        st.sampled_from([" ", "  ", "\t\n", "\xa0", "\x1c"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_concatenated_words(self, tiny_vocab, words, sep):
+        vocab = Vocab(tiny_vocab.tokens)  # starts with no memoised word
+        text = sep.join(words)
+        expected = [i for word in text.split() for i in encode_word(word, vocab)]
+        assert encode(text, vocab) == expected
+        assert encode(text, vocab) == expected
+
+    def test_word_ids_not_shared_between_vocabs(self):
+        pieces = Vocab(list(SPECIAL_TOKENS) + ["c", "##a", "##t"])
+        whole = Vocab(list(SPECIAL_TOKENS) + ["cat"])
+        assert encode("cat cat", pieces) == [5, 6, 7, 5, 6, 7]
+        assert encode("cat cat", whole) == [5, 5]
+        assert encode("cat", pieces) == [5, 6, 7]
+
+    def test_mutating_result_leaves_next_encode(self, tiny_vocab):
+        vocab = Vocab(tiny_vocab.tokens)
+        ids = encode("unhappiness cat", vocab)
+        expected = list(ids)
+        ids[0] = UNK_ID
+        ids.append(UNK_ID)
+        assert encode("unhappiness cat", vocab) == expected
+        assert encode("unhappiness", vocab) == expected[:3]
+
 
 class TestDecode:
     def test_joins_continuations(self, tiny_vocab):
