@@ -167,6 +167,7 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
     tok_cfg = None if settings.get("vocab_file") else tok_mod.TokenizerConfig(
         vocab_size=settings["vocab_size"], min_frequency=settings["min_freq"]
     )
+    trainer_mod.check_ratio(settings["val_ratio"])
     out_dir.mkdir(parents=True, exist_ok=True)
     specs = dataset_mod.default_specs()
     spec = specs[settings["domain"]]
@@ -193,7 +194,7 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
         encode_examples(train_set, vocab), encode_examples(val_set, vocab), train_cfg
     )
 
-    save_checkpoint(best_params, model_cfg, out_dir / "best.ckpt")
+    save_checkpoint(best_params, out_dir / "best.ckpt")
     (out_dir / "epochs.csv").write_text(trainer_mod.epoch_logs_csv(logs), encoding="utf-8")
 
     inputs = {"train_file": train_file}
@@ -281,7 +282,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ckpt_path = Path(args.checkpoint)
-    params, _ = load_checkpoint(ckpt_path)
+    params = load_checkpoint(ckpt_path)
     vocab_path = Path(args.vocab) if args.vocab else ckpt_path.parent / "vocab.txt"
     vocab = tok_mod.load_vocab(vocab_path)
 
@@ -357,7 +358,7 @@ def cmd_filter_hard(args) -> int:
     hard_raw, _ = hard_mod.filter_hard(pool_raw, scores, cfg.keep_quantile)
     dataset_mod.serialize_split(hard_raw, spec, args.out)
     score_path = Path(args.scores_out) if args.scores_out else Path(args.out).with_suffix(".scores.csv")
-    lines = ["example_id,score"] + [f"{s.example_id},{s.score!r}" for s in scores]
+    lines = ["example_id,score"] + [f"{i},{s!r}" for i, s in enumerate(scores.tolist())]
     score_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"kept {len(hard_raw)} hard of {len(pool)} pool examples -> {args.out}")
     return 0

@@ -141,7 +141,7 @@ class EmptyDataset(EthikitError):
     """An evaluation or training set is empty."""
 
 
-class QuantileOutOfRange(EthikitError):
+class QuantileOutOfRange(ConfigError):
     """The keep quantile must lie strictly between 0 and 1."""
 
 

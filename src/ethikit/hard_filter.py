@@ -35,12 +35,6 @@ class FilterConfig:
             raise QuantileOutOfRange("keep_quantile must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class DifficultyScore:
-    example_id: int
-    score: float
-
-
 def train_proxies(dev_set, cfg: FilterConfig, vocab: Vocab) -> list[ModelParams]:
     """Independently seeded proxy trainings on the development set.
 
@@ -60,10 +54,8 @@ def train_proxies(dev_set, cfg: FilterConfig, vocab: Vocab) -> list[ModelParams]
     return proxies
 
 
-def score_examples(
-    proxies, pool, vocab: Vocab, batch_size: int = 32
-) -> list[DifficultyScore]:
-    """Mean per-example cross-entropy across proxies, eval mode.
+def score_examples(proxies, pool, vocab: Vocab, batch_size: int = 32) -> np.ndarray:
+    """Mean per-example cross-entropy across proxies, eval mode, in pool order.
 
     The pool is encoded once for all proxies; each proxy truncates at its
     own ``max_len``.
@@ -76,18 +68,17 @@ def score_examples(
     for proxy in proxies:
         probs = predict_probs(proxy, pool, batch_size)
         total += bce_terms(probs, labels)
-    mean = total / len(proxies)
-    return [DifficultyScore(example_id=i, score=float(s)) for i, s in enumerate(mean)]
+    return total / len(proxies)
 
 
 def hard_indices(scores, q: float) -> list[int]:
-    """Example ids scoring at or above the q-quantile, in stable id order."""
+    """Pool positions scoring at or above the q-quantile, in pool order."""
     if not 0.0 < q < 1.0:
         raise QuantileOutOfRange(f"q={q} outside (0, 1)")
-    by_id = sorted(scores, key=lambda s: s.example_id)
-    values = sorted(s.score for s in by_id)
+    scores = np.asarray(scores, dtype=np.float64)
+    values = np.sort(scores)
     threshold = values[min(math.floor(q * len(values)), len(values) - 1)]
-    return [s.example_id for s in by_id if s.score >= threshold]
+    return np.flatnonzero(scores >= threshold).tolist()
 
 
 def filter_hard(pool, scores, q: float):
@@ -97,8 +88,8 @@ def filter_hard(pool, scores, q: float):
     hard side, and both subsets preserve pool order.
     """
     pool = list(pool)
-    if len(scores) != len(pool) or sorted(s.example_id for s in scores) != list(range(len(pool))):
-        raise ValueError("scores must cover the pool exactly")
+    if len(scores) != len(pool):
+        raise ValueError("scores must hold one value per pool example")
     keep = set(hard_indices(scores, q))
     hard = [ex for i, ex in enumerate(pool) if i in keep]
     easy = [ex for i, ex in enumerate(pool) if i not in keep]

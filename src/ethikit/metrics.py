@@ -111,17 +111,9 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("AUC needs both label values")
 
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    ranks = np.empty(labels.size, dtype=np.float64)
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # 1-based midrank for the tied block [i, j]
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # 1-based midrank of each distinct value: its last rank less half the ties.
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
     u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -15,7 +15,8 @@ import io
 import math
 import os
 import struct
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from ethikit.errors import (
     reading,
 )
 from ethikit.special import erf, expit
+from ethikit.tokenizer import SPECIAL_TOKENS
 
 LN_EPS = 1e-5
 MASK_BIAS = 1e30
@@ -64,7 +66,7 @@ class ModelConfig:
             raise ConfigError("max_len must be >= 2")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must lie in [0, 1)")
-        if self.vocab_size < 5:
+        if self.vocab_size < len(SPECIAL_TOKENS):
             raise ConfigError("vocab_size must cover the special tokens")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"unsupported dtype {self.dtype!r}")
@@ -208,8 +210,7 @@ class ForwardCache:
     h_cls: np.ndarray            # [B, D] encoder output at the CLS position
     head_mask: np.ndarray | None  # [B, D] Bernoulli keep mask, None when p == 0
     h_task: np.ndarray           # [B, D] head input after dropout
-    d_model: int
-    n_layers: int
+    cfg: ModelConfig             # config of the parameters that produced it
 
 
 def _check_batch(params: ModelParams, batch: TokenBatch) -> None:
@@ -324,8 +325,7 @@ def forward(
         h_cls=h_cls,
         head_mask=head_mask,
         h_task=h_task,
-        d_model=cfg.d_model,
-        n_layers=cfg.n_layers,
+        cfg=cfg,
     )
     return logits, cache
 
@@ -354,7 +354,7 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
     if cache is None:
         raise StaleCache("backward needs the cache from a train-mode forward")
     cfg = params.cfg
-    if cache.d_model != cfg.d_model or cache.n_layers != cfg.n_layers:
+    if cache.cfg != cfg:
         raise StaleCache("cache does not match these parameters")
     if dl_dlogits.shape != (cache.ids.shape[0],):
         raise ShapeMismatch("dl_dlogits must have one entry per batch row")
@@ -442,14 +442,8 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
 
 # --- checkpoint I/O ---
 
-_CFG_FIELDS = (
-    "vocab_size", "max_len", "n_layers", "n_heads",
-    "d_model", "d_ff", "dropout_p", "seed", "dtype",
-)
-
-
 def _cfg_to_text(cfg: ModelConfig) -> str:
-    return "".join(f"{k}={getattr(cfg, k)}\n" for k in _CFG_FIELDS)
+    return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
 def _cfg_from_text(text: str) -> ModelConfig:
@@ -459,27 +453,21 @@ def _cfg_from_text(text: str) -> ModelConfig:
             continue
         key, _, val = line.partition("=")
         values[key] = val
+    # Each field's annotation (int, float or str) parses its value.
     try:
-        return ModelConfig(
-            vocab_size=int(values["vocab_size"]),
-            max_len=int(values["max_len"]),
-            n_layers=int(values["n_layers"]),
-            n_heads=int(values["n_heads"]),
-            d_model=int(values["d_model"]),
-            d_ff=int(values["d_ff"]),
-            dropout_p=float(values["dropout_p"]),
-            seed=int(values["seed"]),
-            dtype=values["dtype"],
-        )
+        return ModelConfig(**{
+            name: parse(values[name])
+            for name, parse in typing.get_type_hints(ModelConfig).items()
+        })
     except (KeyError, ValueError) as exc:
         raise CorruptHeader(f"bad checkpoint config: {exc}") from exc
 
 
-def save_checkpoint(params: ModelParams, cfg: ModelConfig, path) -> None:
-    """Header (config as text) plus named little-endian float32 tensors."""
+def save_checkpoint(params: ModelParams, path) -> None:
+    """Header (``params.cfg`` as text) plus named little-endian float32 tensors."""
     buf = io.BytesIO()
     buf.write(_CKPT_MAGIC)
-    header = _cfg_to_text(cfg).encode("utf-8")
+    header = _cfg_to_text(params.cfg).encode("utf-8")
     buf.write(struct.pack("<I", len(header)))
     buf.write(header)
     buf.write(struct.pack("<I", len(params.tensors)))
@@ -507,8 +495,8 @@ def _read_exact(fh, n: int, size: int) -> bytes:
     return fh.read(n)
 
 
-def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (params, cfg)."""
+def load_checkpoint(path) -> ModelParams:
+    """Inverse of save_checkpoint."""
     with reading(path), open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_CKPT_MAGIC))
@@ -548,4 +536,4 @@ def load_checkpoint(path):
     if len(tensors) != len(expected):
         raise ShapeMismatch("checkpoint tensors do not match the config layout")
     ordered = {name: tensors[name] for name in expected}
-    return ModelParams(ordered, cfg), cfg
+    return ModelParams(ordered, cfg)

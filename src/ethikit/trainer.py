@@ -61,14 +61,19 @@ def epoch_logs_csv(logs) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_ratio(ratio: float) -> None:
+    """Raise InvalidConfig unless a train share lies strictly between 0 and 1."""
+    if not 0.0 < ratio < 1.0:
+        raise InvalidConfig("ratio must lie strictly between 0 and 1")
+
+
 def split_train_val(examples, ratio: float = 0.8, seed: int = 0):
     """Seeded, label-stratified split; train gets floor(n * ratio) examples."""
     examples = list(examples)
     n = len(examples)
     if n < 2:
         raise TooFewExamples(f"cannot split {n} example(s)")
-    if not 0.0 < ratio < 1.0:
-        raise InvalidConfig("ratio must lie strictly between 0 and 1")
+    check_ratio(ratio)
 
     rng = np.random.default_rng(seed)
     pos = [ex for ex in examples if ex.label == 1]

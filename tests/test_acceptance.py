@@ -317,7 +317,7 @@ def test_c10_hard_filter_property(separable_vocab):
         proxy = init_params(cfg)
         scores = score_examples([proxy], pool, separable_vocab)
         ids = set(hard_indices(scores, 0.5))
-        values = np.array([s.score for s in scores])
+        values = scores
         if values[list(ids)].mean() >= values.mean():
             holds += 1
     assert holds == 100

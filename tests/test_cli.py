@@ -304,7 +304,8 @@ class TestBadNumbers:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags", [["--max-len", "1"], ["--proxies", "0"], ["--vocab-size", "3"]]
+        "flags", [["--max-len", "1"], ["--proxies", "0"], ["--vocab-size", "3"],
+                  ["--quantile", "0"], ["--quantile", "1.5"]]
     )
     def test_filter_hard_checks_config_before_reading(self, tmp_path, capsys, flags):
         # neither input exists, so exit 2 proves no file was opened first
@@ -320,6 +321,14 @@ class TestBadNumbers:
                      "--domain", "justice", "--out-dir", str(tmp_path / "run"), *flags])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_train_checks_val_ratio_before_reading(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code = main(["train", "--train-file", str(tmp_path / "missing.csv"),
+                     "--domain", "justice", "--out-dir", str(out_dir), "--val-ratio", "1.5"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_bad_model_config_writes_nothing(self, tmp_path, train_file):
         out_dir = tmp_path / "bad"

@@ -6,7 +6,6 @@ import pytest
 from ethikit.batching import Example, encode_examples
 from ethikit.errors import EmptyDataset, QuantileOutOfRange
 from ethikit.hard_filter import (
-    DifficultyScore,
     FilterConfig,
     filter_hard,
     hard_indices,
@@ -87,7 +86,7 @@ class TestScoreExamples:
         proxy.tensors["head.w"][...] = 0.0
         proxy.tensors["head.b"][...] = 0.0
         scores = score_examples([proxy], separable_set, separable_vocab)
-        assert all(s.score == pytest.approx(math.log(2), abs=1e-12) for s in scores)
+        assert all(s == pytest.approx(math.log(2), abs=1e-12) for s in scores)
 
     def _constant_prob_proxy(self, vocab, prob):
         """A proxy whose eval probability is ``prob`` on every example."""
@@ -106,14 +105,14 @@ class TestScoreExamples:
             self._constant_prob_proxy(separable_vocab, math.exp(-0.6)),
         ]
         (score,) = score_examples(proxies, [example], separable_vocab)
-        assert score.score == pytest.approx(0.4, abs=1e-6)  # float32 logits
+        assert score == pytest.approx(0.4, abs=1e-6)  # float32 logits
 
     def test_perfect_proxy_scores_bounded_by_clamp(self, separable_vocab):
         # probabilities saturated at the right label cost at most the clamp
         pos = self._constant_prob_proxy(separable_vocab, 1.0 - 1e-12)
         examples = [Example("justice", "the cat", label=1)]
         (score,) = score_examples([pos], examples, separable_vocab)
-        assert score.score <= 2e-7
+        assert score <= 2e-7
 
     def test_trained_proxy_scores_low(self, separable_set, separable_encoded,
                                       separable_vocab):
@@ -122,7 +121,7 @@ class TestScoreExamples:
         report = evaluate(params, separable_encoded)
         assert report.accuracy >= 0.95
         scores = score_examples([params], separable_set, separable_vocab)
-        assert np.mean([s.score for s in scores]) < 0.35
+        assert np.mean(scores) < 0.35
 
     def test_empty_pool(self, separable_vocab):
         with pytest.raises(EmptyDataset):
@@ -135,27 +134,27 @@ class TestFilterHard:
 
     def test_median_split_on_distinct_scores(self):
         pool = self._pool(10)
-        scores = [DifficultyScore(i, float(i)) for i in range(10)]
+        scores = np.arange(10, dtype=np.float64)
         hard, easy = filter_hard(pool, scores, 0.5)
         assert len(hard) == 5 and len(easy) == 5
-        assert min(s.score for s in scores[5:]) >= max(s.score for s in scores[:5])
+        assert min(scores[5:]) >= max(scores[:5])
         assert hard == pool[5:]
 
     def test_tiny_quantile_keeps_everything(self):
         pool = self._pool(7)
-        scores = [DifficultyScore(i, float(i)) for i in range(7)]
+        scores = np.arange(7, dtype=np.float64)
         hard, easy = filter_hard(pool, scores, 1e-9)
         assert hard == pool and easy == []
 
     def test_all_ties_keep_everything(self):
         pool = self._pool(6)
-        scores = [DifficultyScore(i, 1.0) for i in range(6)]
+        scores = np.ones(6)
         hard, easy = filter_hard(pool, scores, 0.5)
         assert hard == pool and easy == []
 
     def test_quantile_out_of_range(self):
         pool = self._pool(3)
-        scores = [DifficultyScore(i, float(i)) for i in range(3)]
+        scores = np.arange(3, dtype=np.float64)
         for q in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(QuantileOutOfRange):
                 filter_hard(pool, scores, q)
@@ -163,7 +162,7 @@ class TestFilterHard:
     def test_partition_is_exhaustive_and_disjoint(self):
         rng = np.random.default_rng(2)
         pool = self._pool(40)
-        scores = [DifficultyScore(i, float(v)) for i, v in enumerate(rng.normal(size=40))]
+        scores = rng.normal(size=40)
         hard, easy = filter_hard(pool, scores, 0.3)
         assert len(hard) + len(easy) == 40
         assert {id(e) for e in hard} | {id(e) for e in easy} == {id(e) for e in pool}
@@ -171,7 +170,7 @@ class TestFilterHard:
 
     def test_scores_must_cover_pool(self):
         with pytest.raises(ValueError):
-            filter_hard(self._pool(3), [DifficultyScore(0, 1.0)], 0.5)
+            filter_hard(self._pool(3), np.array([1.0]), 0.5)
 
 
 class TestSeparationProperty:
@@ -184,7 +183,7 @@ class TestSeparationProperty:
             proxy = init_params(cfg)
             scores = score_examples([proxy], pool, separable_vocab)
             ids = set(hard_indices(scores, 0.5))
-            values = np.array([s.score for s in scores])
+            values = scores
             hard_mean = values[[i in ids for i in range(len(pool))]].mean()
             assert hard_mean >= values.mean()
 

@@ -87,8 +87,9 @@ class TestAuc:
             labels = rng.integers(0, 2, n)
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
-            # coarse grid forces plenty of ties
-            scores = rng.integers(0, 5, n) / 4.0
+            # coarse grid forces plenty of ties; -0.0 must tie with 0.0
+            scores = np.append(rng.integers(0, 5, n) / 4.0, [-0.0, 0.0])
+            labels = np.append(labels, [1, 0])
             assert auc(scores, labels) == brute_force_auc(scores, labels)
 
     def test_negation_flips(self):

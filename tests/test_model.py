@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -37,18 +38,22 @@ from ethikit.model import (
     param_shapes,
     save_checkpoint,
 )
+from ethikit.tokenizer import SPECIAL_TOKENS
 
 TOY = ModelConfig(
     vocab_size=30, max_len=12, n_layers=2, n_heads=2,
     d_model=16, d_ff=32, dropout_p=0.3, seed=7, dtype="float64",
 )
 TINY = ModelConfig(vocab_size=6, max_len=3, n_layers=1, n_heads=2, d_model=4, d_ff=4)
+# The v1 header of TINY, field order and number formatting included.
+TINY_HEADER = (b"vocab_size=6\nmax_len=3\nn_layers=1\nn_heads=2\nd_model=4\nd_ff=4\n"
+               b"dropout_p=0.3\nseed=0\ndtype=float32\n")
 
 
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory) -> bytes:
     path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
-    save_checkpoint(init_params(TINY), TINY, path)
+    save_checkpoint(init_params(TINY), path)
     return path.read_bytes()
 
 
@@ -171,6 +176,12 @@ class TestConfig:
     def test_dropout_range(self):
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=10, dropout_p=1.0)
+
+    def test_vocab_floor_is_the_special_tokens(self):
+        # the CLI checks model settings with this smallest valid vocab size
+        ModelConfig(vocab_size=len(SPECIAL_TOKENS))
+        with pytest.raises(ConfigError):
+            ModelConfig(vocab_size=len(SPECIAL_TOKENS) - 1)
 
 
 class TestInit:
@@ -429,9 +440,9 @@ class TestCheckpoint:
                           d_model=16, d_ff=32, seed=5)  # default float32
         params = init_params(cfg)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg, path)
-        loaded, loaded_cfg = load_checkpoint(path)
-        assert loaded_cfg == cfg
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert loaded.cfg == cfg
         for name in params.names:
             assert loaded[name].tobytes() == params[name].tobytes()
 
@@ -439,7 +450,7 @@ class TestCheckpoint:
         cfg = ModelConfig(vocab_size=30, max_len=12, n_layers=1, n_heads=2,
                           d_model=16, d_ff=32)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(init_params(cfg), cfg, path)
+        save_checkpoint(init_params(cfg), path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(TruncatedCheckpoint):
@@ -459,20 +470,39 @@ class TestCheckpoint:
         wrong = ModelConfig(vocab_size=30, max_len=12, n_layers=2, n_heads=2,
                             d_model=16, d_ff=32)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, wrong, path)
+        save_checkpoint(ModelParams(params.tensors, wrong), path)
         with pytest.raises(ShapeMismatch):
+            load_checkpoint(path)
+
+    def test_v1_header_text(self, tiny_checkpoint):
+        start = len(_CKPT_MAGIC)
+        (header_len,) = struct.unpack("<I", tiny_checkpoint[start:start + 4])
+        assert tiny_checkpoint[start + 4:start + 4 + header_len] == TINY_HEADER
+
+    @pytest.mark.parametrize("header", [
+        *(TINY_HEADER.replace(line + b"\n", b"") for line in TINY_HEADER.splitlines()),
+        TINY_HEADER.replace(b"d_ff=4", b"d_ff=four"),
+        TINY_HEADER.replace(b"dropout_p=0.3", b"dropout_p=high"),
+    ])
+    def test_missing_or_non_numeric_field(self, tiny_checkpoint, tmp_path, header):
+        start = len(_CKPT_MAGIC)
+        (header_len,) = struct.unpack("<I", tiny_checkpoint[start:start + 4])
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(tiny_checkpoint[:start] + struct.pack("<I", len(header)) + header
+                         + tiny_checkpoint[start + 4 + header_len:])
+        with pytest.raises(CorruptHeader):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(init_params(TINY), TINY, path)
+        save_checkpoint(init_params(TINY), path)
         path.write_bytes(path.read_bytes() + bytes(16))
         with pytest.raises(CorruptHeader, match="16 trailing bytes"):
             load_checkpoint(path)
 
     def test_oversized_header_length_fails_before_reading(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(init_params(TINY), TINY, path)
+        save_checkpoint(init_params(TINY), path)
         data = bytearray(path.read_bytes())
         data[len(_CKPT_MAGIC) + 3] ^= 0x80  # header length += 2 GiB
         path.write_bytes(bytes(data))

@@ -147,8 +147,8 @@ class TestTrain:
             (log.val_acc, -log.val_loss) for log in logs
         )[0]
         path = tmp_path / "best.ckpt"
-        save_checkpoint(best, cfg.model, path)
-        reloaded, _ = load_checkpoint(path)
+        save_checkpoint(best, path)
+        reloaded = load_checkpoint(path)
         report = evaluate(reloaded, val_set, batch_size=cfg.batch_size)
         assert report.accuracy == best_val_acc
 
