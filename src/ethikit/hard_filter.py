@@ -16,6 +16,7 @@ import numpy as np
 from ethikit.batching import encode_examples
 from ethikit.errors import EmptyDataset, InvalidConfig, QuantileOutOfRange
 from ethikit.loss import bce_terms
+from ethikit.metrics import check_finite
 from ethikit.model import ModelParams
 from ethikit.tokenizer import Vocab
 from ethikit.trainer import TrainConfig, predict_probs, split_train_val
@@ -63,6 +64,8 @@ def score_examples(proxies, pool, vocab: Vocab, batch_size: int = 32) -> np.ndar
     pool = encode_examples(pool, vocab)
     if not pool:
         raise EmptyDataset("empty pool")
+    if not proxies:
+        raise InvalidConfig("no proxies to score with")
     labels = np.array([ex.label for ex in pool], dtype=np.float64)
     total = np.zeros(len(pool), dtype=np.float64)
     for proxy in proxies:
@@ -72,10 +75,17 @@ def score_examples(proxies, pool, vocab: Vocab, batch_size: int = 32) -> np.ndar
 
 
 def hard_indices(scores, q: float) -> list[int]:
-    """Pool positions scoring at or above the q-quantile, in pool order."""
+    """Pool positions scoring at or above the q-quantile, in pool order.
+
+    Raises EmptyDataset for no scores and NonFiniteScore for a NaN or
+    infinite one, which has no place in the order.
+    """
     if not 0.0 < q < 1.0:
         raise QuantileOutOfRange(f"q={q} outside (0, 1)")
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
+        raise EmptyDataset("no scores to filter")
+    check_finite(scores)
     values = np.sort(scores)
     threshold = values[min(math.floor(q * len(values)), len(values) - 1)]
     return np.flatnonzero(scores >= threshold).tolist()

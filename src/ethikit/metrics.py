@@ -54,7 +54,8 @@ def _check_pair(a, b):
     return a, b
 
 
-def _check_finite(scores: np.ndarray) -> None:
+def check_finite(scores: np.ndarray) -> None:
+    """Raise NonFiniteScore if any score is NaN or infinite."""
     bad = ~np.isfinite(scores.astype(np.float64))
     if bad.any():
         raise NonFiniteScore(
@@ -104,7 +105,7 @@ def auc(scores, labels) -> float:
     no place in the ranking.
     """
     scores, labels = _check_pair(scores, labels)
-    _check_finite(scores)
+    check_finite(scores)
     labels = labels.astype(bool)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
@@ -131,7 +132,7 @@ def build_report(scores, labels, threshold: float = 0.5) -> EvalReport:
     Raises NonFiniteScore if any score is NaN or infinite.
     """
     scores, labels = _check_pair(scores, labels)
-    _check_finite(scores)
+    check_finite(scores)
     preds = (np.asarray(scores, dtype=np.float64) >= threshold).astype(np.int64)
     cm = confusion(preds, labels)
     accuracy, precision, recall, f1 = scalar_metrics(cm)

@@ -7,6 +7,12 @@ scheme: activations are zeroed during training and scaled by the keep
 probability at inference. Every activation, logit and gradient is computed in
 the configured dtype, and the last layer computes only the CLS row, the one
 row the head reads.
+
+Attention and GELU run over tiles of whole batch rows, about ``_TILE``
+elements each (at least one row). A tile calls the same BLAS
+products and elementwise operations on each element as whole-batch
+evaluation would, so every result is bit-identical to it, and eval mode never
+holds a [B, H, L, L] array.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ _INIT_STD = 0.02
 _INIT_TRUNC = 2.0  # in units of std
 
 _CKPT_MAGIC = b"ETHIKIT-CKPT-1\n"
+
+# Elements per tile of the attention and GELU passes: about 256 KB of
+# float32, so a tile's temporaries stay in cache.
+_TILE = 1 << 16
 
 _WEIGHT_LEAVES = frozenset({"tok", "pos", "wq", "wk", "wv", "wo", "w1", "w2", "w"})
 
@@ -157,10 +167,40 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu(x: np.ndarray):
-    """Exact GELU; also returns its erf term, which the backward pass reuses."""
-    erf_term = erf(x * _INV_SQRT2)
-    return 0.5 * x * (1.0 + erf_term), erf_term
+def _row_tiles(n_rows: int, row_size: int) -> list[slice]:
+    """Slices of whole rows, each about ``_TILE`` elements (at least one row)."""
+    step = max(1, _TILE // row_size)
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def _gelu(x: np.ndarray, erf_out: np.ndarray | None) -> np.ndarray:
+    """Exact GELU, one tile of batch rows at a time.
+
+    The erf term, which the backward pass reuses, is written to ``erf_out``
+    (shaped like ``x``) when one is given.
+    """
+    act = np.empty_like(x)
+    for sl in _row_tiles(len(x), x[0].size):
+        erf_term = erf(x[sl] * _INV_SQRT2)
+        if erf_out is not None:
+            erf_out[sl] = erf_term
+        erf_term += 1.0
+        np.multiply(0.5 * x[sl], erf_term, out=act[sl])
+    return act
+
+
+def _gelu_backward(d_act: np.ndarray, x: np.ndarray, erf_term: np.ndarray) -> np.ndarray:
+    """Gradient through GELU, written over ``d_act`` one tile of batch rows at a time."""
+    for sl in _row_tiles(len(x), x[0].size):
+        xs = x[sl]
+        grad = -0.5 * xs
+        grad *= xs
+        np.exp(grad, out=grad)
+        grad *= xs
+        grad *= _INV_SQRT_2PI
+        grad += 0.5 * (1.0 + erf_term[sl])
+        d_act[sl] *= grad
+    return d_act
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -185,20 +225,62 @@ def _layer_norm_backward(dy: np.ndarray, ln_cache, g: np.ndarray):
     return dx, g_g, g_b
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     b, l, d = x.shape
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, l, k = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * k)
+def _attention(q, k, v, attn_bias, scale: float, keep_probs: bool):
+    """Masked softmax attention, one tile of batch rows at a time.
+
+    ``q`` is [B, H, Lq, K], ``k`` and ``v`` are [B, H, L, K]. Returns the
+    context with heads merged, [B, Lq, H*K], and, when ``keep_probs``, the
+    [B, H, Lq, L] probabilities the backward pass reads. A tile holds every
+    key of its rows, so each softmax row is computed whole, as it would be
+    over the full batch.
+    """
+    b, h, n_q, dk = q.shape
+    length = k.shape[2]
+    ctx = np.empty((b, n_q, h * dk), dtype=q.dtype)
+    ctx_heads = _split_heads(ctx, h)
+    probs = np.empty((b, h, n_q, length), dtype=q.dtype) if keep_probs else None
+    k_t = k.transpose(0, 1, 3, 2)
+    for sl in _row_tiles(b, h * n_q * length):
+        p = np.matmul(q[sl], k_t[sl], out=None if probs is None else probs[sl])
+        p *= scale
+        p += attn_bias[sl]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, v[sl], out=ctx_heads[sl])
+    return ctx, probs
+
+
+def _attention_backward(d_ctx, q, k, v, probs, scale: float):
+    """Gradients of q, k and v with heads merged, one tile of batch rows at a time.
+
+    ``d_ctx`` is [B, H, Lq, K]; the results are [B, Lq, H*K], [B, L, H*K]
+    and [B, L, H*K].
+    """
+    b, h, n_q, dk = q.shape
+    length = k.shape[2]
+    d_q = np.empty((b, n_q, h * dk), dtype=q.dtype)
+    d_k = np.empty((b, length, h * dk), dtype=q.dtype)
+    d_v = np.empty_like(d_k)
+    d_q_heads, d_k_heads, d_v_heads = (_split_heads(d, h) for d in (d_q, d_k, d_v))
+    v_t = v.transpose(0, 1, 3, 2)
+    for sl in _row_tiles(b, h * n_q * length):
+        p = probs[sl]
+        np.matmul(p.transpose(0, 1, 3, 2), d_ctx[sl], out=d_v_heads[sl])
+        # d_probs, turned into d_scores in place
+        d_scores = d_ctx[sl] @ v_t[sl]
+        d_scores -= (d_scores * p).sum(axis=-1, keepdims=True)
+        d_scores *= p
+        np.matmul(d_scores, k[sl], out=d_q_heads[sl])
+        d_q_heads[sl] *= scale
+        np.matmul(d_scores.transpose(0, 1, 3, 2), q[sl], out=d_k_heads[sl])
+        d_k_heads[sl] *= scale
+    return d_q, d_k, d_v
 
 
 @dataclass
@@ -252,14 +334,13 @@ def _encoder(params: ModelParams, batch: TokenBatch, want_cache: bool):
         q = _split_heads(x_q @ t[p + "attn.wq"] + t[p + "attn.bq"], cfg.n_heads)
         k = _split_heads(x @ t[p + "attn.wk"] + t[p + "attn.bk"], cfg.n_heads)
         v = _split_heads(x @ t[p + "attn.wv"] + t[p + "attn.bv"], cfg.n_heads)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale + attn_bias
-        probs = _softmax(scores)
-        ctx = _merge_heads(probs @ v)
+        ctx, probs = _attention(q, k, v, attn_bias, scale, keep_probs=want_cache)
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
         h1 = x_q + attn_out
         x_mid, ln1 = _layer_norm(h1, t[p + "ln1.g"], t[p + "ln1.b"])
         ff_pre = x_mid @ t[p + "ff.w1"] + t[p + "ff.b1"]
-        act, erf_term = _gelu(ff_pre)
+        erf_term = np.empty_like(ff_pre) if want_cache else None
+        act = _gelu(ff_pre, erf_term)
         ff_out = act @ t[p + "ff.w2"] + t[p + "ff.b2"]
         h2 = x_mid + ff_out
         x_next, ln2 = _layer_norm(h2, t[p + "ln2.g"], t[p + "ln2.b"])
@@ -389,12 +470,7 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
         grads[p + "ff.w2"] = flat_act.T @ d_ff_out.reshape(-1, cfg.d_model)
         grads[p + "ff.b2"] = d_ff_out.sum(axis=(0, 1))
         d_act = d_ff_out @ t[p + "ff.w2"].T
-        ff_pre = lc["ff_pre"]
-        gelu_grad = (
-            0.5 * (1.0 + lc["erf"])
-            + ff_pre * np.exp(-0.5 * ff_pre * ff_pre) * _INV_SQRT_2PI
-        )
-        d_ff_pre = d_act * gelu_grad
+        d_ff_pre = _gelu_backward(d_act, lc["ff_pre"], lc["erf"])
         flat_mid = lc["x_mid"].reshape(-1, cfg.d_model)
         grads[p + "ff.w1"] = flat_mid.T @ d_ff_pre.reshape(-1, cfg.d_ff)
         grads[p + "ff.b1"] = d_ff_pre.sum(axis=(0, 1))
@@ -411,16 +487,12 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
         grads[p + "attn.bo"] = d_attn_out.sum(axis=(0, 1))
         d_ctx = _split_heads(d_attn_out @ t[p + "attn.wo"].T, cfg.n_heads)
 
-        d_probs = d_ctx @ lc["v"].transpose(0, 1, 3, 2)
-        d_v = lc["probs"].transpose(0, 1, 3, 2) @ d_ctx
-        probs = lc["probs"]
-        d_scores = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-        d_q = d_scores @ lc["k"] * scale
-        d_k = d_scores.transpose(0, 1, 3, 2) @ lc["q"] * scale
+        d_q, d_k, d_v = _attention_backward(
+            d_ctx, lc["q"], lc["k"], lc["v"], lc["probs"], scale
+        )
 
         # Q reads the first n_q rows of x_in, K and V read all of them.
         x_in = lc["x_in"]
-        d_q, d_k, d_v = (_merge_heads(d) for d in (d_q, d_k, d_v))
         for proj, d_proj, x_proj in (
             ("q", d_q, x_in[:, :n_q]), ("k", d_k, x_in), ("v", d_v, x_in)
         ):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ethikit.batching import Example, encode_examples
-from ethikit.errors import EmptyDataset, QuantileOutOfRange
+from ethikit.errors import EmptyDataset, InvalidConfig, NonFiniteScore, QuantileOutOfRange
 from ethikit.hard_filter import (
     FilterConfig,
     filter_hard,
@@ -127,6 +127,10 @@ class TestScoreExamples:
         with pytest.raises(EmptyDataset):
             score_examples([], [], separable_vocab)
 
+    def test_no_proxies(self, separable_set, separable_vocab):
+        with pytest.raises(InvalidConfig):
+            score_examples([], separable_set, separable_vocab)
+
 
 class TestFilterHard:
     def _pool(self, n):
@@ -167,6 +171,21 @@ class TestFilterHard:
         assert len(hard) + len(easy) == 40
         assert {id(e) for e in hard} | {id(e) for e in easy} == {id(e) for e in pool}
         assert not {id(e) for e in hard} & {id(e) for e in easy}
+
+    def test_empty_pool(self):
+        with pytest.raises(EmptyDataset):
+            hard_indices([], 0.5)
+        with pytest.raises(EmptyDataset):
+            filter_hard([], np.array([]), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score(self, bad):
+        pool = self._pool(4)
+        scores = np.array([0.1, bad, 0.3, 0.2])
+        with pytest.raises(NonFiniteScore):
+            hard_indices(scores, 0.5)
+        with pytest.raises(NonFiniteScore):
+            filter_hard(pool, scores, 0.5)
 
     def test_scores_must_cover_pool(self):
         with pytest.raises(ValueError):

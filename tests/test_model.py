@@ -1,5 +1,7 @@
 import struct
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf, expit
 
+from ethikit import model
 from ethikit.batching import TokenBatch
 from ethikit.errors import (
     CheckpointError,
@@ -25,8 +28,6 @@ from ethikit.model import (
     ModelParams,
     _layer_norm,
     _layer_norm_backward,
-    _merge_heads,
-    _softmax,
     _split_heads,
     backward,
     classify,
@@ -84,12 +85,24 @@ def randomize(params, seed=11, scale=0.5):
     return params
 
 
+def _softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _merge_heads(x):
+    b, h, length, k = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, length, h * k)
+
+
 def _reference_train_step(params, batch, head_mask, dl_dlogits):
     """Train-mode logits and gradients from the full-sequence encoder.
 
-    Every layer, the last included, computes every position, and the
-    embedding gradient is scattered with ``np.add.at``: the straightforward
-    encoder that the CLS-only last layer and the sorted scatter must match.
+    Every layer, the last included, computes every position, attention and
+    GELU run over the whole batch at once, and the embedding gradient is
+    scattered with ``np.add.at``: the straightforward encoder that the
+    CLS-only last layer, the row tiles and the sorted scatter must match.
     """
     cfg = params.cfg
     t = params.tensors
@@ -350,8 +363,8 @@ class TestBackward:
 
 
 @st.composite
-def encoder_cases(draw):
-    """A float64 config, randomized parameters, a padded batch and a head mask."""
+def encoder_cases(draw, dtypes=("float64",), max_rows=5):
+    """A config, randomized parameters, a padded batch and a head mask."""
     n_heads = draw(st.sampled_from([1, 2, 4]))
     length = draw(st.integers(2, 9))
     cfg = ModelConfig(
@@ -362,9 +375,9 @@ def encoder_cases(draw):
         d_model=n_heads * draw(st.integers(1, 5)),
         d_ff=draw(st.integers(1, 24)),
         dropout_p=0.3,
-        dtype="float64",
+        dtype=draw(st.sampled_from(dtypes)),
     )
-    n_rows = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(1, max_rows))
     seed = draw(st.integers(0, 2**16))
     keeps = draw(st.lists(st.integers(2, length), min_size=n_rows, max_size=n_rows))
     rng = np.random.default_rng(seed)
@@ -372,7 +385,7 @@ def encoder_cases(draw):
                        pad_rows=[(row, keep) for row, keep in enumerate(keeps)
                                  if keep < length])
     params = randomize(init_params(cfg), seed=seed)
-    head_mask = (rng.random((n_rows, cfg.d_model)) < 0.7).astype(np.float64)
+    head_mask = (rng.random((n_rows, cfg.d_model)) < 0.7).astype(cfg.dtype)
     return params, batch, head_mask
 
 
@@ -414,6 +427,50 @@ class TestFullSequenceOracle:
         out, _ = forward(params32, batch)
         assert out.dtype == np.float32
         assert np.abs(out - ref).max() <= 1e-4 * np.abs(ref).max()
+
+
+def _run_all(params, batch, head_mask):
+    """Eval logits, classify probabilities, train logits and every gradient."""
+    eval_logits, _ = forward(params, batch)
+    logits, cache = forward(params, batch, train=True, head_mask=head_mask)
+    grads = backward(params, cache, bce_grad_logits(logits, batch.labels))
+    return {"eval": eval_logits, "classify": classify(params, batch),
+            "train": logits, **grads}
+
+
+class TestRowTiles:
+    @given(case=encoder_cases(dtypes=("float32", "float64"), max_rows=9),
+           tile=st.sampled_from([1, 7, 64]))
+    @settings(max_examples=150, deadline=None)
+    def test_tiles_are_byte_identical_to_one_tile(self, case, tile):
+        # Small tiles split attention and GELU into single batch rows or
+        # groups of them with a ragged last group; one huge tile is
+        # whole-batch evaluation.
+        with mock.patch.object(model, "_TILE", tile):
+            tiled = _run_all(*case)
+        with mock.patch.object(model, "_TILE", 1 << 40):
+            whole = _run_all(*case)
+        assert set(tiled) == set(whole)
+        for name, ref in whole.items():
+            assert tiled[name].dtype == ref.dtype, name
+            assert tiled[name].tobytes() == ref.tobytes(), name
+
+    def test_eval_memory_grows_linearly_with_length(self):
+        cfg = ModelConfig(vocab_size=40, max_len=512)
+        params = init_params(cfg)
+
+        def classify_peak(length):
+            batch = make_batch(cfg, n_rows=32, length=length)
+            classify(params, batch)  # allocator and import warm-up
+            tracemalloc.start()
+            try:
+                classify(params, batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # An [B, H, L, L] score array would make this ratio approach 4.
+        assert classify_peak(256) <= 2.3 * classify_peak(128)
 
 
 class TestComputeDtype:
