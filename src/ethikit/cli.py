@@ -35,6 +35,26 @@ RUN_ROOT_ENV = "ETHIKIT_RUN_ROOT"
 
 _SPARK_LEVELS = " .:-=+*#%@"
 
+# Each config-backed flag, by its argparse dest, names the config field it
+# sets. The flag takes its default, and its type, from a config instance.
+_MODEL_FLAGS = {"max_len": "max_len", "dropout": "dropout_p", "layers": "n_layers",
+                "heads": "n_heads", "d_model": "d_model", "d_ff": "d_ff", "seed": "seed"}
+_OPTIM_FLAGS = {"lr": "eta0", "wd": "weight_decay", "beta1": "beta1", "beta2": "beta2",
+                "eps": "epsilon", "grad_accum": "n_acc"}
+_TRAIN_FLAGS = {"epochs": "epochs", "batch_size": "batch_size"}
+_TOKENIZER_FLAGS = {"vocab_size": "vocab_size", "min_freq": "min_frequency"}
+_BUILD_VOCAB_FLAGS = {"size": "vocab_size", "min_freq": "min_frequency"}
+_FILTER_FLAGS = {"quantile": "keep_quantile", "proxies": "n_proxies"}
+
+# The vocab size is known only once the vocab is, so the smallest valid one
+# stands in until then.
+_TRAIN_DEFAULTS = trainer_mod.TrainConfig(model=ModelConfig(vocab_size=len(tok_mod.SPECIAL_TOKENS)))
+
+
+def _fields(values: dict, table: dict) -> dict:
+    """The config fields that ``table``'s flags set, for each flag in ``values``."""
+    return {field: values[dest] for dest, field in table.items() if dest in values}
+
 
 def _run_root() -> Path:
     return Path(os.environ.get(RUN_ROOT_ENV, "."))
@@ -117,7 +137,7 @@ def cmd_build_vocab(args) -> int:
     if args.normalize:
         cfg_norm = norm_mod.default_config()
         lines = [norm_mod.normalize(line, cfg_norm) for line in lines]
-    cfg = tok_mod.TokenizerConfig(vocab_size=args.size, min_frequency=args.min_freq)
+    cfg = tok_mod.TokenizerConfig(**_fields(vars(args), _BUILD_VOCAB_FLAGS))
     vocab = tok_mod.train_vocab(lines, cfg)
     tok_mod.save_vocab(vocab, args.out)
     print(f"wrote {len(vocab)} tokens to {args.out}")
@@ -125,17 +145,6 @@ def cmd_build_vocab(args) -> int:
 
 
 # --- train ---
-
-def _optim_config_from_args(args) -> OptimConfig:
-    return OptimConfig(
-        eta0=args.lr,
-        beta1=args.beta1,
-        beta2=args.beta2,
-        epsilon=args.eps,
-        weight_decay=args.wd,
-        n_acc=args.grad_accum,
-    )
-
 
 def _write_manifest(path: Path, command: str, config: dict, seed: int, inputs: dict) -> None:
     manifest = {
@@ -156,16 +165,13 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int, inputs: d
 def _train_from_settings(settings: dict, out_dir: Path) -> int:
     """Shared by fresh runs and manifest replays; settings are plain JSON types."""
     # Every setting is checked before the data is read or a file is written.
-    # The vocab size is known only once the vocab is, so the first check
-    # uses the smallest valid one.
     train_cfg = trainer_mod.TrainConfig(
-        model=ModelConfig(**settings["model"], vocab_size=len(tok_mod.SPECIAL_TOKENS)),
+        model=dataclasses.replace(_TRAIN_DEFAULTS.model, **settings["model"]),
         optim=OptimConfig(**settings["optim"]),
-        epochs=settings["epochs"],
-        batch_size=settings["batch_size"],
+        **_fields(settings, _TRAIN_FLAGS),
     )
-    tok_cfg = None if settings.get("vocab_file") else tok_mod.TokenizerConfig(
-        vocab_size=settings["vocab_size"], min_frequency=settings["min_freq"]
+    tok_cfg = None if settings["vocab_file"] else tok_mod.TokenizerConfig(
+        **_fields(settings, _TOKENIZER_FLAGS)
     )
     trainer_mod.check_ratio(settings["val_ratio"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -211,6 +217,36 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
     return 0
 
 
+def _replay_schema() -> dict:
+    """The type of each value ``train`` records in a manifest's config, by key."""
+    tok, train = tok_mod.TokenizerConfig(), _TRAIN_DEFAULTS
+    return {
+        "domain": str, "train_file": str, "vocab_file": str | None, "val_ratio": float,
+        **{dest: type(getattr(tok, field)) for dest, field in _TOKENIZER_FLAGS.items()},
+        **{dest: type(getattr(train, field)) for dest, field in _TRAIN_FLAGS.items()},
+        "model": {field: type(getattr(train.model, field)) for field in _MODEL_FLAGS.values()},
+        "optim": {field: type(getattr(train.optim, field)) for field in _OPTIM_FLAGS.values()},
+    }
+
+
+def _check_object(obj, schema: dict, where: str) -> None:
+    """Raise ConfigError unless ``obj`` has exactly the schema's keys, each of its type."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} is not a JSON object")
+    missing = sorted(schema.keys() - obj.keys())
+    if missing:
+        raise ConfigError(f"{where} lacks {missing}")
+    unknown = sorted(obj.keys() - schema.keys())
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {unknown}")
+    for key, kind in schema.items():
+        value = obj[key]
+        if isinstance(kind, dict):
+            _check_object(value, kind, f"{where}.{key}")
+        elif isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{where}.{key} is {value!r}, not {getattr(kind, '__name__', kind)}")
+
+
 def _verified_replay_settings(manifest_path: Path) -> dict:
     """The settings a manifest recorded, once its version and input hashes match.
 
@@ -224,6 +260,10 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
     for key in ("config", "inputs"):
         if not isinstance(manifest.get(key), dict):
             raise ConfigError(f"{manifest_path}: manifest has no {key!r} object")
+    config = manifest["config"]
+    _check_object(config, _replay_schema(), f"{manifest_path}: config")
+    if config["domain"] not in DOMAINS:
+        raise ConfigError(f"{manifest_path}: config.domain {config['domain']!r} is unknown")
     version = manifest.get("version")
     if version != ethikit.__version__:
         raise ReplayMismatch(
@@ -240,7 +280,7 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
                 f"{entry['path']} ({name}) changed since the recorded run: "
                 f"sha256 {actual}, manifest has {entry['sha256']}"
             )
-    return manifest["config"]
+    return config
 
 
 def cmd_train(args) -> int:
@@ -248,6 +288,8 @@ def cmd_train(args) -> int:
     if args.replay:
         settings = _verified_replay_settings(Path(args.replay))
         return _train_from_settings(settings, out_dir)
+    if args.domain is None:
+        raise ConfigError("train needs --domain, or --replay of a manifest")
 
     data_dir = Path(args.data_dir)
     train_file = (
@@ -255,25 +297,15 @@ def cmd_train(args) -> int:
         if args.train_file
         else _resolve_split_file(data_dir, args.domain, "train")
     )
+    flags = vars(args)
     settings = {
         "domain": args.domain,
         "train_file": str(train_file),
         "vocab_file": args.vocab,
-        "vocab_size": args.vocab_size,
-        "min_freq": args.min_freq,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
         "val_ratio": args.val_ratio,
-        "model": {
-            "max_len": args.max_len,
-            "n_layers": args.layers,
-            "n_heads": args.heads,
-            "d_model": args.d_model,
-            "d_ff": args.d_ff,
-            "dropout_p": args.dropout,
-            "seed": args.seed,
-        },
-        "optim": dataclasses.asdict(_optim_config_from_args(args)),
+        **{dest: flags[dest] for dest in (*_TOKENIZER_FLAGS, *_TRAIN_FLAGS)},
+        "model": _fields(flags, _MODEL_FLAGS),
+        "optim": _fields(flags, _OPTIM_FLAGS),
     }
     return _train_from_settings(settings, out_dir)
 
@@ -316,24 +348,18 @@ def cmd_evaluate(args) -> int:
 # --- filter-hard ---
 
 def cmd_filter_hard(args) -> int:
-    # The model, training and tokenizer settings are checked before a file is
-    # read. The vocab size is known only once the vocab is, so the first model
-    # check uses the smallest valid one.
-    proxy_model = ModelConfig(
-        vocab_size=len(tok_mod.SPECIAL_TOKENS), max_len=args.max_len, n_layers=1,
-        n_heads=2, d_model=32, d_ff=64, dropout_p=0.1, seed=args.seed,
+    # The flags override the proxy recipe. Each replace checks its config, so
+    # every setting is checked before a file is read.
+    flags, recipe = vars(args), hard_mod.PROXY_RECIPE
+    proxy_train = dataclasses.replace(
+        recipe,
+        model=dataclasses.replace(recipe.model, **_fields(flags, _MODEL_FLAGS)),
+        optim=dataclasses.replace(recipe.optim, **_fields(flags, _OPTIM_FLAGS)),
+        **_fields(flags, _TRAIN_FLAGS),
     )
-    proxy_train = trainer_mod.TrainConfig(
-        model=proxy_model,
-        optim=OptimConfig(eta0=args.lr, n_acc=1),
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-    )
-    cfg = hard_mod.FilterConfig(
-        proxy=proxy_train, n_proxies=args.proxies, keep_quantile=args.quantile,
-    )
-    tok_cfg = None if args.vocab else tok_mod.TokenizerConfig(
-        vocab_size=args.vocab_size, min_frequency=1
+    cfg = hard_mod.FilterConfig(proxy=proxy_train, **_fields(flags, _FILTER_FLAGS))
+    tok_cfg = None if args.vocab else dataclasses.replace(
+        hard_mod.PROXY_TOKENIZER, **_fields(flags, _TOKENIZER_FLAGS)
     )
 
     spec = dataset_mod.default_specs()[args.domain]
@@ -347,7 +373,7 @@ def cmd_filter_hard(args) -> int:
     else:
         vocab = _learn_vocab(dev + pool, tok_cfg)
 
-    proxy_model = dataclasses.replace(proxy_model, vocab_size=len(vocab))
+    proxy_model = dataclasses.replace(proxy_train.model, vocab_size=len(vocab))
     cfg = dataclasses.replace(
         cfg, proxy=dataclasses.replace(proxy_train, model=proxy_model)
     )
@@ -380,6 +406,13 @@ def cmd_report(args) -> int:
 
 # --- wiring ---
 
+def _add_config_flags(p, config, table: dict, *dests: str) -> None:
+    """One flag per dest (default: every dest of ``table``), defaulting to ``config``'s field."""
+    for dest in dests or table:
+        default = getattr(config, table[dest])
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ethikit",
@@ -393,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-vocab", help="train a subword vocabulary")
     p.add_argument("--input", default="-", help="corpus file, '-' for stdin")
-    p.add_argument("--size", type=int, default=8000)
-    p.add_argument("--min-freq", type=int, default=2)
+    _add_config_flags(p, tok_mod.TokenizerConfig(), _BUILD_VOCAB_FLAGS)
     p.add_argument("--out", required=True)
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_build_vocab)
@@ -406,24 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="run")
     p.add_argument("--replay", help="manifest.json of a prior run to replay")
     p.add_argument("--vocab", help="existing vocab file (else trained from the data)")
-    p.add_argument("--vocab-size", type=int, default=8000)
-    p.add_argument("--min-freq", type=int, default=2)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-len", type=int, default=128)
-    p.add_argument("--lr", type=float, default=6e-5)
-    p.add_argument("--wd", type=float, default=0.01)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--grad-accum", type=int, default=4)
-    p.add_argument("--dropout", type=float, default=0.3)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--d-ff", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--val-ratio", type=float, default=0.8)
+    _add_config_flags(p, tok_mod.TokenizerConfig(), _TOKENIZER_FLAGS)
+    _add_config_flags(p, _TRAIN_DEFAULTS, _TRAIN_FLAGS)
+    _add_config_flags(p, _TRAIN_DEFAULTS.model, _MODEL_FLAGS)
+    _add_config_flags(p, _TRAIN_DEFAULTS.optim, _OPTIM_FLAGS)
+    p.add_argument("--val-ratio", type=float, default=trainer_mod.TRAIN_RATIO)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a labeled file")
@@ -433,24 +452,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="vocab file (default: alongside the checkpoint)")
     p.add_argument("--report", help="write metrics CSV here")
     p.add_argument("--scores", help="write per-example scores CSV here")
-    p.add_argument("--batch-size", type=int, default=32)
+    _add_config_flags(p, _TRAIN_DEFAULTS, _TRAIN_FLAGS, "batch_size")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("filter-hard", help="build an adversarially hard subset")
     p.add_argument("--dev", required=True, help="development CSV for proxy training")
     p.add_argument("--pool", required=True, help="pool CSV to filter")
     p.add_argument("--domain", choices=DOMAINS, required=True)
-    p.add_argument("--quantile", type=float, default=0.5)
+    recipe = hard_mod.PROXY_RECIPE
+    _add_config_flags(p, hard_mod.FilterConfig(proxy=recipe), _FILTER_FLAGS)
     p.add_argument("--out", required=True)
     p.add_argument("--scores-out")
     p.add_argument("--vocab")
-    p.add_argument("--vocab-size", type=int, default=2000)
-    p.add_argument("--proxies", type=int, default=2)
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-len", type=int, default=128)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, hard_mod.PROXY_TOKENIZER, _TOKENIZER_FLAGS, "vocab_size")
+    _add_config_flags(p, recipe, _TRAIN_FLAGS)
+    _add_config_flags(p, recipe.model, _MODEL_FLAGS, "max_len", "seed")
+    _add_config_flags(p, recipe.optim, _OPTIM_FLAGS, "lr")
     p.set_defaults(func=cmd_filter_hard)
 
     p = sub.add_parser("report", help="comparison table from evaluation CSVs")

@@ -17,10 +17,22 @@ from ethikit.batching import encode_examples
 from ethikit.errors import EmptyDataset, InvalidConfig, QuantileOutOfRange
 from ethikit.loss import bce_terms
 from ethikit.metrics import check_finite
-from ethikit.model import ModelParams
-from ethikit.tokenizer import Vocab
+from ethikit.model import ModelConfig, ModelParams
+from ethikit.optim import OptimConfig
+from ethikit.tokenizer import SPECIAL_TOKENS, TokenizerConfig, Vocab
 from ethikit.trainer import TrainConfig, predict_probs, split_train_val
 from ethikit.trainer import train as train_model
+
+
+# The proxy recipe: small one-layer models trained briefly at a high rate.
+# Its vocab size is a placeholder until the vocab is known.
+PROXY_RECIPE = TrainConfig(
+    model=ModelConfig(vocab_size=len(SPECIAL_TOKENS), n_layers=1, n_heads=2, d_model=32,
+                      d_ff=64, dropout_p=0.1),
+    optim=OptimConfig(eta0=0.01, n_acc=1),
+    epochs=2,
+)
+PROXY_TOKENIZER = TokenizerConfig(vocab_size=2000, min_frequency=1)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import json
 from importlib import resources
 
 from ethikit.batching import DOMAINS
-from ethikit.errors import EthikitError
+from ethikit.errors import EthikitError, reading
 from ethikit.metrics import REPORT_CSV_HEADER, round_half_up
 
 AVERAGE_FOOTNOTE = (
@@ -39,7 +39,7 @@ def read_eval_csv(path) -> dict[str, dict[str, float]]:
     """Parse an evaluation CSV into {domain: {metric: fraction}}."""
     expected_cols = REPORT_CSV_HEADER.split(",")
     out: dict[str, dict[str, float]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with reading(path), open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected_cols:

@@ -61,13 +61,16 @@ def epoch_logs_csv(logs) -> str:
     return "\n".join(lines) + "\n"
 
 
+TRAIN_RATIO = 0.8  # the train share of ``split_train_val`` and ``train --val-ratio``
+
+
 def check_ratio(ratio: float) -> None:
     """Raise InvalidConfig unless a train share lies strictly between 0 and 1."""
     if not 0.0 < ratio < 1.0:
         raise InvalidConfig("ratio must lie strictly between 0 and 1")
 
 
-def split_train_val(examples, ratio: float = 0.8, seed: int = 0):
+def split_train_val(examples, ratio: float = TRAIN_RATIO, seed: int = 0):
     """Seeded, label-stratified split; train gets floor(n * ratio) examples."""
     examples = list(examples)
     n = len(examples)

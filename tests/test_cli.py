@@ -99,6 +99,49 @@ class TestTrainCommand:
         assert args.dropout == 0.3
         assert args.epochs == 5
 
+    def test_default_manifest_config(self, tmp_path, train_file):
+        # The config object a default run records, key for key; a manifest in
+        # this format replays to the same checkpoint.
+        config = {
+            "batch_size": 32,
+            "domain": "justice",
+            "epochs": 5,
+            "min_freq": 2,
+            "model": {"d_ff": 256, "d_model": 64, "dropout_p": 0.3, "max_len": 128,
+                      "n_heads": 4, "n_layers": 2, "seed": 0},
+            "optim": {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-08, "eta0": 6e-05,
+                      "n_acc": 4, "weight_decay": 0.01},
+            "train_file": str(train_file),
+            "val_ratio": 0.8,
+            "vocab_file": None,
+            "vocab_size": 8000,
+        }
+        run = tmp_path / "run"
+        assert main(["train", "--train-file", str(train_file), "--domain", "justice",
+                     "--out-dir", str(run)]) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["config"] == config
+
+        pinned = tmp_path / "pinned.json"
+        pinned.write_text(json.dumps({
+            "command": "train", "config": config, "created_utc": "2000-01-01T00:00:00Z",
+            "inputs": {"train_file": {"path": str(train_file),
+                                      "sha256": manifest["inputs"]["train_file"]["sha256"]}},
+            "seed": 0, "tool": "ethikit", "version": ethikit.__version__,
+        }))
+        assert main(["train", "--replay", str(pinned), "--out-dir", str(tmp_path / "re")]) == 0
+        assert (tmp_path / "re" / "best.ckpt").read_bytes() == (run / "best.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("extra", [[], ["--train-file", "missing.csv"]])
+    def test_no_domain_exit_2(self, tmp_path, capsys, extra):
+        # the data dir and the train file do not exist: exit 2 proves neither was opened
+        out_dir = tmp_path / "run"
+        code = main(["train", "--data-dir", str(tmp_path / "nowhere"),
+                     "--out-dir", str(out_dir), *extra])
+        assert code == 2
+        assert "--domain" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_run_directory_contents(self, tmp_path, train_file):
         out_dir = run_train(tmp_path, train_file)
         for name in ("best.ckpt", "epochs.csv", "manifest.json", "vocab.txt"):
@@ -156,16 +199,39 @@ class TestTrainCommand:
         assert code == 1
         assert "0.0.0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["config", "inputs"])
+    @pytest.mark.parametrize("key", ["config", "inputs", "config.model", "config.val_ratio"])
     def test_replay_manifest_missing_key_exit_2(self, tmp_path, train_file, capsys, key):
         d1 = run_train(tmp_path, train_file, "run1")
         manifest = json.loads((d1 / "manifest.json").read_text())
-        del manifest[key]
+        *parents, name = key.split(".")
+        obj = manifest
+        for parent in parents:
+            obj = obj[parent]
+        del obj[name]
         (d1 / "manifest.json").write_text(json.dumps(manifest))
         code = main(["train", "--replay", str(d1 / "manifest.json"),
                      "--out-dir", str(tmp_path / "replayed")])
         assert code == 2
-        assert repr(key) in capsys.readouterr().err
+        assert repr(name) in capsys.readouterr().err
+        assert not (tmp_path / "replayed").exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda config: config["model"].update(bogus=1), "'bogus'"),
+        (lambda config: config.update(epochs="5"), "config.epochs is '5', not int"),
+        (lambda config: config.update(domain="nope"), "'nope'"),
+    ], ids=["unknown-key", "mistyped-value", "unknown-domain"])
+    def test_replay_malformed_config_exit_2(self, tmp_path, train_file, capsys, edit, named):
+        d1 = run_train(tmp_path, train_file, "run1")
+        manifest = json.loads((d1 / "manifest.json").read_text())
+        edit(manifest["config"])
+        (d1 / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["train", "--replay", str(d1 / "manifest.json"),
+                     "--out-dir", str(tmp_path / "replayed")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+        assert not (tmp_path / "replayed").exists()
 
     def test_run_root_env(self, tmp_path, train_file, monkeypatch):
         monkeypatch.setenv("ETHIKIT_RUN_ROOT", str(tmp_path / "root"))
@@ -400,6 +466,14 @@ class TestUnreadableInputs:
         assert captured.out == ""
         assert "<stdin>: not UTF-8" in captured.err
         assert not out.exists()
+
+    def test_non_utf8_report_input(self, tmp_path, latin1_csv, capsys):
+        assert main(["report", "--inputs", str(latin1_csv)]) == 1
+        assert f"{latin1_csv}: not UTF-8" in capsys.readouterr().err
+
+    def test_directory_as_report_input(self, tmp_path, capsys):
+        assert main(["report", "--inputs", str(tmp_path)]) == 1
+        assert "is a directory" in capsys.readouterr().err
 
     def test_non_utf8_vocab(self, tmp_path, train_file, capsys):
         out_dir = run_train(tmp_path, train_file)
