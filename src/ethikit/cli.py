@@ -29,7 +29,6 @@ from ethikit import trainer as trainer_mod
 from ethikit.batching import DOMAINS, Example, encode_examples
 from ethikit.errors import ConfigError, EthikitError, ReplayMismatch, reading
 from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
-from ethikit.optim import OptimConfig
 
 RUN_ROOT_ENV = "ETHIKIT_RUN_ROOT"
 
@@ -49,6 +48,10 @@ _FILTER_FLAGS = {"quantile": "keep_quantile", "proxies": "n_proxies"}
 # The vocab size is known only once the vocab is, so the smallest valid one
 # stands in until then.
 _TRAIN_DEFAULTS = trainer_mod.TrainConfig(model=ModelConfig(vocab_size=len(tok_mod.SPECIAL_TOKENS)))
+
+# The train settings that name input files. A manifest records each one's
+# hash, and a replay reads only the files it hashed.
+_INPUTS = ("train_file", "vocab_file")
 
 
 def _fields(values: dict, table: dict) -> dict:
@@ -79,25 +82,53 @@ def _resolve_split_file(data_dir: Path, domain: str, split: str) -> Path:
     )
 
 
-def _normalize_examples(examples, norm_cfg) -> list[Example]:
-    out = []
-    for ex in examples:
-        out.append(
-            Example(
-                domain=ex.domain,
-                text_a=norm_mod.normalize(ex.text_a, norm_cfg),
-                text_b=None if ex.text_b is None else norm_mod.normalize(ex.text_b, norm_cfg),
-                label=ex.label,
-            )
-        )
-    return out
+def _normalized(examples) -> list[Example]:
+    """``examples`` with every text normalized by the packaged config."""
+    cfg = norm_mod.default_config()
+    return [Example(ex.domain, norm_mod.normalize(ex.text_a, cfg),
+                    None if ex.text_b is None else norm_mod.normalize(ex.text_b, cfg), ex.label)
+            for ex in examples]
 
 
-def _learn_vocab(examples, cfg: tok_mod.TokenizerConfig) -> tok_mod.Vocab:
-    """Train a vocabulary on every text field of normalized examples."""
+def _settings(flags: dict) -> dict:
+    """The vocab file and config-backed flags in ``flags``, as a manifest's config holds them."""
+    return {
+        "vocab_file": flags["vocab"],
+        **{dest: flags[dest] for dest in (*_TOKENIZER_FLAGS, *_TRAIN_FLAGS) if dest in flags},
+        "model": _fields(flags, _MODEL_FLAGS),
+        "optim": _fields(flags, _OPTIM_FLAGS),
+    }
+
+
+def _configs(settings: dict, train: trainer_mod.TrainConfig, tok: tok_mod.TokenizerConfig):
+    """The training and tokenizer configs that ``settings`` set over ``train`` and ``tok``.
+
+    The tokenizer config is None when the settings name a vocab file. Each
+    replace checks its config, so a bad setting raises ConfigError here.
+    """
+    train = dataclasses.replace(
+        train,
+        model=dataclasses.replace(train.model, **settings["model"]),
+        optim=dataclasses.replace(train.optim, **settings["optim"]),
+        **_fields(settings, _TRAIN_FLAGS),
+    )
+    if settings["vocab_file"]:
+        return train, None
+    return train, dataclasses.replace(tok, **_fields(settings, _TOKENIZER_FLAGS))
+
+
+def _vocab(path: str | None, cfg: tok_mod.TokenizerConfig | None, examples) -> tok_mod.Vocab:
+    """The vocab at ``path`` if one is named, else the one ``cfg`` learns from ``examples``."""
+    if path:
+        return tok_mod.load_vocab(path)
     corpus = [ex.text_a for ex in examples]
     corpus += [ex.text_b for ex in examples if ex.text_b is not None]
     return tok_mod.train_vocab(corpus, cfg)
+
+
+def _sized(cfg: trainer_mod.TrainConfig, vocab: tok_mod.Vocab) -> trainer_mod.TrainConfig:
+    """``cfg`` with its model's vocab size set to that of ``vocab``."""
+    return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, vocab_size=len(vocab)))
 
 
 def _sparkline(values) -> str:
@@ -146,17 +177,19 @@ def cmd_build_vocab(args) -> int:
 
 # --- train ---
 
-def _write_manifest(path: Path, command: str, config: dict, seed: int, inputs: dict) -> None:
+def _write_manifest(path: Path, settings: dict) -> None:
+    """Record a train run's settings with the hash of each input file they name."""
     manifest = {
         "tool": "ethikit",
         "version": ethikit.__version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "command": command,
-        "seed": seed,
-        "config": config,
+        "command": "train",
+        "seed": settings["model"]["seed"],
+        "config": settings,
         "inputs": {
-            name: {"path": str(p), "sha256": dataset_mod.file_sha256(p)}
-            for name, p in inputs.items()
+            name: {"path": str(Path(settings[name])),
+                   "sha256": dataset_mod.file_sha256(settings[name])}
+            for name in _INPUTS if settings[name]
         },
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -164,37 +197,17 @@ def _write_manifest(path: Path, command: str, config: dict, seed: int, inputs: d
 
 def _train_from_settings(settings: dict, out_dir: Path) -> int:
     """Shared by fresh runs and manifest replays; settings are plain JSON types."""
-    # Every setting is checked before the data is read or a file is written.
-    train_cfg = trainer_mod.TrainConfig(
-        model=dataclasses.replace(_TRAIN_DEFAULTS.model, **settings["model"]),
-        optim=OptimConfig(**settings["optim"]),
-        **_fields(settings, _TRAIN_FLAGS),
-    )
-    tok_cfg = None if settings["vocab_file"] else tok_mod.TokenizerConfig(
-        **_fields(settings, _TOKENIZER_FLAGS)
-    )
+    train_cfg, tok_cfg = _configs(settings, _TRAIN_DEFAULTS, tok_mod.TokenizerConfig())
     trainer_mod.check_ratio(settings["val_ratio"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    specs = dataset_mod.default_specs()
-    spec = specs[settings["domain"]]
-    train_file = Path(settings["train_file"])
-    examples = dataset_mod.load_split(train_file, spec)
-    norm_cfg = norm_mod.default_config()
-    examples = _normalize_examples(examples, norm_cfg)
-
-    if tok_cfg is None:
-        vocab = tok_mod.load_vocab(settings["vocab_file"])
-        vocab_input = Path(settings["vocab_file"])
-    else:
-        vocab = _learn_vocab(examples, tok_cfg)
-        vocab_input = None
+    spec = dataset_mod.default_specs()[settings["domain"]]
+    examples = _normalized(dataset_mod.load_split(settings["train_file"], spec))
+    vocab = _vocab(settings["vocab_file"], tok_cfg, examples)
     tok_mod.save_vocab(vocab, out_dir / "vocab.txt")
-
-    model_cfg = dataclasses.replace(train_cfg.model, vocab_size=len(vocab))
-    train_cfg = dataclasses.replace(train_cfg, model=model_cfg)
+    train_cfg = _sized(train_cfg, vocab)
 
     train_set, val_set = trainer_mod.split_train_val(
-        examples, ratio=settings["val_ratio"], seed=model_cfg.seed
+        examples, ratio=settings["val_ratio"], seed=train_cfg.model.seed
     )
     best_params, logs = trainer_mod.train(
         encode_examples(train_set, vocab), encode_examples(val_set, vocab), train_cfg
@@ -202,11 +215,7 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
 
     save_checkpoint(best_params, out_dir / "best.ckpt")
     (out_dir / "epochs.csv").write_text(trainer_mod.epoch_logs_csv(logs), encoding="utf-8")
-
-    inputs = {"train_file": train_file}
-    if vocab_input is not None:
-        inputs["vocab_file"] = vocab_input
-    _write_manifest(out_dir / "manifest.json", "train", settings, model_cfg.seed, inputs)
+    _write_manifest(out_dir / "manifest.json", settings)
 
     last = logs[-1]
     print(f"trained {settings['epochs']} epoch(s) on {len(train_set)} examples "
@@ -250,8 +259,8 @@ def _check_object(obj, schema: dict, where: str) -> None:
 def _verified_replay_settings(manifest_path: Path) -> dict:
     """The settings a manifest recorded, once its version and input hashes match.
 
-    A replay of changed inputs, or under another tool version, would not
-    reproduce the recorded run, so either refuses to start.
+    A replay of changed or unhashed inputs, or under another tool version,
+    would not reproduce the recorded run, so each refuses to start.
     """
     with reading(manifest_path):
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -264,48 +273,57 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
     _check_object(config, _replay_schema(), f"{manifest_path}: config")
     if config["domain"] not in DOMAINS:
         raise ConfigError(f"{manifest_path}: config.domain {config['domain']!r} is unknown")
+    # The replay reads the files its config names, so the manifest must
+    # hold a hash of each of them and of no other file.
+    named = {name: config[name] for name in _INPUTS if config[name]}
+    inputs = manifest["inputs"]
+    _check_object(inputs, {name: {"path": str, "sha256": str} for name in named},
+                  f"{manifest_path}: inputs")
+    for name, path in named.items():
+        if Path(inputs[name]["path"]) != Path(path):
+            raise ConfigError(f"{manifest_path}: inputs.{name}.path is "
+                              f"{inputs[name]['path']!r}, config.{name} is {path!r}")
     version = manifest.get("version")
     if version != ethikit.__version__:
         raise ReplayMismatch(
             f"{manifest_path}: recorded by ethikit {version}, "
             f"this is ethikit {ethikit.__version__}"
         )
-    for name, entry in manifest["inputs"].items():
-        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
-                and isinstance(entry.get("sha256"), str)):
-            raise ConfigError(f"{manifest_path}: input {name!r} lacks a path or sha256")
-        actual = dataset_mod.file_sha256(entry["path"])
-        if actual != entry["sha256"]:
+    for name, path in named.items():
+        with reading(path):
+            actual = dataset_mod.file_sha256(path)
+        if actual != inputs[name]["sha256"]:
             raise ReplayMismatch(
-                f"{entry['path']} ({name}) changed since the recorded run: "
-                f"sha256 {actual}, manifest has {entry['sha256']}"
+                f"{path} ({name}) changed since the recorded run: "
+                f"sha256 {actual}, manifest has {inputs[name]['sha256']}"
             )
     return config
+
+
+def _replay_conflicts(args) -> list[str]:
+    """The flags besides --replay and --out-dir that ``args`` set off their defaults."""
+    defaults = vars(build_parser().parse_args(["train"]))
+    return ["--" + dest.replace("_", "-") for dest, value in vars(args).items()
+            if dest not in ("replay", "out_dir") and value != defaults[dest]]
 
 
 def cmd_train(args) -> int:
     out_dir = _run_root() / args.out_dir
     if args.replay:
-        settings = _verified_replay_settings(Path(args.replay))
-        return _train_from_settings(settings, out_dir)
+        conflicts = _replay_conflicts(args)
+        if conflicts:
+            raise ConfigError(f"--replay takes every setting from its manifest; "
+                              f"drop {' '.join(conflicts)}")
+        return _train_from_settings(_verified_replay_settings(Path(args.replay)), out_dir)
     if args.domain is None:
         raise ConfigError("train needs --domain, or --replay of a manifest")
 
-    data_dir = Path(args.data_dir)
-    train_file = (
-        Path(args.train_file)
-        if args.train_file
-        else _resolve_split_file(data_dir, args.domain, "train")
-    )
-    flags = vars(args)
+    train_file = args.train_file or _resolve_split_file(Path(args.data_dir), args.domain, "train")
     settings = {
         "domain": args.domain,
-        "train_file": str(train_file),
-        "vocab_file": args.vocab,
+        "train_file": str(Path(train_file)),
         "val_ratio": args.val_ratio,
-        **{dest: flags[dest] for dest in (*_TOKENIZER_FLAGS, *_TRAIN_FLAGS)},
-        "model": _fields(flags, _MODEL_FLAGS),
-        "optim": _fields(flags, _OPTIM_FLAGS),
+        **_settings(vars(args)),
     }
     return _train_from_settings(settings, out_dir)
 
@@ -319,8 +337,7 @@ def cmd_evaluate(args) -> int:
     vocab = tok_mod.load_vocab(vocab_path)
 
     spec = dataset_mod.default_specs()[args.domain]
-    examples = dataset_mod.load_split(args.data, spec)
-    examples = _normalize_examples(examples, norm_mod.default_config())
+    examples = _normalized(dataset_mod.load_split(args.data, spec))
     encoded = encode_examples(examples, vocab)
 
     report = trainer_mod.evaluate(params, encoded, batch_size=args.batch_size)
@@ -348,35 +365,17 @@ def cmd_evaluate(args) -> int:
 # --- filter-hard ---
 
 def cmd_filter_hard(args) -> int:
-    # The flags override the proxy recipe. Each replace checks its config, so
-    # every setting is checked before a file is read.
-    flags, recipe = vars(args), hard_mod.PROXY_RECIPE
-    proxy_train = dataclasses.replace(
-        recipe,
-        model=dataclasses.replace(recipe.model, **_fields(flags, _MODEL_FLAGS)),
-        optim=dataclasses.replace(recipe.optim, **_fields(flags, _OPTIM_FLAGS)),
-        **_fields(flags, _TRAIN_FLAGS),
-    )
-    cfg = hard_mod.FilterConfig(proxy=proxy_train, **_fields(flags, _FILTER_FLAGS))
-    tok_cfg = None if args.vocab else dataclasses.replace(
-        hard_mod.PROXY_TOKENIZER, **_fields(flags, _TOKENIZER_FLAGS)
-    )
+    # The flags override the proxy recipe.
+    flags = vars(args)
+    proxy, tok_cfg = _configs(_settings(flags), hard_mod.PROXY_RECIPE, hard_mod.PROXY_TOKENIZER)
+    cfg = hard_mod.FilterConfig(proxy=proxy, **_fields(flags, _FILTER_FLAGS))
 
     spec = dataset_mod.default_specs()[args.domain]
-    norm_cfg = norm_mod.default_config()
-    dev = _normalize_examples(dataset_mod.load_split(args.dev, spec), norm_cfg)
+    dev = _normalized(dataset_mod.load_split(args.dev, spec))
     pool_raw = dataset_mod.load_split(args.pool, spec)
-    pool = _normalize_examples(pool_raw, norm_cfg)
-
-    if tok_cfg is None:
-        vocab = tok_mod.load_vocab(args.vocab)
-    else:
-        vocab = _learn_vocab(dev + pool, tok_cfg)
-
-    proxy_model = dataclasses.replace(proxy_train.model, vocab_size=len(vocab))
-    cfg = dataclasses.replace(
-        cfg, proxy=dataclasses.replace(proxy_train, model=proxy_model)
-    )
+    pool = _normalized(pool_raw)
+    vocab = _vocab(args.vocab, tok_cfg, dev + pool)
+    cfg = dataclasses.replace(cfg, proxy=_sized(proxy, vocab))
     proxies = hard_mod.train_proxies(dev, cfg, vocab)
     scores = hard_mod.score_examples(proxies, pool, vocab, args.batch_size)
     # Partition the raw (pre-normalization) rows, parallel to the scored

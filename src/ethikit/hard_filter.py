@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ethikit.batching import encode_examples
+from ethikit.batching import DEFAULT_BATCH_SIZE, encode_examples
 from ethikit.errors import EmptyDataset, InvalidConfig, QuantileOutOfRange
 from ethikit.loss import bce_terms
 from ethikit.metrics import check_finite
@@ -67,7 +67,8 @@ def train_proxies(dev_set, cfg: FilterConfig, vocab: Vocab) -> list[ModelParams]
     return proxies
 
 
-def score_examples(proxies, pool, vocab: Vocab, batch_size: int = 32) -> np.ndarray:
+def score_examples(proxies, pool, vocab: Vocab,
+                   batch_size: int = DEFAULT_BATCH_SIZE) -> np.ndarray:
     """Mean per-example cross-entropy across proxies, eval mode, in pool order.
 
     The pool is encoded once for all proxies; each proxy truncates at its

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ethikit.batching import TokenBatch
+from ethikit.batching import DEFAULT_MAX_LEN, TokenBatch
 from ethikit.errors import (
     ConfigError,
     CorruptHeader,
@@ -57,7 +57,7 @@ _WEIGHT_LEAVES = frozenset({"tok", "pos", "wq", "wk", "wv", "wo", "w1", "w2", "w
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
-    max_len: int = 128
+    max_len: int = DEFAULT_MAX_LEN
     n_layers: int = 2
     n_heads: int = 4
     d_model: int = 64

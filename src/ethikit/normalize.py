@@ -122,7 +122,9 @@ def normalize_case(text: str, cfg: NormConfig) -> str:
     Consecutive all-caps tokens form a run. When the run's total letter count
     exceeds ``allcaps_threshold``, every token in it is lowercased except
     whitelisted acronyms. Short isolated uppercase tokens ("IX", "US") are
-    kept, since their casing disambiguates.
+    kept, since their casing disambiguates. A token that ``strip_noise``
+    deletes whole ("/", "***") neither breaks nor joins a run, so the runs are
+    the same once it is gone and the pipeline stays idempotent.
     """
     parts = _WS_SPLIT_RE.split(text)
     # Even indices are tokens (possibly empty at the edges), odd are whitespace.
@@ -144,7 +146,7 @@ def normalize_case(text: str, cfg: NormConfig) -> str:
     for i, is_shouted in zip(range(0, len(parts), 2), shouted):
         if is_shouted:
             run.append(i)
-        else:
+        elif run and strip_noise(parts[i]):
             flush_run()
     flush_run()
     return "".join(parts)

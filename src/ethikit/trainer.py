@@ -18,7 +18,7 @@ import numpy as np
 
 from ethikit import loss as loss_mod
 from ethikit import metrics as metrics_mod
-from ethikit.batching import make_batches
+from ethikit.batching import DEFAULT_BATCH_SIZE, make_batches
 from ethikit.errors import EmptyDataset, InvalidConfig, NonFiniteTraining, TooFewExamples
 from ethikit.model import ModelConfig, ModelParams, backward, classify, forward, init_params
 from ethikit.optim import OptimConfig, accumulate, flush, init_state
@@ -29,7 +29,7 @@ class TrainConfig:
     model: ModelConfig
     optim: OptimConfig = field(default_factory=OptimConfig)
     epochs: int = 5
-    batch_size: int = 32
+    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -101,7 +101,8 @@ def split_train_val(examples, ratio: float = TRAIN_RATIO, seed: int = 0):
     return train, val
 
 
-def predict_probs(params: ModelParams, dataset, batch_size: int = 32) -> np.ndarray:
+def predict_probs(params: ModelParams, dataset,
+                  batch_size: int = DEFAULT_BATCH_SIZE) -> np.ndarray:
     """Eval-mode probabilities for every encoded example, in dataset order.
 
     Sequences are truncated at the model's own ``max_len``. Rows are batched
@@ -130,7 +131,7 @@ def _eval_loss_acc(params, dataset, batch_size):
 
 
 def evaluate(
-    params: ModelParams, dataset, batch_size: int = 32
+    params: ModelParams, dataset, batch_size: int = DEFAULT_BATCH_SIZE
 ) -> metrics_mod.EvalReport:
     """Full metric report at threshold 0.5 over a labeled, encoded dataset."""
     dataset = list(dataset)

@@ -39,6 +39,20 @@ def run_train(tmp_path, train_file, out_name="run1", extra=()) -> Path:
     return out_dir
 
 
+@pytest.fixture
+def vocab_file(tmp_path, train_file) -> Path:
+    """A vocab that build-vocab learns from the training file."""
+    path = tmp_path / "vocab.txt"
+    assert main(["build-vocab", "--input", str(train_file), "--size", "300",
+                 "--min-freq", "1", "--out", str(path)]) == 0
+    return path
+
+
+def _replay(tmp_path, manifest: Path, *extra: str) -> int:
+    return main(["train", "--replay", str(manifest), "--out-dir", str(tmp_path / "replayed"),
+                 *extra])
+
+
 def _stdin(data: bytes) -> io.TextIOWrapper:
     """A stand-in for sys.stdin that, like it, reads the given bytes."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
@@ -233,6 +247,60 @@ class TestTrainCommand:
         assert "config error" in err and named in err
         assert not (tmp_path / "replayed").exists()
 
+    def test_replay_with_vocab_file(self, tmp_path, train_file, vocab_file):
+        d1 = run_train(tmp_path, train_file, extra=["--vocab", str(vocab_file)])
+        manifest = json.loads((d1 / "manifest.json").read_text())
+        assert manifest["inputs"]["vocab_file"]["path"] == str(vocab_file)
+        assert _replay(tmp_path, d1 / "manifest.json") == 0
+        assert (d1 / "best.ckpt").read_bytes() == (tmp_path / "replayed" / "best.ckpt").read_bytes()
+
+    def test_replay_of_changed_vocab_exit_1(self, tmp_path, train_file, vocab_file, capsys):
+        d1 = run_train(tmp_path, train_file, extra=["--vocab", str(vocab_file)])
+        vocab_file.write_text(vocab_file.read_text() + "zzz\n")
+        assert _replay(tmp_path, d1 / "manifest.json") == 1
+        err = capsys.readouterr().err
+        assert str(vocab_file) in err and "changed" in err
+        assert not (tmp_path / "replayed" / "best.ckpt").exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m, other: m["config"].update(train_file=str(other)), "config.train_file"),
+        (lambda m, other: m["config"].update(vocab_file=str(other)), "config.vocab_file"),
+        (lambda m, other: m["inputs"]["train_file"].update(path=str(other)), "config.train_file"),
+        (lambda m, other: m["config"].update(vocab_file=None), "unknown keys ['vocab_file']"),
+        (lambda m, other: m["inputs"].pop("vocab_file"), "lacks ['vocab_file']"),
+        (lambda m, other: m["inputs"].update(extra=m["inputs"]["train_file"]),
+         "unknown keys ['extra']"),
+    ], ids=["config-train-file", "config-vocab-file", "inputs-path", "config-drops-vocab",
+            "inputs-lack-vocab", "inputs-add-file"])
+    def test_replay_of_unhashed_input_exit_2(self, tmp_path, train_file, vocab_file, capsys,
+                                             edit, named):
+        # A replay reads only files whose hash it checked, so a manifest
+        # whose inputs and config name different files is refused outright.
+        d1 = run_train(tmp_path, train_file, extra=["--vocab", str(vocab_file)])
+        other = tmp_path / "other.csv"
+        serialize_split(make_separable_examples(40, seed=22), default_specs()["justice"], other)
+        manifest = json.loads((d1 / "manifest.json").read_text())
+        edit(manifest, other)
+        (d1 / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert _replay(tmp_path, d1 / "manifest.json") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+        assert not (tmp_path / "replayed").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--epochs", "3"], ["--domain", "virtue"], ["--train-file", "nope.csv"],
+        ["--vocab", "v.txt"], ["--data-dir", "data"], ["--val-ratio", "0.5"],
+        ["--epochs", "3", "--domain", "virtue", "--train-file", "nope.csv"],
+    ])
+    def test_replay_with_other_settings_exit_2(self, tmp_path, capsys, extra):
+        # the manifest does not exist: exit 2 proves it was not read
+        assert _replay(tmp_path, tmp_path / "manifest.json", *extra) == 2
+        err = capsys.readouterr().err
+        assert "--replay" in err
+        assert all(flag in err for flag in extra if flag.startswith("--"))
+        assert not (tmp_path / "replayed").exists()
+
     def test_run_root_env(self, tmp_path, train_file, monkeypatch):
         monkeypatch.setenv("ETHIKIT_RUN_ROOT", str(tmp_path / "root"))
         code = main([
@@ -322,7 +390,7 @@ class TestEvaluateCommand:
 
 
 class TestFilterHardCommand:
-    def test_writes_hard_subset_and_scores(self, tmp_path, capsys):
+    def run_filter_hard(self, tmp_path, *extra: str) -> Path:
         spec = default_specs()["justice"]
         dev = tmp_path / "dev.csv"
         pool = tmp_path / "pool.csv"
@@ -335,15 +403,24 @@ class TestFilterHardCommand:
             "filter-hard", "--dev", str(dev), "--pool", str(pool),
             "--domain", "justice", "--quantile", "0.5", "--out", str(out),
             "--proxies", "1", "--epochs", "2", "--batch-size", "8",
-            "--max-len", "16", "--vocab-size", "300",
+            "--max-len", "16", *extra,
         ])
         assert code == 0
+        return out
+
+    def test_writes_hard_subset_and_scores(self, tmp_path, capsys):
+        out = self.run_filter_hard(tmp_path, "--vocab-size", "300")
         hard_rows = out.read_text().strip().splitlines()
         assert hard_rows[0] == "label,scenario"
         assert 2 <= len(hard_rows) - 1 <= 32
         scores = (out.with_suffix(".scores.csv")).read_text().strip().splitlines()
         assert scores[0] == "example_id,score"
         assert len(scores) == 33
+
+    def test_with_vocab_file(self, tmp_path, vocab_file):
+        out = self.run_filter_hard(tmp_path, "--vocab", str(vocab_file))
+        assert out.read_text().startswith("label,scenario\n")
+        assert len(out.with_suffix(".scores.csv").read_text().splitlines()) == 33
 
 
 class TestBadNumbers:

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ethikit import normalize as normalize_mod
@@ -210,6 +210,7 @@ class TestPipeline:
         assert normalize(text, cfg) == staged
 
     @given(st.text(max_size=200))
+    @example("AA\r/\rAº")  # "/" splits the run only until strip_noise deletes it
     @settings(max_examples=300, deadline=None)
     def test_idempotent(self, text):
         cfg = default_config()
