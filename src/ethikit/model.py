@@ -8,11 +8,19 @@ probability at inference. Every activation, logit and gradient is computed in
 the configured dtype, and the last layer computes only the CLS row, the one
 row the head reads.
 
-Attention and GELU run over tiles of whole batch rows, about ``_TILE``
-elements each (at least one row). A tile calls the same BLAS
-products and elementwise operations on each element as whole-batch
-evaluation would, so every result is bit-identical to it, and eval mode never
-holds a [B, H, L, L] array.
+The layers before the last compute every position, but only the real ones
+matter: a model with more than one layer keeps its hidden state as packed
+[N, D] rows of the N real tokens, so the projections, layer norms, GELU and
+residuals skip padding. Attention alone scatters Q/K/V into the padded
+[B, H, L, dk] layout. A one-layer model has no such layer and stays padded.
+
+Attention and GELU run over tiles of whole rows (batch rows in attention),
+about ``_TILE`` elements each (at least one row). Attention runs softmax on
+a tile's query rows up to the longest row of the tile only, while its
+products keep every query row, zero past that extent. A tile therefore
+calls the same BLAS products and elementwise operations on each element as
+whole-batch evaluation would, so every result is bit-identical to it, and
+eval mode never holds a [B, H, L, L] array.
 """
 
 from __future__ import annotations
@@ -174,7 +182,7 @@ def _row_tiles(n_rows: int, row_size: int) -> list[slice]:
 
 
 def _gelu(x: np.ndarray, erf_out: np.ndarray | None) -> np.ndarray:
-    """Exact GELU, one tile of batch rows at a time.
+    """Exact GELU, one tile of rows at a time.
 
     The erf term, which the backward pass reuses, is written to ``erf_out``
     (shaped like ``x``) when one is given.
@@ -190,7 +198,7 @@ def _gelu(x: np.ndarray, erf_out: np.ndarray | None) -> np.ndarray:
 
 
 def _gelu_backward(d_act: np.ndarray, x: np.ndarray, erf_term: np.ndarray) -> np.ndarray:
-    """Gradient through GELU, written over ``d_act`` one tile of batch rows at a time."""
+    """Gradient through GELU, written over ``d_act`` one tile of rows at a time."""
     for sl in _row_tiles(len(x), x[0].size):
         xs = x[sl]
         grad = -0.5 * xs
@@ -212,10 +220,15 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     return g * xhat + b, (xhat, inv)
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last: packed [N, D] rows or [B, L, D]."""
+    return a.sum(axis=tuple(range(a.ndim - 1)))
+
+
 def _layer_norm_backward(dy: np.ndarray, ln_cache, g: np.ndarray):
     xhat, inv = ln_cache
-    g_g = (dy * xhat).sum(axis=(0, 1))
-    g_b = dy.sum(axis=(0, 1))
+    g_g = _sum_rows(dy * xhat)
+    g_b = _sum_rows(dy)
     dxhat = dy * g
     dx = inv * (
         dxhat
@@ -230,14 +243,22 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _attention(q, k, v, attn_bias, scale: float, keep_probs: bool):
+def _softmax_rows(extent, sl: slice, n_q: int) -> int:
+    """Query rows a tile runs softmax on: up to its longest row, or all of them."""
+    return n_q if extent is None else min(n_q, int(extent[sl].max()))
+
+
+def _attention(q, k, v, attn_bias, extent, scale: float, keep_probs: bool):
     """Masked softmax attention, one tile of batch rows at a time.
 
-    ``q`` is [B, H, Lq, K], ``k`` and ``v`` are [B, H, L, K]. Returns the
-    context with heads merged, [B, Lq, H*K], and, when ``keep_probs``, the
-    [B, H, Lq, L] probabilities the backward pass reads. A tile holds every
-    key of its rows, so each softmax row is computed whole, as it would be
-    over the full batch.
+    ``q`` is [B, H, Lq, K], ``k`` and ``v`` are [B, H, L, K]; ``extent``,
+    unless None, gives the query rows of each batch row that matter, and
+    ``q`` is zero past them. Returns the context with heads merged,
+    [B, Lq, H*K], and, when ``keep_probs``, the [B, H, Lq, L] probabilities
+    the backward pass reads. A tile runs softmax on its query rows up to its
+    longest row only; past that, its scores, probabilities and context stay
+    zero. A tile holds every key of its rows, so each softmax row is
+    computed whole, as it would be over the full batch.
     """
     b, h, n_q, dk = q.shape
     length = k.shape[2]
@@ -246,21 +267,25 @@ def _attention(q, k, v, attn_bias, scale: float, keep_probs: bool):
     probs = np.empty((b, h, n_q, length), dtype=q.dtype) if keep_probs else None
     k_t = k.transpose(0, 1, 3, 2)
     for sl in _row_tiles(b, h * n_q * length):
-        p = np.matmul(q[sl], k_t[sl], out=None if probs is None else probs[sl])
+        scores = np.matmul(q[sl], k_t[sl], out=None if probs is None else probs[sl])
+        p = scores[:, :, : _softmax_rows(extent, sl, n_q)]
         p *= scale
         p += attn_bias[sl]
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, v[sl], out=ctx_heads[sl])
+        np.matmul(scores, v[sl], out=ctx_heads[sl])
     return ctx, probs
 
 
-def _attention_backward(d_ctx, q, k, v, probs, scale: float):
+def _attention_backward(d_ctx, q, k, v, probs, extent, scale: float):
     """Gradients of q, k and v with heads merged, one tile of batch rows at a time.
 
-    ``d_ctx`` is [B, H, Lq, K]; the results are [B, Lq, H*K], [B, L, H*K]
-    and [B, L, H*K].
+    ``d_ctx`` is [B, H, Lq, K] and zero past each row's extent; the results
+    are [B, Lq, H*K], [B, L, H*K] and [B, L, H*K]. Like the forward pass, a
+    tile runs the softmax gradient on its query rows up to its longest row;
+    every product keeps all Lq rows, so its rounding matches whole-batch
+    evaluation.
     """
     b, h, n_q, dk = q.shape
     length = k.shape[2]
@@ -270,12 +295,14 @@ def _attention_backward(d_ctx, q, k, v, probs, scale: float):
     d_q_heads, d_k_heads, d_v_heads = (_split_heads(d, h) for d in (d_q, d_k, d_v))
     v_t = v.transpose(0, 1, 3, 2)
     for sl in _row_tiles(b, h * n_q * length):
+        m = _softmax_rows(extent, sl, n_q)
         p = probs[sl]
         np.matmul(p.transpose(0, 1, 3, 2), d_ctx[sl], out=d_v_heads[sl])
         # d_probs, turned into d_scores in place
         d_scores = d_ctx[sl] @ v_t[sl]
-        d_scores -= (d_scores * p).sum(axis=-1, keepdims=True)
-        d_scores *= p
+        d_rows, p_rows = d_scores[:, :, :m], p[:, :, :m]
+        d_rows -= (d_rows * p_rows).sum(axis=-1, keepdims=True)
+        d_rows *= p_rows
         np.matmul(d_scores, k[sl], out=d_q_heads[sl])
         d_q_heads[sl] *= scale
         np.matmul(d_scores.transpose(0, 1, 3, 2), q[sl], out=d_k_heads[sl])
@@ -283,11 +310,81 @@ def _attention_backward(d_ctx, q, k, v, probs, scale: float):
     return d_q, d_k, d_v
 
 
+class _Rows:
+    """Where the encoder keeps a batch's hidden rows.
+
+    A model with more than one layer keeps the computed positions only, the
+    real ones and CLS, packed as [N, D] rows in batch-row order; ``real``
+    holds their flat indices into the [B, L] batch and ``extent`` counts
+    each batch row's query rows for attention. A one-layer model, whose only
+    layer computes just the CLS row past K/V, keeps the padded [B, L, D]
+    layout, and both are None. ``x[rows.cls]`` is each batch row's CLS row,
+    [B, 1, D], in either layout.
+    """
+
+    def __init__(self, batch: TokenBatch, n_layers: int):
+        self.ids = batch.ids
+        self.mask = batch.mask
+        if n_layers == 1:
+            self.real = self.extent = None
+            self.cls = np.s_[:, :1]
+            return
+        b, length = batch.ids.shape
+        computed = self._computed()
+        self.real = np.flatnonzero(computed)
+        # One past each row's last computed position.
+        self.extent = length - np.argmax(computed[:, ::-1], axis=1)
+        self.cls = np.searchsorted(self.real, np.arange(b) * length)[:, None]
+
+    def _computed(self) -> np.ndarray:
+        """The real positions and CLS, which the head reads whatever its mask says."""
+        computed = self.mask != 0
+        computed[:, 0] = True
+        return computed
+
+    def embed(self, tok: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Token plus position embeddings of the kept rows."""
+        length = self.ids.shape[1]
+        if self.real is None:
+            return tok[self.ids] + pos[None, :length]
+        return tok[self.ids.reshape(-1)[self.real]] + pos[self.real % length]
+
+    def padded(self, x: np.ndarray) -> np.ndarray:
+        """Rows in the padded [B, L, D] layout, zero at padding."""
+        if self.real is None:
+            return x
+        out = np.zeros((self.ids.size, x.shape[-1]), dtype=x.dtype)
+        out[self.real] = x
+        return out.reshape(*self.ids.shape, -1)
+
+    def pack(self, padded: np.ndarray) -> np.ndarray:
+        """The rows of a padded [B, L, D] array that this layout keeps."""
+        if self.real is None:
+            return padded
+        return padded.reshape(-1, padded.shape[-1])[self.real]
+
+    def embed_grads(self, dx: np.ndarray, cfg: ModelConfig):
+        """Token and position embedding gradients from the first layer's input.
+
+        Only computed positions reach the token gradient, so no PAD id is read.
+        """
+        length = self.ids.shape[1]
+        if self.real is None:
+            real = np.flatnonzero(self._computed())
+            g_pos = np.zeros((cfg.max_len, cfg.d_model), dtype=dx.dtype)
+            g_pos[:length] = dx.sum(axis=0)
+            dx = dx.reshape(-1, cfg.d_model)[real]
+        else:
+            real = self.real
+            g_pos = _scatter_rows(cfg.max_len, real % length, dx)
+        return _scatter_rows(cfg.vocab_size, self.ids.reshape(-1)[real], dx), g_pos
+
+
 @dataclass
 class ForwardCache:
     """Intermediate activations and dropout mask needed for exact backprop."""
 
-    ids: np.ndarray
+    rows: _Rows                  # layout of the hidden rows, with the batch's ids
     layer_caches: list[dict]
     h_cls: np.ndarray            # [B, D] encoder output at the CLS position
     head_mask: np.ndarray | None  # [B, D] Bernoulli keep mask, None when p == 0
@@ -307,34 +404,36 @@ def _check_batch(params: ModelParams, batch: TokenBatch) -> None:
         raise ShapeMismatch("token id outside the model vocabulary")
 
 
-def _query_rows(cfg: ModelConfig, layer: int, length: int) -> int:
-    """Positions a layer computes past K/V: only CLS in the last layer.
+def _encoder(params: ModelParams, batch: TokenBatch, want_cache: bool):
+    """Shared encoder pass; returns (h_cls, rows, layer_caches or None).
 
     The head reads the CLS row of the last layer alone, so there every
-    position still supplies keys and values but only row 0 is a query.
+    position still supplies keys and values but only CLS is a query. Every
+    earlier layer computes all of its rows.
     """
-    return 1 if layer == cfg.n_layers - 1 else length
-
-
-def _encoder(params: ModelParams, batch: TokenBatch, want_cache: bool):
-    """Shared encoder pass; returns (h_cls, layer_caches or None)."""
     cfg = params.cfg
     t = params.tensors
-    ids = batch.ids
-    length = ids.shape[1]
+    rows = _Rows(batch, cfg.n_layers)
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     attn_bias = ((batch.mask.astype(params.dtype) - 1.0) * MASK_BIAS)[:, None, None, :]
 
-    x = t["embed.tok"][ids] + t["embed.pos"][None, :length, :]
+    x = rows.embed(t["embed.tok"], t["embed.pos"])
     layer_caches: list[dict] | None = [] if want_cache else None
 
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        x_q = x[:, : _query_rows(cfg, i, length)]
-        q = _split_heads(x_q @ t[p + "attn.wq"] + t[p + "attn.bq"], cfg.n_heads)
-        k = _split_heads(x @ t[p + "attn.wk"] + t[p + "attn.bk"], cfg.n_heads)
-        v = _split_heads(x @ t[p + "attn.wv"] + t[p + "attn.bv"], cfg.n_heads)
-        ctx, probs = _attention(q, k, v, attn_bias, scale, keep_probs=want_cache)
+        last = i == cfg.n_layers - 1
+        x_q = x[rows.cls if last else slice(None)]
+        q = x_q @ t[p + "attn.wq"] + t[p + "attn.bq"]
+        k = x @ t[p + "attn.wk"] + t[p + "attn.bk"]
+        v = x @ t[p + "attn.wv"] + t[p + "attn.bv"]
+        q = _split_heads(q if last else rows.padded(q), cfg.n_heads)
+        k = _split_heads(rows.padded(k), cfg.n_heads)
+        v = _split_heads(rows.padded(v), cfg.n_heads)
+        ctx, probs = _attention(q, k, v, attn_bias, rows.extent, scale,
+                                keep_probs=want_cache)
+        if not last:
+            ctx = rows.pack(ctx)
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
         h1 = x_q + attn_out
         x_mid, ln1 = _layer_norm(h1, t[p + "ln1.g"], t[p + "ln1.b"])
@@ -351,13 +450,13 @@ def _encoder(params: ModelParams, batch: TokenBatch, want_cache: bool):
             )
         x = x_next
 
-    return x[:, 0, :], layer_caches
+    return x[:, 0, :], rows, layer_caches
 
 
 def cls_representation(params: ModelParams, batch: TokenBatch) -> np.ndarray:
     """Deterministic encoder output at the CLS position, before the head."""
     _check_batch(params, batch)
-    h_cls, _ = _encoder(params, batch, want_cache=False)
+    h_cls, _, _ = _encoder(params, batch, want_cache=False)
     return h_cls
 
 
@@ -378,7 +477,7 @@ def forward(
     """
     _check_batch(params, batch)
     cfg = params.cfg
-    h_cls, layer_caches = _encoder(params, batch, want_cache=train)
+    h_cls, rows, layer_caches = _encoder(params, batch, want_cache=train)
 
     if train:
         if cfg.dropout_p > 0.0:
@@ -401,7 +500,7 @@ def forward(
     if not train:
         return logits, None
     cache = ForwardCache(
-        ids=batch.ids,
+        rows=rows,
         layer_caches=layer_caches,
         h_cls=h_cls,
         head_mask=head_mask,
@@ -437,7 +536,8 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
     cfg = params.cfg
     if cache.cfg != cfg:
         raise StaleCache("cache does not match these parameters")
-    if dl_dlogits.shape != (cache.ids.shape[0],):
+    rows = cache.rows
+    if dl_dlogits.shape != (rows.ids.shape[0],):
         raise ShapeMismatch("dl_dlogits must have one entry per batch row")
 
     t = params.tensors
@@ -445,7 +545,6 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
     dl = dl_dlogits.astype(dtype)
     grads: dict[str, np.ndarray] = {}
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
-    length = cache.ids.shape[1]
 
     grads["head.w"] = cache.h_task.T @ dl
     grads["head.b"] = np.asarray(dl.sum(), dtype=dtype)
@@ -458,7 +557,7 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
     for i in reversed(range(cfg.n_layers)):
         p = f"layers.{i}."
         lc = cache.layer_caches[i]
-        n_q = _query_rows(cfg, i, length)
+        last = i == cfg.n_layers - 1
 
         dh2, g_ln2g, g_ln2b = _layer_norm_backward(dx, lc["ln2"], t[p + "ln2.g"])
         grads[p + "ln2.g"] = g_ln2g
@@ -468,46 +567,47 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
         d_ff_out = dh2
         flat_act = lc["act"].reshape(-1, cfg.d_ff)
         grads[p + "ff.w2"] = flat_act.T @ d_ff_out.reshape(-1, cfg.d_model)
-        grads[p + "ff.b2"] = d_ff_out.sum(axis=(0, 1))
+        grads[p + "ff.b2"] = _sum_rows(d_ff_out)
         d_act = d_ff_out @ t[p + "ff.w2"].T
         d_ff_pre = _gelu_backward(d_act, lc["ff_pre"], lc["erf"])
         flat_mid = lc["x_mid"].reshape(-1, cfg.d_model)
         grads[p + "ff.w1"] = flat_mid.T @ d_ff_pre.reshape(-1, cfg.d_ff)
-        grads[p + "ff.b1"] = d_ff_pre.sum(axis=(0, 1))
+        grads[p + "ff.b1"] = _sum_rows(d_ff_pre)
         dx_mid = dh2 + d_ff_pre @ t[p + "ff.w1"].T
 
         dh1, g_ln1g, g_ln1b = _layer_norm_backward(dx_mid, lc["ln1"], t[p + "ln1.g"])
         grads[p + "ln1.g"] = g_ln1g
         grads[p + "ln1.b"] = g_ln1b
 
-        # h1 = x_in[:, :n_q] + ctx @ wo + bo
+        # h1 = x_q + ctx @ wo + bo
         d_attn_out = dh1
         flat_ctx = lc["ctx"].reshape(-1, cfg.d_model)
         grads[p + "attn.wo"] = flat_ctx.T @ d_attn_out.reshape(-1, cfg.d_model)
-        grads[p + "attn.bo"] = d_attn_out.sum(axis=(0, 1))
-        d_ctx = _split_heads(d_attn_out @ t[p + "attn.wo"].T, cfg.n_heads)
+        grads[p + "attn.bo"] = _sum_rows(d_attn_out)
+        d_ctx = d_attn_out @ t[p + "attn.wo"].T
+        d_ctx = _split_heads(d_ctx if last else rows.padded(d_ctx), cfg.n_heads)
 
         d_q, d_k, d_v = _attention_backward(
-            d_ctx, lc["q"], lc["k"], lc["v"], lc["probs"], scale
+            d_ctx, lc["q"], lc["k"], lc["v"], lc["probs"], rows.extent, scale
         )
+        d_k, d_v = rows.pack(d_k), rows.pack(d_v)
+        if not last:
+            d_q = rows.pack(d_q)
 
-        # Q reads the first n_q rows of x_in, K and V read all of them.
+        # Q reads the query rows of x_in (only CLS in the last layer), K and V
+        # read all of them.
         x_in = lc["x_in"]
+        at_q = rows.cls if last else slice(None)
         for proj, d_proj, x_proj in (
-            ("q", d_q, x_in[:, :n_q]), ("k", d_k, x_in), ("v", d_v, x_in)
+            ("q", d_q, x_in[at_q]), ("k", d_k, x_in), ("v", d_v, x_in)
         ):
             flat_x = x_proj.reshape(-1, cfg.d_model)
             grads[p + f"attn.w{proj}"] = flat_x.T @ d_proj.reshape(-1, cfg.d_model)
-            grads[p + f"attn.b{proj}"] = d_proj.sum(axis=(0, 1))
+            grads[p + f"attn.b{proj}"] = _sum_rows(d_proj)
         dx = d_k @ t[p + "attn.wk"].T + d_v @ t[p + "attn.wv"].T
-        dx[:, :n_q] += dh1 + d_q @ t[p + "attn.wq"].T
+        dx[at_q] += dh1 + d_q @ t[p + "attn.wq"].T
 
-    grads["embed.tok"] = _scatter_rows(
-        cfg.vocab_size, cache.ids.reshape(-1), dx.reshape(-1, cfg.d_model)
-    )
-    g_pos = np.zeros_like(t["embed.pos"])
-    g_pos[:length] = dx.sum(axis=0)
-    grads["embed.pos"] = g_pos
+    grads["embed.tok"], grads["embed.pos"] = rows.embed_grads(dx, cfg)
 
     return {name: grads[name] for name in params.tensors}
 

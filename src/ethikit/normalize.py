@@ -1,9 +1,10 @@
 """Text normalization pipeline: de-shouting, contraction expansion, noise removal.
 
-The three stages run in a fixed order and the composition is idempotent.
-Case is preserved wherever it may carry meaning (acronyms, proper nouns,
-short uppercase tokens), so "Title IX" and "US" survive untouched while
-shouted passages are lowercased.
+Noise removal runs first, so the case and contraction stages judge only the
+characters that survive it, and last, to tidy what they wrote; the
+composition is idempotent. Case is preserved wherever it may carry meaning
+(acronyms, proper nouns, short uppercase tokens), so "Title IX" and "US"
+survive untouched while shouted passages are lowercased.
 """
 
 from __future__ import annotations
@@ -122,9 +123,7 @@ def normalize_case(text: str, cfg: NormConfig) -> str:
     Consecutive all-caps tokens form a run. When the run's total letter count
     exceeds ``allcaps_threshold``, every token in it is lowercased except
     whitelisted acronyms. Short isolated uppercase tokens ("IX", "US") are
-    kept, since their casing disambiguates. A token that ``strip_noise``
-    deletes whole ("/", "***") neither breaks nor joins a run, so the runs are
-    the same once it is gone and the pipeline stays idempotent.
+    kept, since their casing disambiguates.
     """
     parts = _WS_SPLIT_RE.split(text)
     # Even indices are tokens (possibly empty at the edges), odd are whitespace.
@@ -146,7 +145,7 @@ def normalize_case(text: str, cfg: NormConfig) -> str:
     for i, is_shouted in zip(range(0, len(parts), 2), shouted):
         if is_shouted:
             run.append(i)
-        elif run and strip_noise(parts[i]):
+        else:
             flush_run()
     flush_run()
     return "".join(parts)
@@ -217,7 +216,16 @@ def strip_noise(text: str) -> str:
 
 
 def normalize(text: str, cfg: NormConfig | None = None) -> str:
-    """Full pipeline: case normalization, contraction expansion, noise removal."""
+    """Full pipeline: case normalization and contraction expansion between noise removals.
+
+    The first noise removal makes the other stages see the text one more
+    pass would see: a deleted character neither hides a shouted token
+    ("ⅰAA") nor guards a contraction ("_can't"). The second tidies what
+    they wrote, such as an expansion or the combining dot of a lowercased
+    "İ"; text they return unchanged is already tidy.
+    """
     if cfg is None:
         cfg = default_config()
-    return strip_noise(expand_contractions(normalize_case(text, cfg), cfg))
+    stripped = strip_noise(text)
+    out = expand_contractions(normalize_case(stripped, cfg), cfg)
+    return stripped if out is stripped else strip_noise(out)

@@ -473,6 +473,41 @@ class TestRowTiles:
         assert classify_peak(256) <= 2.3 * classify_peak(128)
 
 
+def _with_random_pad_ids(batch, vocab_size, seed):
+    """The batch with every PAD id replaced by a random valid id."""
+    ids = batch.ids.copy()
+    pad = batch.mask == 0
+    ids[pad] = np.random.default_rng(seed).integers(0, vocab_size, size=int(pad.sum()))
+    return TokenBatch(ids=ids, mask=batch.mask, labels=batch.labels)
+
+
+class TestMaskedIds:
+    """Ids at masked positions are never read: any valid id there gives the same bytes."""
+
+    def _assert_same_bytes(self, params, batch, head_mask, seed):
+        ref = _run_all(params, batch, head_mask)
+        out = _run_all(params, _with_random_pad_ids(batch, params.cfg.vocab_size, seed),
+                       head_mask)
+        assert set(out) == set(ref)
+        for name, value in ref.items():
+            assert out[name].tobytes() == value.tobytes(), name
+
+    @given(case=encoder_cases(dtypes=("float32", "float64"), max_rows=9),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_random_pad_ids(self, case, seed):
+        self._assert_same_bytes(*case, seed)
+
+    @pytest.mark.parametrize("n_layers", [2, 3])
+    def test_one_full_row_among_short_ones(self, n_layers):
+        cfg = replace(TOY, n_layers=n_layers, dtype="float32")
+        params = randomize(init_params(cfg))
+        batch = make_batch(cfg, n_rows=32, length=12,
+                           pad_rows=[(row, 3 + row % 4) for row in range(1, 32)])
+        head_mask = (np.random.default_rng(3).random((32, cfg.d_model)) < 0.7)
+        self._assert_same_bytes(params, batch, head_mask.astype(np.float32), seed=5)
+
+
 class TestComputeDtype:
     def test_float32_model_stays_float32(self):
         cfg = replace(TOY, dtype="float32")
