@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from ethikit.batching import DOMAINS, Example
@@ -154,10 +154,9 @@ def file_sha256(path) -> str:
 
 @dataclass(frozen=True)
 class SplitManifest:
-    """Expected per-split example counts, optionally with content hashes."""
+    """Expected per-split example counts."""
 
     counts: dict[str, int]
-    hashes: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -126,14 +126,17 @@ def round_half_up(value: float, digits: int = 2) -> float:
     return float(Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP))
 
 
-def build_report(scores, labels, threshold: float = 0.5) -> EvalReport:
-    """Threshold scores, then assemble the confusion matrix and all metrics.
+THRESHOLD = 0.5  # a score at or above it predicts the positive class
+
+
+def build_report(scores, labels) -> EvalReport:
+    """Threshold scores at ``THRESHOLD``, then assemble the confusion matrix and metrics.
 
     Raises NonFiniteScore if any score is NaN or infinite.
     """
     scores, labels = _check_pair(scores, labels)
     check_finite(scores)
-    preds = (np.asarray(scores, dtype=np.float64) >= threshold).astype(np.int64)
+    preds = (np.asarray(scores, dtype=np.float64) >= THRESHOLD).astype(np.int64)
     cm = confusion(preds, labels)
     accuracy, precision, recall, f1 = scalar_metrics(cm)
     return EvalReport(

@@ -225,6 +225,11 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return a.sum(axis=tuple(range(a.ndim - 1)))
 
 
+def _affine_grads(x: np.ndarray, dy: np.ndarray):
+    """Weight and bias gradients of ``x @ w + b`` given the output gradient ``dy``."""
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1]), _sum_rows(dy)
+
+
 def _layer_norm_backward(dy: np.ndarray, ln_cache, g: np.ndarray):
     xhat, inv = ln_cache
     g_g = _sum_rows(dy * xhat)
@@ -248,20 +253,21 @@ def _softmax_rows(extent, sl: slice, n_q: int) -> int:
     return n_q if extent is None else min(n_q, int(extent[sl].max()))
 
 
-def _attention(q, k, v, attn_bias, extent, scale: float, keep_probs: bool):
+def _attention(q, k, v, attn_bias, extent, keep_probs: bool):
     """Masked softmax attention, one tile of batch rows at a time.
 
-    ``q`` is [B, H, Lq, K], ``k`` and ``v`` are [B, H, L, K]; ``extent``,
-    unless None, gives the query rows of each batch row that matter, and
-    ``q`` is zero past them. Returns the context with heads merged,
-    [B, Lq, H*K], and, when ``keep_probs``, the [B, H, Lq, L] probabilities
-    the backward pass reads. A tile runs softmax on its query rows up to its
-    longest row only; past that, its scores, probabilities and context stay
-    zero. A tile holds every key of its rows, so each softmax row is
-    computed whole, as it would be over the full batch.
+    ``q`` is [B, H, Lq, K], ``k`` and ``v`` are [B, H, L, K], and scores are
+    scaled by 1/sqrt(K); ``extent``, unless None, gives the query rows of each
+    batch row that matter, and ``q`` is zero past them. Returns the context
+    with heads merged, [B, Lq, H*K], and, when ``keep_probs``, the
+    [B, H, Lq, L] probabilities the backward pass reads. A tile runs softmax
+    on its query rows up to its longest row only; past that, its scores,
+    probabilities and context stay zero. A tile holds every key of its rows,
+    so each softmax row is computed whole, as it would be over the full batch.
     """
     b, h, n_q, dk = q.shape
     length = k.shape[2]
+    scale = 1.0 / math.sqrt(dk)
     ctx = np.empty((b, n_q, h * dk), dtype=q.dtype)
     ctx_heads = _split_heads(ctx, h)
     probs = np.empty((b, h, n_q, length), dtype=q.dtype) if keep_probs else None
@@ -278,7 +284,7 @@ def _attention(q, k, v, attn_bias, extent, scale: float, keep_probs: bool):
     return ctx, probs
 
 
-def _attention_backward(d_ctx, q, k, v, probs, extent, scale: float):
+def _attention_backward(d_ctx, q, k, v, probs, extent):
     """Gradients of q, k and v with heads merged, one tile of batch rows at a time.
 
     ``d_ctx`` is [B, H, Lq, K] and zero past each row's extent; the results
@@ -289,6 +295,7 @@ def _attention_backward(d_ctx, q, k, v, probs, extent, scale: float):
     """
     b, h, n_q, dk = q.shape
     length = k.shape[2]
+    scale = 1.0 / math.sqrt(dk)
     d_q = np.empty((b, n_q, h * dk), dtype=q.dtype)
     d_k = np.empty((b, length, h * dk), dtype=q.dtype)
     d_v = np.empty_like(d_k)
@@ -400,7 +407,7 @@ def _check_batch(params: ModelParams, batch: TokenBatch) -> None:
         raise ShapeMismatch(
             f"sequence length {batch.ids.shape[1]} exceeds max_len {cfg.max_len}"
         )
-    if int(batch.ids.max(initial=0)) >= cfg.vocab_size:
+    if int(batch.ids.min(initial=0)) < 0 or int(batch.ids.max(initial=0)) >= cfg.vocab_size:
         raise ShapeMismatch("token id outside the model vocabulary")
 
 
@@ -414,7 +421,6 @@ def _encoder(params: ModelParams, batch: TokenBatch, want_cache: bool):
     cfg = params.cfg
     t = params.tensors
     rows = _Rows(batch, cfg.n_layers)
-    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
     attn_bias = ((batch.mask.astype(params.dtype) - 1.0) * MASK_BIAS)[:, None, None, :]
 
     x = rows.embed(t["embed.tok"], t["embed.pos"])
@@ -430,8 +436,7 @@ def _encoder(params: ModelParams, batch: TokenBatch, want_cache: bool):
         q = _split_heads(q if last else rows.padded(q), cfg.n_heads)
         k = _split_heads(rows.padded(k), cfg.n_heads)
         v = _split_heads(rows.padded(v), cfg.n_heads)
-        ctx, probs = _attention(q, k, v, attn_bias, rows.extent, scale,
-                                keep_probs=want_cache)
+        ctx, probs = _attention(q, k, v, attn_bias, rows.extent, keep_probs=want_cache)
         if not last:
             ctx = rows.pack(ctx)
         attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
@@ -544,7 +549,6 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
     dtype = params.dtype
     dl = dl_dlogits.astype(dtype)
     grads: dict[str, np.ndarray] = {}
-    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
     grads["head.w"] = cache.h_task.T @ dl
     grads["head.b"] = np.asarray(dl.sum(), dtype=dtype)
@@ -559,36 +563,23 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
         lc = cache.layer_caches[i]
         last = i == cfg.n_layers - 1
 
-        dh2, g_ln2g, g_ln2b = _layer_norm_backward(dx, lc["ln2"], t[p + "ln2.g"])
-        grads[p + "ln2.g"] = g_ln2g
-        grads[p + "ln2.b"] = g_ln2b
+        dh2, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_backward(
+            dx, lc["ln2"], t[p + "ln2.g"])
 
         # h2 = x_mid + act @ w2 + b2
-        d_ff_out = dh2
-        flat_act = lc["act"].reshape(-1, cfg.d_ff)
-        grads[p + "ff.w2"] = flat_act.T @ d_ff_out.reshape(-1, cfg.d_model)
-        grads[p + "ff.b2"] = _sum_rows(d_ff_out)
-        d_act = d_ff_out @ t[p + "ff.w2"].T
-        d_ff_pre = _gelu_backward(d_act, lc["ff_pre"], lc["erf"])
-        flat_mid = lc["x_mid"].reshape(-1, cfg.d_model)
-        grads[p + "ff.w1"] = flat_mid.T @ d_ff_pre.reshape(-1, cfg.d_ff)
-        grads[p + "ff.b1"] = _sum_rows(d_ff_pre)
-        dx_mid = dh2 + d_ff_pre @ t[p + "ff.w1"].T
-
-        dh1, g_ln1g, g_ln1b = _layer_norm_backward(dx_mid, lc["ln1"], t[p + "ln1.g"])
-        grads[p + "ln1.g"] = g_ln1g
-        grads[p + "ln1.b"] = g_ln1b
+        grads[p + "ff.w2"], grads[p + "ff.b2"] = _affine_grads(lc["act"], dh2)
+        d_ff_pre = _gelu_backward(dh2 @ t[p + "ff.w2"].T, lc["ff_pre"], lc["erf"])
+        grads[p + "ff.w1"], grads[p + "ff.b1"] = _affine_grads(lc["x_mid"], d_ff_pre)
+        dh1, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_backward(
+            dh2 + d_ff_pre @ t[p + "ff.w1"].T, lc["ln1"], t[p + "ln1.g"])
 
         # h1 = x_q + ctx @ wo + bo
-        d_attn_out = dh1
-        flat_ctx = lc["ctx"].reshape(-1, cfg.d_model)
-        grads[p + "attn.wo"] = flat_ctx.T @ d_attn_out.reshape(-1, cfg.d_model)
-        grads[p + "attn.bo"] = _sum_rows(d_attn_out)
-        d_ctx = d_attn_out @ t[p + "attn.wo"].T
+        grads[p + "attn.wo"], grads[p + "attn.bo"] = _affine_grads(lc["ctx"], dh1)
+        d_ctx = dh1 @ t[p + "attn.wo"].T
         d_ctx = _split_heads(d_ctx if last else rows.padded(d_ctx), cfg.n_heads)
 
         d_q, d_k, d_v = _attention_backward(
-            d_ctx, lc["q"], lc["k"], lc["v"], lc["probs"], rows.extent, scale
+            d_ctx, lc["q"], lc["k"], lc["v"], lc["probs"], rows.extent
         )
         d_k, d_v = rows.pack(d_k), rows.pack(d_v)
         if not last:
@@ -601,9 +592,8 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
         for proj, d_proj, x_proj in (
             ("q", d_q, x_in[at_q]), ("k", d_k, x_in), ("v", d_v, x_in)
         ):
-            flat_x = x_proj.reshape(-1, cfg.d_model)
-            grads[p + f"attn.w{proj}"] = flat_x.T @ d_proj.reshape(-1, cfg.d_model)
-            grads[p + f"attn.b{proj}"] = _sum_rows(d_proj)
+            grads[p + f"attn.w{proj}"], grads[p + f"attn.b{proj}"] = _affine_grads(
+                x_proj, d_proj)
         dx = d_k @ t[p + "attn.wk"].T + d_v @ t[p + "attn.wv"].T
         dx[at_q] += dh1 + d_q @ t[p + "attn.wq"].T
 

@@ -85,10 +85,9 @@ def _word_symbols(word: str) -> list[str]:
     return [word[0]] + [CONTINUATION_PREFIX + ch for ch in word[1:]]
 
 
-def _strip_prefix(symbol: str) -> str:
-    if symbol.startswith(CONTINUATION_PREFIX):
-        return symbol[len(CONTINUATION_PREFIX):]
-    return symbol
+def _strip_prefix(piece: str) -> str:
+    """A continuation piece without its prefix."""
+    return piece[len(CONTINUATION_PREFIX):]
 
 
 def _merge_word(seq: list[str], left: str, right: str, merged: str) -> list[str]:

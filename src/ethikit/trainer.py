@@ -3,8 +3,8 @@
 Training, scoring and evaluation take sets already encoded by
 ``batching.encode_examples``, so no text is tokenized here. Each epoch
 shuffles the training set, walks micro-batches through
-forward/loss/backward/accumulate, flushes every ``n_acc`` micro-batches (plus
-one leftover flush for a partial window at the epoch boundary), then records
+forward/loss/backward/accumulate, flushes each full window of ``n_acc``
+micro-batches and, at the epoch's last micro-batch, a partial one, then records
 eval-mode loss and accuracy on both splits. The best checkpoint by validation
 accuracy (ties to lower validation loss) is retained.
 """
@@ -126,14 +126,15 @@ def _eval_loss_acc(params, dataset, batch_size):
     probs = predict_probs(params, dataset, batch_size)
     labels = np.array([ex.label for ex in dataset], dtype=np.float64)
     mean_loss = loss_mod.bce(probs, labels).mean_loss
-    acc = float(((probs >= 0.5).astype(np.int64) == labels.astype(np.int64)).mean())
+    preds = (probs >= metrics_mod.THRESHOLD).astype(np.int64)
+    acc = float((preds == labels.astype(np.int64)).mean())
     return mean_loss, acc
 
 
 def evaluate(
     params: ModelParams, dataset, batch_size: int = DEFAULT_BATCH_SIZE
 ) -> metrics_mod.EvalReport:
-    """Full metric report at threshold 0.5 over a labeled, encoded dataset."""
+    """Full metric report at ``metrics.THRESHOLD`` over a labeled, encoded dataset."""
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
@@ -179,19 +180,17 @@ def train(train_set, val_set, cfg: TrainConfig):
         batches = make_batches(
             train_set, cfg.batch_size, order=order, max_len=cfg.model.max_len
         )
-        for batch in batches:
+        for i, batch in enumerate(batches):
             logits, cache = forward(params, batch, train=True, rng=dropout_rng)
             _require_finite(epoch, state.t + 1, {"logits": logits})
             grads = backward(
                 params, cache, loss_mod.bce_grad_logits(logits, batch.labels)
             )
             accumulate(state, grads)
-            if state.counter == cfg.optim.n_acc:
+            if state.counter == cfg.optim.n_acc or i == len(batches) - 1:
                 _require_finite(epoch, state.t + 1, state.g_acc, "gradient of ")
-                flush(params, state, cfg.optim)
-        if state.counter > 0:
-            _require_finite(epoch, state.t + 1, state.g_acc, "gradient of ")
-            flush(params, state, cfg.optim, allow_partial=True)
+                flush(params, state, cfg.optim,
+                      allow_partial=state.counter < cfg.optim.n_acc)
 
         train_loss, train_acc = _eval_loss_acc(params, train_set, cfg.batch_size)
         val_loss, val_acc = _eval_loss_acc(params, val_set, cfg.batch_size)

@@ -156,6 +156,38 @@ class TestTrainCommand:
         assert "--domain" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def _train_from_data_dir(self, tmp_path, data_dir: Path, domain: str) -> int:
+        return main(["train", "--data-dir", str(data_dir), "--domain", domain,
+                     "--out-dir", str(tmp_path / "run"), *FAST_TRAIN_FLAGS])
+
+    def test_data_dir_flat_layout(self, tmp_path, fixtures_dir):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        flat = data_dir / "cm_train.csv"
+        flat.write_bytes((fixtures_dir / "cm_test.csv").read_bytes())
+        assert self._train_from_data_dir(tmp_path, data_dir, "commonsense") == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config"]["train_file"] == str(flat)
+
+    def test_data_dir_archive_layout(self, tmp_path, train_file):
+        # the ETHICS archive keeps each domain's splits in a folder of its own
+        nested = tmp_path / "data" / "justice" / "justice_train.csv"
+        nested.parent.mkdir(parents=True)
+        nested.write_bytes(train_file.read_bytes())
+        assert self._train_from_data_dir(tmp_path, tmp_path / "data", "justice") == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config"]["train_file"] == str(nested)
+
+    def test_data_dir_missing_split_exit_1(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        assert self._train_from_data_dir(tmp_path, data_dir, "commonsense") == 1
+        err = capsys.readouterr().err
+        for tried in ("commonsense_train.csv", "cm_train.csv",
+                      "commonsense/cm_train.csv", "commonsense/commonsense_train.csv"):
+            assert str(data_dir / tried) in err
+        assert not (tmp_path / "run").exists()
+
     def test_run_directory_contents(self, tmp_path, train_file):
         out_dir = run_train(tmp_path, train_file)
         for name in ("best.ckpt", "epochs.csv", "manifest.json", "vocab.txt"):

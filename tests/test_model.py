@@ -258,6 +258,21 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(params, make_batch(TOY, length=13))
 
+    def test_ids_and_mask_shapes_must_agree(self):
+        batch = make_batch(TOY)
+        ragged = TokenBatch(ids=batch.ids, mask=batch.mask[:, :-1], labels=batch.labels)
+        with pytest.raises(ShapeMismatch, match="ids and mask"):
+            forward(init_params(TOY), ragged)
+
+    @pytest.mark.parametrize("bad_id", [-3, 10])
+    def test_token_ids_outside_vocab_rejected(self, bad_id):
+        # a negative id would gather an embedding row counted from the end
+        params = init_params(replace(TINY, vocab_size=10, max_len=4))
+        batch = TokenBatch(ids=np.array([[2, bad_id, 3, 0]]),
+                           mask=np.array([[1, 1, 1, 0]], dtype=np.int8), labels=np.array([0]))
+        with pytest.raises(ShapeMismatch, match="outside the model vocabulary"):
+            forward(params, batch)
+
     def test_classify_strictly_inside_unit_interval(self):
         params = randomize(init_params(TOY), scale=3.0)
         probs = classify(params, make_batch(TOY))
@@ -285,6 +300,8 @@ class TestDropout:
         manual = (keep * h_cls) @ params["head.w"] + params["head.b"]
         assert np.array_equal(logits, manual)
         assert np.array_equal(cache.h_task, keep * h_cls)
+        with pytest.raises(ShapeMismatch, match="head_mask"):
+            forward(params, batch, train=True, head_mask=keep[:, :-1])
 
     def test_monte_carlo_mean_links_train_to_eval(self):
         params = randomize(init_params(TOY))
@@ -321,12 +338,24 @@ class TestBackward:
         grads = backward(params, cache, dl)
         assert grads["head.b"] == pytest.approx(dl.sum(), abs=1e-15)
 
-    def test_matches_finite_differences(self):
+    def test_wrong_upstream_shape_rejected(self):
         params = randomize(init_params(TOY))
+        _, cache = forward(params, make_batch(TOY), train=True, rng=np.random.default_rng(0))
+        with pytest.raises(ShapeMismatch, match="dl_dlogits"):
+            backward(params, cache, np.zeros(3))
+
+    @pytest.mark.parametrize("dropout_p", [TOY.dropout_p, 0.0])
+    def test_matches_finite_differences(self, dropout_p):
+        params = randomize(init_params(replace(TOY, dropout_p=dropout_p)))
         batch = make_batch(TOY, pad_rows=[(2, 6)])
-        keep = (np.random.default_rng(9).random((4, 16)) < 0.7).astype(np.float64)
+        # train mode without dropout samples no mask
+        keep = ((np.random.default_rng(9).random((4, 16)) < 0.7).astype(np.float64)
+                if dropout_p else None)
         logits, cache = forward(params, batch, train=True, head_mask=keep)
         grads = backward(params, cache, bce_grad_logits(logits, batch.labels))
+        if not dropout_p:
+            assert cache.head_mask is None
+            assert logits.tobytes() == forward(params, batch)[0].tobytes()
 
         def loss_at():
             out, _ = forward(params, batch, train=True, head_mask=keep)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ethikit.errors import (
+    ConfigError,
     IncompleteAccumulation,
     InvalidStep,
     OverAccumulation,
@@ -38,6 +39,19 @@ def tiny_params(value=1.0, dtype="float64"):
     for t in params.tensors.values():
         t[...] = value
     return params
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("beta1", 1.0, "betas"),
+        ("beta2", -0.1, "betas"),
+        ("epsilon", 0.0, "epsilon"),
+        ("weight_decay", -0.01, "weight_decay"),
+        ("n_acc", 0, "n_acc"),
+    ])
+    def test_out_of_range_setting_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            OptimConfig(**{field: value})
 
 
 class TestSchedule:
@@ -90,6 +104,9 @@ class TestAccumulate:
         bad = self._grads(params, 1.0)
         bad["head.w"] = np.zeros(3)
         with pytest.raises(ShapeMismatch):
+            accumulate(state, bad)
+        del bad["head.w"]
+        with pytest.raises(ShapeMismatch, match="names"):
             accumulate(state, bad)
 
     def test_no_parameter_change(self):

@@ -86,6 +86,8 @@ class TestTrain:
     def test_zero_epochs_rejected(self, separable_vocab):
         with pytest.raises(InvalidConfig):
             toy_train_config(separable_vocab, epochs=0)
+        with pytest.raises(InvalidConfig, match="batch_size"):
+            toy_train_config(separable_vocab, batch_size=0)
 
     def test_empty_sets_rejected(self, separable_encoded, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=1)
