@@ -66,12 +66,13 @@ def _run_root() -> Path:
 def _resolve_split_file(data_dir: Path, domain: str, split: str) -> Path:
     """Find a split file under either the flat or the per-domain layout."""
     prefix = "cm" if domain == "commonsense" else domain
-    candidates = [
+    # dict.fromkeys drops the repeats a domain named like its prefix makes.
+    candidates = list(dict.fromkeys([
         data_dir / f"{domain}_{split}.csv",
         data_dir / f"{prefix}_{split}.csv",
         data_dir / domain / f"{prefix}_{split}.csv",
         data_dir / domain / f"{domain}_{split}.csv",
-    ]
+    ]))
     for cand in candidates:
         if cand.exists():
             return cand

@@ -30,6 +30,7 @@ import math
 import os
 import struct
 import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -120,10 +121,65 @@ def is_weight_param(name: str) -> bool:
     return name.rsplit(".", 1)[-1] in _WEIGHT_LEAVES
 
 
-class ModelParams:
-    """Every trainable tensor, addressable by stable name."""
+class FlatTensors(Mapping):
+    """Named tensors, each a view into one flat buffer, ``flat``.
 
-    def __init__(self, tensors: dict[str, np.ndarray], cfg: ModelConfig):
+    The buffer holds the decayed tensors (``is_weight_param``) first and the
+    rest after them, each group in name order, so ``flat[:n_decayed]`` is
+    every element that weight decay touches. Names iterate in the order of
+    ``shapes``, and a write through a view writes the buffer.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray):
+        self.shapes = dict(shapes)
+        self.flat = flat
+        order = sorted(self.shapes, key=lambda name: not is_weight_param(name))
+        views, offset = {}, 0
+        for name in order:
+            size = math.prod(self.shapes[name])
+            views[name] = flat[offset:offset + size].reshape(self.shapes[name])
+            offset += size
+        self.n_decayed = sum(views[name].size for name in order if is_weight_param(name))
+        self._views = {name: views[name] for name in self.shapes}
+
+    @classmethod
+    def zeros(cls, shapes: dict[str, tuple[int, ...]], dtype) -> "FlatTensors":
+        return cls(shapes, np.zeros(sum(math.prod(s) for s in shapes.values()), dtype))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def same_layout(self, other: "FlatTensors") -> bool:
+        return (list(self.shapes.items()) == list(other.shapes.items())
+                and self.flat.dtype == other.flat.dtype)
+
+    def zeros_like(self) -> "FlatTensors":
+        return FlatTensors.zeros(self.shapes, self.flat.dtype)
+
+    def copy(self) -> "FlatTensors":
+        return FlatTensors(self.shapes, self.flat.copy())
+
+
+class ModelParams:
+    """Every trainable tensor, addressable by stable name.
+
+    ``tensors`` is a ``FlatTensors``: one that is passed in is kept as it is,
+    and any other mapping is copied into a new flat buffer.
+    """
+
+    def __init__(self, tensors: Mapping[str, np.ndarray], cfg: ModelConfig):
+        if not isinstance(tensors, FlatTensors):
+            flat = FlatTensors.zeros({name: np.shape(t) for name, t in tensors.items()},
+                                     np.result_type(*tensors.values()))
+            for name, t in tensors.items():
+                flat[name][...] = t
+            tensors = flat
         self.tensors = tensors
         self.cfg = cfg
 
@@ -136,34 +192,32 @@ class ModelParams:
 
     @property
     def dtype(self) -> np.dtype:
-        return self.tensors["head.w"].dtype
+        return self.tensors.flat.dtype
 
     def copy(self) -> "ModelParams":
-        return ModelParams({k: v.copy() for k, v in self.tensors.items()}, self.cfg)
+        return ModelParams(self.tensors.copy(), self.cfg)
 
 
-def _truncated_normal(rng: np.random.Generator, shape, dtype) -> np.ndarray:
+def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard normal resampled until inside +-_INIT_TRUNC, scaled by the std."""
     out = rng.standard_normal(shape)
     bad = np.abs(out) > _INIT_TRUNC
     while bad.any():
         out[bad] = rng.standard_normal(int(bad.sum()))
         bad = np.abs(out) > _INIT_TRUNC
-    return (out * _INIT_STD).astype(dtype)
+    out *= _INIT_STD
+    return out
 
 
 def init_params(cfg: ModelConfig) -> ModelParams:
     """Seeded init: truncated-normal weights, zero biases, unit norm gains."""
     rng = np.random.default_rng(cfg.seed)
-    dtype = np.dtype(cfg.dtype)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg).items():
+    tensors = FlatTensors.zeros(param_shapes(cfg), cfg.dtype)
+    for name, tensor in tensors.items():
         if is_weight_param(name):
-            tensors[name] = _truncated_normal(rng, shape, dtype)
+            tensor[...] = _truncated_normal(rng, tensor.shape)
         elif name.endswith("ln1.g") or name.endswith("ln2.g"):
-            tensors[name] = np.ones(shape, dtype=dtype)
-        else:
-            tensors[name] = np.zeros(shape, dtype=dtype)
+            tensor[...] = 1.0
     return ModelParams(tensors, cfg)
 
 
@@ -671,8 +725,13 @@ def load_checkpoint(path) -> ModelParams:
             raise CorruptHeader("undecodable header") from exc
         cfg = _cfg_from_text(header)
         expected = param_shapes(cfg)
+        # The tensors are read straight into the model's buffer, allocated
+        # only when the file is large enough to hold it. A smaller file still
+        # reads on, to the error its layout raises.
+        count = sum(math.prod(shape) for shape in expected.values())
+        tensors = FlatTensors.zeros(expected, cfg.dtype) if 4 * count <= size else None
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, size))
-        tensors: dict[str, np.ndarray] = {}
+        seen: set[str] = set()
         for _ in range(n_tensors):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, size))
             name = _read_exact(fh, name_len, size).decode("utf-8", errors="replace")
@@ -681,21 +740,20 @@ def load_checkpoint(path) -> ModelParams:
                 struct.unpack("<I", _read_exact(fh, 4, size))[0] for _ in range(ndim)
             )
             # Validate the declared layout before trusting it for a read size.
-            if name not in expected or name in tensors:
+            if name not in expected or name in seen:
                 raise ShapeMismatch(f"unexpected or duplicate tensor {name!r}")
             if shape != expected[name]:
                 raise ShapeMismatch(
                     f"{name}: stored {shape}, config implies {expected[name]}"
                 )
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(fh, 4 * count, size)
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
-            tensors[name] = arr.astype(cfg.dtype)
+            raw = _read_exact(fh, 4 * math.prod(shape), size)
+            seen.add(name)
+            if tensors is not None:
+                tensors[name][...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
         trailing = size - fh.tell()
         if trailing:
             raise CorruptHeader(f"{trailing} trailing bytes after the last tensor")
 
-    if len(tensors) != len(expected):
+    if len(seen) != len(expected):
         raise ShapeMismatch("checkpoint tensors do not match the config layout")
-    ordered = {name: tensors[name] for name in expected}
-    return ModelParams(ordered, cfg)
+    return ModelParams(tensors, cfg)

@@ -4,6 +4,11 @@ Micro-batch gradients are summed into a buffer; a flush divides by the window
 size, applies the bias-corrected moment update at the scheduled rate, and
 decays weight matrices (never biases or norm parameters) in the same step.
 The schedule step t counts flushes, not micro-batches.
+
+The moments and the gradient buffer share the parameters' flat layout
+(``model.FlatTensors``), so a flush walks all four buffers together in tiles
+of ``model._TILE`` elements, in place, with each element taking the same
+operations in the same order as a per-tensor update would.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from ethikit.errors import (
     OverAccumulation,
     ShapeMismatch,
 )
-from ethikit.model import ModelParams, is_weight_param
+from ethikit.model import FlatTensors, ModelParams, _row_tiles
 
 
 @dataclass(frozen=True)
@@ -47,16 +52,16 @@ class OptimConfig:
 
 @dataclass
 class OptimState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    g_acc: dict[str, np.ndarray]
+    m: FlatTensors
+    v: FlatTensors
+    g_acc: FlatTensors
     n_acc: int
     t: int = 0
     counter: int = 0
 
 
 def init_state(params: ModelParams, cfg: OptimConfig) -> OptimState:
-    zeros = lambda: {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    zeros = params.tensors.zeros_like
     return OptimState(m=zeros(), v=zeros(), g_acc=zeros(), n_acc=cfg.n_acc)
 
 
@@ -83,7 +88,8 @@ def accumulate(state: OptimState, grads: dict[str, np.ndarray]) -> OptimState:
         raise OverAccumulation(f"window already holds {state.n_acc} micro-batches")
     _check_shapes(state, grads)
     for name, g in grads.items():
-        state.g_acc[name] += g
+        buf = state.g_acc[name]  # a view: the mapping itself is read-only
+        buf += g
     state.counter += 1
     return state
 
@@ -107,26 +113,42 @@ def flush(
             f"window holds {state.counter} of {state.n_acc} micro-batches"
         )
 
+    if not all(buf.same_layout(params.tensors) for buf in (state.m, state.v, state.g_acc)):
+        raise ShapeMismatch("optimizer state was built for another parameter layout")
+
     state.t += 1
     eta = lr_at(state.t, cfg.eta0)
     bias1 = 1.0 - cfg.beta1 ** state.t
     bias2 = 1.0 - cfg.beta2 ** state.t
-    divisor = state.counter
+    decay = eta * cfg.weight_decay
+    n_decayed = params.tensors.n_decayed if cfg.weight_decay > 0.0 else 0
 
-    for name, theta in params.tensors.items():
-        g_mean = state.g_acc[name] / divisor
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g_mean
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g_mean * g_mean
-        m_hat = m / bias1
-        v_hat = v / bias2
-        update = eta * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        if cfg.weight_decay > 0.0 and is_weight_param(name):
-            update = update + eta * cfg.weight_decay * theta
-        theta -= update.astype(theta.dtype, copy=False)
-        state.g_acc[name][...] = 0
+    theta, m, v, g_acc = (buf.flat for buf in (params.tensors, state.m, state.v, state.g_acc))
+    tiles = _row_tiles(theta.size, 1)
+    scratch = np.empty(min(theta.size, tiles[0].stop), dtype=theta.dtype)
+    for sl in tiles:
+        g, m_t, v_t, theta_t = g_acc[sl], m[sl], v[sl], theta[sl]
+        update = scratch[:g.size]
+        g /= state.counter
+        m_t *= cfg.beta1
+        np.multiply(g, 1.0 - cfg.beta1, out=update)
+        m_t += update
+        v_t *= cfg.beta2
+        np.multiply(g, 1.0 - cfg.beta2, out=update)
+        update *= g
+        v_t += update
+        # The mean gradient is used up; g holds the denominator, then the decay.
+        np.divide(m_t, bias1, out=update)
+        update *= eta
+        np.divide(v_t, bias2, out=g)
+        np.sqrt(g, out=g)
+        g += cfg.epsilon
+        update /= g
+        decayed = max(0, min(sl.stop, n_decayed) - sl.start)
+        if decayed:
+            np.multiply(theta_t[:decayed], decay, out=g[:decayed])
+            update[:decayed] += g[:decayed]
+        theta_t -= update
+        g[...] = 0
     state.counter = 0
     return params

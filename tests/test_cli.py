@@ -188,6 +188,16 @@ class TestTrainCommand:
             assert str(data_dir / tried) in err
         assert not (tmp_path / "run").exists()
 
+    def test_data_dir_missing_split_names_each_path_once(self, tmp_path, capsys):
+        # justice files use the domain name as their prefix, so the flat and
+        # the per-domain layout give one path each
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        assert self._train_from_data_dir(tmp_path, data_dir, "justice") == 1
+        err = capsys.readouterr().err
+        for tried in ("justice_train.csv", "justice/justice_train.csv"):
+            assert err.count(str(data_dir / tried)) == 1, tried
+
     def test_run_directory_contents(self, tmp_path, train_file):
         out_dir = run_train(tmp_path, train_file)
         for name in ("best.ckpt", "epochs.csv", "manifest.json", "vocab.txt"):

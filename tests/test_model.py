@@ -555,6 +555,64 @@ class TestComputeDtype:
         assert classify(params, batch).dtype == np.float64
 
 
+def _built_four_ways(tmp_path):
+    """TOY's parameters from init_params, copy(), load_checkpoint and a dict."""
+    params = randomize(init_params(TOY))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    as_dict = {name: t.copy() for name, t in params.tensors.items()}
+    return {"init_params": params, "copy": params.copy(), "load_checkpoint": load_checkpoint(path),
+            "dict": ModelParams(as_dict, TOY)}
+
+
+class TestFlatLayout:
+    def test_every_tensor_is_a_view_of_one_buffer(self, tmp_path):
+        for how, params in _built_four_ways(tmp_path).items():
+            flat, n_decayed = params.tensors.flat, params.tensors.n_decayed
+            assert params.names == list(param_shapes(TOY)), how
+            assert flat.ndim == 1 and flat.dtype == params.dtype, how
+            assert flat.size == sum(params[name].size for name in params.names), how
+            for name in params.names:
+                assert np.shares_memory(params[name], flat), (how, name)
+                # decayed tensors first, then the rest
+                head = np.shares_memory(params[name], flat[:n_decayed])
+                assert head == is_weight_param(name), (how, name)
+
+    def test_a_write_through_a_name_reaches_the_buffer(self, tmp_path):
+        for how, params in _built_four_ways(tmp_path).items():
+            params["layers.1.ff.w2"][3, 5] = 123.0
+            params["head.b"][...] = -7.0
+            assert (params.tensors.flat == 123.0).sum() == 1, how
+            assert (params.tensors.flat == -7.0).sum() == 1, how
+
+    def test_copies_own_their_buffer(self, tmp_path):
+        params = randomize(init_params(TOY))
+        as_dict = {name: t.copy() for name, t in params.tensors.items()}
+        from_dict = ModelParams(as_dict, TOY)
+        for other in (params.copy(), from_dict):
+            assert not np.shares_memory(other.tensors.flat, params.tensors.flat)
+            assert other.tensors.flat.tobytes() == params.tensors.flat.tobytes()
+        assert not any(np.shares_memory(t, from_dict.tensors.flat) for t in as_dict.values())
+
+    def test_layout_too_large_for_the_file_is_not_allocated(self, tiny_checkpoint, tmp_path):
+        # A header claiming a billion-token vocab over TINY's tensors reads to
+        # the first stored shape that disagrees, without allocating the model.
+        start = len(_CKPT_MAGIC)
+        (header_len,) = struct.unpack("<I", tiny_checkpoint[start:start + 4])
+        header = TINY_HEADER.replace(b"vocab_size=6", b"vocab_size=1000000000")
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(tiny_checkpoint[:start] + struct.pack("<I", len(header)) + header
+                         + tiny_checkpoint[start + 4 + header_len:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeMismatch, match="embed.tok"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = ModelConfig(vocab_size=30, max_len=12, n_layers=2, n_heads=2,

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from ethikit.errors import (
     OverAccumulation,
     ShapeMismatch,
 )
-from ethikit.model import ModelConfig, init_params
+from ethikit import model
+from ethikit.model import ModelConfig, init_params, is_weight_param
 from ethikit.optim import OptimConfig, accumulate, flush, init_state, lr_at
 
 
@@ -30,6 +33,29 @@ def scalar_adamw(theta, grad_means, eta0, beta1, beta2, eps, wd, decayed):
             step += eta * wd * theta
         theta = theta - step
     return theta
+
+
+def per_tensor_flush(theta, m, v, g_acc, t, counter, cfg):
+    """The per-tensor flush the tiled one replaced, on dicts of arrays, in place.
+
+    ``t`` is the step this flush takes and ``counter`` the window's size.
+    """
+    eta = lr_at(t, cfg.eta0)
+    bias1 = 1.0 - cfg.beta1 ** t
+    bias2 = 1.0 - cfg.beta2 ** t
+    for name in theta:
+        g_mean = g_acc[name] / counter
+        m[name] *= cfg.beta1
+        m[name] += (1.0 - cfg.beta1) * g_mean
+        v[name] *= cfg.beta2
+        v[name] += (1.0 - cfg.beta2) * g_mean * g_mean
+        m_hat = m[name] / bias1
+        v_hat = v[name] / bias2
+        update = eta * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        if cfg.weight_decay > 0.0 and is_weight_param(name):
+            update = update + eta * cfg.weight_decay * theta[name]
+        theta[name] -= update.astype(theta[name].dtype, copy=False)
+        g_acc[name][...] = 0
 
 
 def tiny_params(value=1.0, dtype="float64"):
@@ -249,3 +275,72 @@ class TestFlush:
         p1, p2 = run(), run()
         for name in p1.tensors:
             assert p1[name].tobytes() == p2[name].tobytes()
+
+
+class TestTiledFlush:
+    """The tiled flush against the per-tensor one, byte for byte."""
+
+    CFG = ModelConfig(vocab_size=13, max_len=5, n_layers=2, n_heads=2, d_model=4, d_ff=6)
+
+    def _run(self, dtype, n_acc, weight_decay):
+        params = init_params(replace(self.CFG, dtype=dtype))
+        rng = np.random.default_rng(5)
+        for t in params.tensors.values():
+            t[...] = rng.normal(0.0, 0.5, size=t.shape)
+        ref = {k: t.copy() for k, t in params.tensors.items()}
+        ref_m, ref_v, ref_g = ({k: np.zeros_like(t) for k, t in ref.items()} for _ in range(3))
+        cfg = OptimConfig(eta0=3e-2, weight_decay=weight_decay, n_acc=n_acc)
+        state = init_state(params, cfg)
+        n_micro = 3 * n_acc + (n_acc > 1)   # with n_acc > 1, the last window is partial
+        for i in range(n_micro):
+            scale = 10.0 ** rng.integers(-4, 2)
+            grads = {k: (scale * rng.normal(size=t.shape)).astype(dtype)
+                     for k, t in ref.items()}
+            accumulate(state, grads)
+            for k, g in grads.items():
+                ref_g[k] += g
+            if state.counter == n_acc or i == n_micro - 1:
+                per_tensor_flush(ref, ref_m, ref_v, ref_g, state.t + 1, state.counter, cfg)
+                flush(params, state, cfg, allow_partial=True)
+        assert state.t == 3 + (n_acc > 1)
+        for got, want in ((params.tensors, ref), (state.m, ref_m), (state.v, ref_v),
+                          (state.g_acc, ref_g)):
+            for name, arr in want.items():
+                assert got[name].dtype == arr.dtype, name
+                assert got[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize("tile", [1, 7, model._TILE])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("n_acc", [1, 4])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_matches_per_tensor_flush(self, dtype, n_acc, weight_decay, tile):
+        # Tiles of 1 and 7 elements end inside tensors and on both sides of
+        # the last decayed element; the default tile holds the whole model.
+        assert init_params(self.CFG).tensors.n_decayed % 7 != 0
+        with mock.patch.object(model, "_TILE", tile):
+            self._run(dtype, n_acc, weight_decay)
+
+    def test_state_shares_the_parameter_layout(self):
+        params = init_params(self.CFG)
+        state = init_state(params, OptimConfig())
+        for buf in (state.m, state.v, state.g_acc):
+            assert buf.same_layout(params.tensors)
+            assert buf.n_decayed == params.tensors.n_decayed
+            for name in params.names:
+                assert np.shares_memory(buf[name], buf.flat), name
+
+    @pytest.mark.parametrize("other", [
+        replace(CFG, vocab_size=14),      # another shape
+        replace(CFG, dtype="float64"),    # the same shapes in another dtype
+    ])
+    def test_state_for_another_layout_rejected(self, other):
+        built_for = init_params(other)
+        cfg = OptimConfig(n_acc=1)
+        state = init_state(built_for, cfg)
+        accumulate(state, {k: np.ones_like(t) for k, t in built_for.tensors.items()})
+        params = init_params(self.CFG)
+        before = params.tensors.flat.copy()
+        with pytest.raises(ShapeMismatch, match="layout"):
+            flush(params, state, cfg)
+        assert params.tensors.flat.tobytes() == before.tobytes()
+        assert state.t == 0
