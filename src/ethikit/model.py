@@ -169,8 +169,8 @@ class FlatTensors(Mapping):
 class ModelParams:
     """Every trainable tensor, addressable by stable name.
 
-    ``tensors`` is a ``FlatTensors``: one that is passed in is kept as it is,
-    and any other mapping is copied into a new flat buffer.
+    ``tensors`` is a ``FlatTensors`` with the layout of ``param_shapes(cfg)`` in
+    ``cfg.dtype``: one passed in is kept, any other mapping is copied into one.
     """
 
     def __init__(self, tensors: Mapping[str, np.ndarray], cfg: ModelConfig):
@@ -180,6 +180,9 @@ class ModelParams:
             for name, t in tensors.items():
                 flat[name][...] = t
             tensors = flat
+        if (list(tensors.shapes.items()) != list(param_shapes(cfg).items())
+                or tensors.flat.dtype != cfg.dtype):
+            raise ShapeMismatch("tensors do not match the layout of their config")
         self.tensors = tensors
         self.cfg = cfg
 
@@ -424,21 +427,20 @@ class _Rows:
             return padded
         return padded.reshape(-1, padded.shape[-1])[self.real]
 
-    def embed_grads(self, dx: np.ndarray, cfg: ModelConfig):
-        """Token and position embedding gradients from the first layer's input.
+    def add_embed_grads(self, dx: np.ndarray, g_tok: np.ndarray, g_pos: np.ndarray) -> None:
+        """Add the token and position embedding gradients from the first layer's input.
 
         Only computed positions reach the token gradient, so no PAD id is read.
         """
         length = self.ids.shape[1]
         if self.real is None:
             real = np.flatnonzero(self._computed())
-            g_pos = np.zeros((cfg.max_len, cfg.d_model), dtype=dx.dtype)
-            g_pos[:length] = dx.sum(axis=0)
-            dx = dx.reshape(-1, cfg.d_model)[real]
+            g_pos[:length] += dx.sum(axis=0)
+            dx = dx.reshape(-1, dx.shape[-1])[real]
         else:
             real = self.real
-            g_pos = _scatter_rows(cfg.max_len, real % length, dx)
-        return _scatter_rows(cfg.vocab_size, self.ids.reshape(-1)[real], dx), g_pos
+            _scatter_add(g_pos, real % length, dx)
+        _scatter_add(g_tok, self.ids.reshape(-1)[real], dx)
 
 
 @dataclass
@@ -575,21 +577,31 @@ def classify(params: ModelParams, batch: TokenBatch) -> np.ndarray:
     return expit(np.clip(logits.astype(np.float64), -LOGIT_CLAMP, LOGIT_CLAMP))
 
 
-def _scatter_rows(n_rows: int, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Sum ``rows[j]`` into row ``ids[j]`` of an [n_rows, D] zero array.
+def _scatter_add(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """Add ``rows[j]`` into row ``ids[j]`` of ``out``.
 
     A stable sort groups equal ids, and one ``add.reduceat`` sums each group.
     """
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-    out = np.zeros((n_rows, rows.shape[1]), dtype=rows.dtype)
-    out[sorted_ids[starts]] = np.add.reduceat(rows[order], starts, axis=0)
-    return out
+    out[sorted_ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
-def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
-    """Exact gradients for every named parameter, reusing cached dropout masks."""
+def _add(grads: FlatTensors, names, values) -> None:
+    """Add each value into the gradient of its name, in place."""
+    for name, value in zip(names, values):
+        np.add(grads[name], value, out=grads[name])
+
+
+def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray,
+             grads: FlatTensors) -> FlatTensors:
+    """Add every parameter's exact gradient into ``grads`` and return it.
+
+    ``grads`` must have the parameters' layout, which is checked before any
+    write. Each gradient, computed whole with the cached dropout masks, is
+    added into its view once.
+    """
     if cache is None:
         raise StaleCache("backward needs the cache from a train-mode forward")
     cfg = params.cfg
@@ -598,14 +610,12 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
     rows = cache.rows
     if dl_dlogits.shape != (rows.ids.shape[0],):
         raise ShapeMismatch("dl_dlogits must have one entry per batch row")
+    if not grads.same_layout(params.tensors):
+        raise ShapeMismatch("gradient buffer does not have the parameters' layout")
 
     t = params.tensors
-    dtype = params.dtype
-    dl = dl_dlogits.astype(dtype)
-    grads: dict[str, np.ndarray] = {}
-
-    grads["head.w"] = cache.h_task.T @ dl
-    grads["head.b"] = np.asarray(dl.sum(), dtype=dtype)
+    dl = dl_dlogits.astype(params.dtype)
+    _add(grads, ("head.w", "head.b"), (cache.h_task.T @ dl, dl.sum()))
     d_h_task = dl[:, None] * t["head.w"][None, :]
     d_h_cls = d_h_task if cache.head_mask is None else d_h_task * cache.head_mask
 
@@ -617,18 +627,19 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
         lc = cache.layer_caches[i]
         last = i == cfg.n_layers - 1
 
-        dh2, grads[p + "ln2.g"], grads[p + "ln2.b"] = _layer_norm_backward(
-            dx, lc["ln2"], t[p + "ln2.g"])
+        dh2, *ln2 = _layer_norm_backward(dx, lc["ln2"], t[p + "ln2.g"])
+        _add(grads, (p + "ln2.g", p + "ln2.b"), ln2)
 
         # h2 = x_mid + act @ w2 + b2
-        grads[p + "ff.w2"], grads[p + "ff.b2"] = _affine_grads(lc["act"], dh2)
+        _add(grads, (p + "ff.w2", p + "ff.b2"), _affine_grads(lc["act"], dh2))
         d_ff_pre = _gelu_backward(dh2 @ t[p + "ff.w2"].T, lc["ff_pre"], lc["erf"])
-        grads[p + "ff.w1"], grads[p + "ff.b1"] = _affine_grads(lc["x_mid"], d_ff_pre)
-        dh1, grads[p + "ln1.g"], grads[p + "ln1.b"] = _layer_norm_backward(
+        _add(grads, (p + "ff.w1", p + "ff.b1"), _affine_grads(lc["x_mid"], d_ff_pre))
+        dh1, *ln1 = _layer_norm_backward(
             dh2 + d_ff_pre @ t[p + "ff.w1"].T, lc["ln1"], t[p + "ln1.g"])
+        _add(grads, (p + "ln1.g", p + "ln1.b"), ln1)
 
         # h1 = x_q + ctx @ wo + bo
-        grads[p + "attn.wo"], grads[p + "attn.bo"] = _affine_grads(lc["ctx"], dh1)
+        _add(grads, (p + "attn.wo", p + "attn.bo"), _affine_grads(lc["ctx"], dh1))
         d_ctx = dh1 @ t[p + "attn.wo"].T
         d_ctx = _split_heads(d_ctx if last else rows.padded(d_ctx), cfg.n_heads)
 
@@ -646,14 +657,13 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray):
         for proj, d_proj, x_proj in (
             ("q", d_q, x_in[at_q]), ("k", d_k, x_in), ("v", d_v, x_in)
         ):
-            grads[p + f"attn.w{proj}"], grads[p + f"attn.b{proj}"] = _affine_grads(
-                x_proj, d_proj)
+            _add(grads, (p + f"attn.w{proj}", p + f"attn.b{proj}"),
+                 _affine_grads(x_proj, d_proj))
         dx = d_k @ t[p + "attn.wk"].T + d_v @ t[p + "attn.wv"].T
         dx[at_q] += dh1 + d_q @ t[p + "attn.wq"].T
 
-    grads["embed.tok"], grads["embed.pos"] = rows.embed_grads(dx, cfg)
-
-    return {name: grads[name] for name in params.tensors}
+    rows.add_embed_grads(dx, grads["embed.tok"], grads["embed.pos"])
+    return grads
 
 
 # --- checkpoint I/O ---

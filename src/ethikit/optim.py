@@ -1,9 +1,10 @@
 """AdamW with decoupled weight decay, gradient accumulation, and 1/sqrt(t) decay.
 
-Micro-batch gradients are summed into a buffer; a flush divides by the window
-size, applies the bias-corrected moment update at the scheduled rate, and
-decays weight matrices (never biases or norm parameters) in the same step.
-The schedule step t counts flushes, not micro-batches.
+``accumulate`` counts a micro-batch and hands out the gradient sum, which
+``model.backward`` adds into. A flush divides by the window size, applies the
+bias-corrected moment update at the scheduled rate, and decays weight
+matrices (never biases or norm parameters) in the same step. The schedule
+step t counts flushes, not micro-batches.
 
 The moments and the gradient buffer share the parameters' flat layout
 (``model.FlatTensors``), so a flush walks all four buffers together in tiles
@@ -72,26 +73,15 @@ def lr_at(t: int, eta0: float) -> float:
     return eta0 / math.sqrt(t)
 
 
-def _check_shapes(state: OptimState, grads: dict[str, np.ndarray]) -> None:
-    if set(grads) != set(state.g_acc):
-        raise ShapeMismatch("gradient names do not match optimizer state")
-    for name, g in grads.items():
-        if g.shape != state.g_acc[name].shape:
-            raise ShapeMismatch(
-                f"{name}: gradient {g.shape} vs state {state.g_acc[name].shape}"
-            )
+def accumulate(state: OptimState) -> FlatTensors:
+    """Count one micro-batch into the window; return the sum its gradients add into.
 
-
-def accumulate(state: OptimState, grads: dict[str, np.ndarray]) -> OptimState:
-    """Sum one micro-batch's gradients into the buffer; no parameter changes."""
+    No parameter changes. A full window raises before the buffer is handed out.
+    """
     if state.counter >= state.n_acc:
         raise OverAccumulation(f"window already holds {state.n_acc} micro-batches")
-    _check_shapes(state, grads)
-    for name, g in grads.items():
-        buf = state.g_acc[name]  # a view: the mapping itself is read-only
-        buf += g
     state.counter += 1
-    return state
+    return state.g_acc
 
 
 def flush(

@@ -2,11 +2,12 @@
 
 Training, scoring and evaluation take sets already encoded by
 ``batching.encode_examples``, so no text is tokenized here. Each epoch
-shuffles the training set, walks micro-batches through
-forward/loss/backward/accumulate, flushes each full window of ``n_acc``
-micro-batches and, at the epoch's last micro-batch, a partial one, then records
-eval-mode loss and accuracy on both splits. The best checkpoint by validation
-accuracy (ties to lower validation loss) is retained.
+shuffles the training set, walks micro-batches through forward/loss/backward,
+with backward adding into the sum that ``optim.accumulate`` hands out, flushes
+each full window of ``n_acc`` micro-batches and, at the epoch's last
+micro-batch, a partial one, then records eval-mode loss and accuracy on both
+splits. The best checkpoint by validation accuracy (ties to lower validation
+loss) is retained.
 """
 
 from __future__ import annotations
@@ -183,10 +184,8 @@ def train(train_set, val_set, cfg: TrainConfig):
         for i, batch in enumerate(batches):
             logits, cache = forward(params, batch, train=True, rng=dropout_rng)
             _require_finite(epoch, state.t + 1, {"logits": logits})
-            grads = backward(
-                params, cache, loss_mod.bce_grad_logits(logits, batch.labels)
-            )
-            accumulate(state, grads)
+            backward(params, cache, loss_mod.bce_grad_logits(logits, batch.labels),
+                     accumulate(state))
             if state.counter == cfg.optim.n_acc or i == len(batches) - 1:
                 # One check of the flat buffer; only a failure searches by name.
                 if not np.isfinite(state.g_acc.flat).all():

@@ -89,7 +89,8 @@ def test_c01_gradient_oracle():
 
     started = time.perf_counter()
     logits, cache = forward(params, batch, train=True, head_mask=keep)
-    grads = backward(params, cache, bce_grad_logits(logits, batch.labels))
+    grads = backward(params, cache, bce_grad_logits(logits, batch.labels),
+                     params.tensors.zeros_like())
 
     def loss_at():
         out, _ = forward(params, batch, train=True, head_mask=keep)
@@ -156,7 +157,7 @@ def test_c02_optimizer_oracle():
     grad_means = []
     for _ in range(100):
         g = float(rng.normal())
-        accumulate(state, {k: np.full_like(v, g) for k, v in params.tensors.items()})
+        accumulate(state).flat += g
         flush(params, state, cfg)
         grad_means.append(g)
 
@@ -178,6 +179,12 @@ def test_c03_schedule_exactness():
     _report(3, "lr(1)=6e-5, lr(4)=3e-5, lr(100)=6e-6 exactly")
 
 
+def _add_named(total, grads):
+    """Add named gradients into the sum ``accumulate`` hands out, as backward does."""
+    for name, g in grads.items():
+        np.add(total[name], g, out=total[name])
+
+
 def test_c04_accumulation_equivalence():
     rng = np.random.default_rng(23)
     base = _flat_params(0.5)
@@ -188,7 +195,7 @@ def test_c04_accumulation_equivalence():
     cfg4 = OptimConfig(eta0=1e-2, weight_decay=0.0, n_acc=4)
     state4 = init_state(acc, cfg4)
     for g in grads:
-        accumulate(state4, g)
+        _add_named(accumulate(state4), g)
     flush(acc, state4, cfg4)
 
     one = base.copy()
@@ -196,7 +203,7 @@ def test_c04_accumulation_equivalence():
     state1 = init_state(one, cfg1)
     mean_grad = {k: (grads[0][k] + grads[1][k] + grads[2][k] + grads[3][k]) / 4.0
                  for k in base.tensors}
-    accumulate(state1, mean_grad)
+    _add_named(accumulate(state1), mean_grad)
     flush(one, state1, cfg1)
 
     worst = max(

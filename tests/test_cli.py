@@ -612,12 +612,13 @@ class TestNonFiniteTraining:
         real_backward = trainer_mod.backward
         calls = []
 
-        def nan_on_third(*args, **kwargs):
-            grads = real_backward(*args, **kwargs)
+        def nan_on_third(params, cache, dl, total):
+            real_backward(params, cache, dl, total)
             calls.append(1)
             if len(calls) == 3:
-                grads["layers.0.ff.w1"][0, 0] = np.nan
-            return grads
+                # backward adds into the optimizer's sum, so the NaN lands there
+                total["layers.0.ff.w1"][0, 0] = np.nan
+            return total
 
         monkeypatch.setattr(trainer_mod, "backward", nan_on_third)
         out_dir = tmp_path / "run"

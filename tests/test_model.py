@@ -326,7 +326,7 @@ class TestBackward:
         batch = make_batch(TOY)
         _, cache = forward(params, batch, train=True,
                            rng=np.random.default_rng(0))
-        grads = backward(params, cache, np.zeros(4))
+        grads = backward(params, cache, np.zeros(4), params.tensors.zeros_like())
         for name, g in grads.items():
             assert not g.any(), name
 
@@ -335,14 +335,14 @@ class TestBackward:
         batch = make_batch(TOY)
         _, cache = forward(params, batch, train=True, rng=np.random.default_rng(0))
         dl = np.array([0.3, -0.1, 0.7, 0.2])
-        grads = backward(params, cache, dl)
+        grads = backward(params, cache, dl, params.tensors.zeros_like())
         assert grads["head.b"] == pytest.approx(dl.sum(), abs=1e-15)
 
     def test_wrong_upstream_shape_rejected(self):
         params = randomize(init_params(TOY))
         _, cache = forward(params, make_batch(TOY), train=True, rng=np.random.default_rng(0))
         with pytest.raises(ShapeMismatch, match="dl_dlogits"):
-            backward(params, cache, np.zeros(3))
+            backward(params, cache, np.zeros(3), params.tensors.zeros_like())
 
     @pytest.mark.parametrize("dropout_p", [TOY.dropout_p, 0.0])
     def test_matches_finite_differences(self, dropout_p):
@@ -352,7 +352,8 @@ class TestBackward:
         keep = ((np.random.default_rng(9).random((4, 16)) < 0.7).astype(np.float64)
                 if dropout_p else None)
         logits, cache = forward(params, batch, train=True, head_mask=keep)
-        grads = backward(params, cache, bce_grad_logits(logits, batch.labels))
+        grads = backward(params, cache, bce_grad_logits(logits, batch.labels),
+                         params.tensors.zeros_like())
         if not dropout_p:
             assert cache.head_mask is None
             assert logits.tobytes() == forward(params, batch)[0].tobytes()
@@ -386,9 +387,42 @@ class TestBackward:
                                 d_model=16, d_ff=32, dtype="float64")
         other = init_params(other_cfg)
         with pytest.raises(StaleCache):
-            backward(other, cache, np.zeros(4))
+            backward(other, cache, np.zeros(4), other.tensors.zeros_like())
         with pytest.raises(StaleCache):
-            backward(params, None, np.zeros(4))
+            backward(params, None, np.zeros(4), params.tensors.zeros_like())
+
+
+class TestBackwardInto:
+    """``backward`` adds into the buffer it is given and checks its layout first."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_adds_into_a_nonzero_buffer(self, dtype, n_layers):
+        params = randomize(init_params(replace(TOY, n_layers=n_layers, dtype=dtype)))
+        batch = make_batch(TOY, pad_rows=[(1, 5), (3, 2)])
+        keep = (np.random.default_rng(9).random((4, 16)) < 0.7).astype(dtype)
+        logits, cache = forward(params, batch, train=True, head_mask=keep)
+        dl = bce_grad_logits(logits, batch.labels)
+        buf = params.tensors.zeros_like()
+        buf.flat[...] = np.random.default_rng(4).normal(size=buf.flat.size)
+        # the parent's order: backward into zeros, then one add per element
+        want = buf.flat + backward(params, cache, dl, params.tensors.zeros_like()).flat
+        assert backward(params, cache, dl, buf) is buf
+        assert buf.flat.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("other", [
+        replace(TOY, vocab_size=31),  # another shape
+        replace(TOY, n_layers=1),     # missing names
+        replace(TOY, dtype="float32"),  # the same shapes in another dtype
+    ])
+    def test_buffer_of_another_layout_rejected(self, other):
+        params = randomize(init_params(TOY))
+        _, cache = forward(params, make_batch(TOY), train=True, rng=np.random.default_rng(0))
+        buf = init_params(other).tensors
+        before = buf.flat.copy()
+        with pytest.raises(ShapeMismatch, match="layout"):
+            backward(params, cache, np.full(4, 0.5), buf)
+        assert buf.flat.tobytes() == before.tobytes()
 
 
 @st.composite
@@ -425,7 +459,7 @@ class TestFullSequenceOracle:
         params, batch, head_mask = case
         logits, cache = forward(params, batch, train=True, head_mask=head_mask)
         dl = bce_grad_logits(logits, batch.labels)
-        grads = backward(params, cache, dl)
+        grads = backward(params, cache, dl, params.tensors.zeros_like())
         ref_logits, ref_grads = _reference_train_step(params, batch, head_mask, dl)
 
         assert np.abs(logits - ref_logits).max() <= 1e-12 * np.abs(ref_logits).max()
@@ -462,7 +496,8 @@ def _run_all(params, batch, head_mask):
     """Eval logits, classify probabilities, train logits and every gradient."""
     eval_logits, _ = forward(params, batch)
     logits, cache = forward(params, batch, train=True, head_mask=head_mask)
-    grads = backward(params, cache, bce_grad_logits(logits, batch.labels))
+    grads = backward(params, cache, bce_grad_logits(logits, batch.labels),
+                     params.tensors.zeros_like())
     return {"eval": eval_logits, "classify": classify(params, batch),
             "train": logits, **grads}
 
@@ -550,7 +585,8 @@ class TestComputeDtype:
             for value in lc.values():
                 cached.extend(value if isinstance(value, tuple) else [value])
         assert all(a.dtype == np.float32 for a in cached)
-        grads = backward(params, cache, bce_grad_logits(logits, batch.labels))
+        grads = backward(params, cache, bce_grad_logits(logits, batch.labels),
+                         params.tensors.zeros_like())
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
         assert classify(params, batch).dtype == np.float64
 
@@ -566,6 +602,19 @@ def _built_four_ways(tmp_path):
 
 
 class TestFlatLayout:
+    @pytest.mark.parametrize("tensors", [
+        # one-layer tensors under a two-layer config
+        lambda: init_params(replace(TOY, n_layers=1)).tensors,
+        lambda: {name: t for name, t in init_params(TOY).tensors.items()
+                 if name != "head.w"},
+        lambda: dict(reversed(list(init_params(TOY).tensors.items()))),
+        lambda: {name: t.astype(np.float32) for name, t in init_params(TOY).tensors.items()},
+        lambda: init_params(replace(TOY, dtype="float32")).tensors,
+    ], ids=["layers", "missing", "order", "dtype-dict", "dtype-flat"])
+    def test_tensors_must_match_the_config(self, tensors):
+        with pytest.raises(ShapeMismatch, match="layout"):
+            ModelParams(tensors(), TOY)
+
     def test_every_tensor_is_a_view_of_one_buffer(self, tmp_path):
         for how, params in _built_four_ways(tmp_path).items():
             flat, n_decayed = params.tensors.flat, params.tensors.n_decayed
@@ -644,12 +693,12 @@ class TestCheckpoint:
     def test_layout_mismatch(self, tmp_path):
         cfg = ModelConfig(vocab_size=30, max_len=12, n_layers=1, n_heads=2,
                           d_model=16, d_ff=32)
-        params = init_params(cfg)
-        # lie about the layer count in the header
-        wrong = ModelConfig(vocab_size=30, max_len=12, n_layers=2, n_heads=2,
-                            d_model=16, d_ff=32)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(ModelParams(params.tensors, wrong), path)
+        save_checkpoint(init_params(cfg), path)
+        # lie about the layer count in the header, keeping its length
+        data = path.read_bytes()
+        assert data.count(b"n_layers=1\n") == 1
+        path.write_bytes(data.replace(b"n_layers=1\n", b"n_layers=2\n"))
         with pytest.raises(ShapeMismatch):
             load_checkpoint(path)
 

@@ -95,51 +95,48 @@ class TestSchedule:
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
+def add_grads(state, grads):
+    """Add one micro-batch's named gradients into the sum, as ``model.backward`` does."""
+    acc = accumulate(state)
+    for name, g in grads.items():
+        np.add(acc[name], g, out=acc[name])
+
+
 class TestAccumulate:
     def _setup(self, n_acc=4):
         params = tiny_params()
         cfg = OptimConfig(n_acc=n_acc)
         return params, init_state(params, cfg), cfg
 
-    def _grads(self, params, value):
-        return {k: np.full_like(v, value) for k, v in params.tensors.items()}
-
     def test_zero_grads_leave_buffer(self):
         params, state, _ = self._setup()
-        accumulate(state, self._grads(params, 0.0))
+        acc = accumulate(state)
+        assert acc is state.g_acc
+        acc.flat += 0.0
         assert not any(g.any() for g in state.g_acc.values())
         assert state.counter == 1
 
     def test_linearity(self):
         params, state, _ = self._setup()
-        g = self._grads(params, 0.5)
-        accumulate(state, g)
-        accumulate(state, g)
-        assert all((state.g_acc[k] == 1.0).all() for k in g)
+        for _ in range(2):
+            accumulate(state).flat += 0.5
+        assert all((state.g_acc[k] == 1.0).all() for k in params.names)
 
     def test_over_accumulation(self):
         params, state, _ = self._setup(n_acc=2)
-        g = self._grads(params, 1.0)
-        accumulate(state, g)
-        accumulate(state, g)
+        for value in (1.0, 2.5):
+            accumulate(state).flat += value
+        before = state.g_acc.flat.copy()
         with pytest.raises(OverAccumulation):
-            accumulate(state, g)
-
-    def test_shape_mismatch(self):
-        params, state, _ = self._setup()
-        bad = self._grads(params, 1.0)
-        bad["head.w"] = np.zeros(3)
-        with pytest.raises(ShapeMismatch):
-            accumulate(state, bad)
-        del bad["head.w"]
-        with pytest.raises(ShapeMismatch, match="names"):
-            accumulate(state, bad)
+            accumulate(state)
+        assert state.g_acc.flat.tobytes() == before.tobytes()
+        assert state.counter == 2
 
     def test_no_parameter_change(self):
         params, state, _ = self._setup()
-        before = {k: v.copy() for k, v in params.tensors.items()}
-        accumulate(state, self._grads(params, 2.0))
-        assert all(np.array_equal(before[k], params[k]) for k in before)
+        before = params.tensors.flat.copy()
+        accumulate(state).flat += 2.0
+        assert params.tensors.flat.tobytes() == before.tobytes()
 
 
 class TestFlush:
@@ -147,7 +144,7 @@ class TestFlush:
         params = tiny_params()
         cfg = OptimConfig(n_acc=4)
         state = init_state(params, cfg)
-        accumulate(state, {k: np.ones_like(v) for k, v in params.tensors.items()})
+        accumulate(state).flat += 1.0
         with pytest.raises(IncompleteAccumulation):
             flush(params, state, cfg)
         flush(params, state, cfg, allow_partial=True)  # leftover window is fine
@@ -164,7 +161,7 @@ class TestFlush:
         params = tiny_params(0.37)
         cfg = OptimConfig(n_acc=1, weight_decay=0.0)
         state = init_state(params, cfg)
-        accumulate(state, {k: np.zeros_like(v) for k, v in params.tensors.items()})
+        accumulate(state)
         flush(params, state, cfg)
         assert all((v == 0.37).all() for v in params.tensors.values())
 
@@ -173,7 +170,7 @@ class TestFlush:
         wd = 0.25
         cfg = OptimConfig(eta0=0.1, weight_decay=wd, n_acc=1)
         state = init_state(params, cfg)
-        accumulate(state, {k: np.zeros_like(v) for k, v in params.tensors.items()})
+        accumulate(state)
         flush(params, state, cfg)
         # theta <- theta * (1 - eta_1 * wd) on decayed tensors only
         assert params["head.w"][0] == pytest.approx(2.0 * (1 - 0.1 * wd), rel=1e-15)
@@ -186,7 +183,7 @@ class TestFlush:
         cfg = OptimConfig(eta0=6e-5, weight_decay=0.0, n_acc=1)
         state = init_state(params, cfg)
         g = 0.73
-        accumulate(state, {k: np.full_like(v, g) for k, v in params.tensors.items()})
+        accumulate(state).flat += g
         flush(params, state, cfg)
         oracle = scalar_adamw(1.0, [g], cfg.eta0, cfg.beta1, cfg.beta2,
                               cfg.epsilon, 0.0, decayed=False)
@@ -206,9 +203,7 @@ class TestFlush:
         for _ in range(100):
             g1, g2 = rng.normal(size=2)
             for g in (g1, g2):
-                accumulate(
-                    state, {k: np.full_like(v, g) for k, v in params.tensors.items()}
-                )
+                accumulate(state).flat += g
             flush(params, state, cfg)
             grad_means.append((g1 + g2) / 2.0)
         oracle = scalar_adamw(theta0, grad_means, cfg.eta0, cfg.beta1, cfg.beta2,
@@ -228,7 +223,7 @@ class TestFlush:
         cfg4 = OptimConfig(eta0=1e-2, weight_decay=0.0, n_acc=4)
         state4 = init_state(acc_params, cfg4)
         for g in grads:
-            accumulate(state4, g)
+            add_grads(state4, g)
         flush(acc_params, state4, cfg4)
 
         one_params = base.copy()
@@ -238,7 +233,7 @@ class TestFlush:
             k: (grads[0][k] + grads[1][k] + grads[2][k] + grads[3][k]) / 4.0
             for k in base.tensors
         }
-        accumulate(state1, mean_grad)
+        add_grads(state1, mean_grad)
         flush(one_params, state1, cfg1)
 
         for name in base.tensors:
@@ -251,10 +246,7 @@ class TestFlush:
         cfg = OptimConfig(n_acc=1)
         state = init_state(params, cfg)
         for _ in range(50):
-            accumulate(
-                state,
-                {k: rng.normal(size=v.shape) for k, v in params.tensors.items()},
-            )
+            add_grads(state, {k: rng.normal(size=v.shape) for k, v in params.tensors.items()})
             flush(params, state, cfg)
             assert all((v >= 0).all() for v in state.v.values())
 
@@ -265,10 +257,8 @@ class TestFlush:
             state = init_state(params, cfg)
             rng = np.random.default_rng(31)
             for _ in range(20):
-                accumulate(
-                    state,
-                    {k: rng.normal(size=v.shape) for k, v in params.tensors.items()},
-                )
+                add_grads(state,
+                          {k: rng.normal(size=v.shape) for k, v in params.tensors.items()})
                 flush(params, state, cfg)
             return params
 
@@ -296,7 +286,7 @@ class TestTiledFlush:
             scale = 10.0 ** rng.integers(-4, 2)
             grads = {k: (scale * rng.normal(size=t.shape)).astype(dtype)
                      for k, t in ref.items()}
-            accumulate(state, grads)
+            add_grads(state, grads)
             for k, g in grads.items():
                 ref_g[k] += g
             if state.counter == n_acc or i == n_micro - 1:
@@ -337,7 +327,7 @@ class TestTiledFlush:
         built_for = init_params(other)
         cfg = OptimConfig(n_acc=1)
         state = init_state(built_for, cfg)
-        accumulate(state, {k: np.ones_like(t) for k, t in built_for.tensors.items()})
+        accumulate(state).flat += 1.0
         params = init_params(self.CFG)
         before = params.tensors.flat.copy()
         with pytest.raises(ShapeMismatch, match="layout"):
