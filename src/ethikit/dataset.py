@@ -43,10 +43,6 @@ class DomainSpec:
         if self.text_b_col is not None and self.pack_separator is not None:
             raise ConfigError("text_b_col and pack_separator are exclusive")
 
-    @property
-    def has_pair(self) -> bool:
-        return self.text_b_col is not None or self.pack_separator is not None
-
 
 def _parse_specs(raw, source) -> dict[str, DomainSpec]:
     """Build DomainSpecs from the decoded JSON object of a spec file."""
@@ -150,44 +146,3 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-@dataclass(frozen=True)
-class SplitManifest:
-    """Expected per-split example counts."""
-
-    counts: dict[str, int]
-
-
-@dataclass(frozen=True)
-class ManifestCheck:
-    split: str
-    observed: int
-    expected: int
-
-    @property
-    def delta(self) -> int:
-        return self.observed - self.expected
-
-    @property
-    def ok(self) -> bool:
-        return self.delta == 0
-
-
-def verify_manifest(observed_counts: dict[str, int], expected: SplitManifest):
-    """Compare observed split sizes against a manifest, split by split."""
-    checks = [
-        ManifestCheck(split=split, observed=observed_counts.get(split, 0), expected=want)
-        for split, want in expected.counts.items()
-    ]
-    return checks
-
-
-def render_manifest_report(checks) -> str:
-    lines = []
-    for check in checks:
-        status = "pass" if check.ok else f"FAIL (delta {check.delta:+d})"
-        lines.append(
-            f"{check.split}: observed {check.observed}, expected {check.expected} -> {status}"
-        )
-    return "\n".join(lines)

@@ -101,12 +101,8 @@ class InvalidStep(EthikitError):
     """The learning-rate schedule was queried at step < 1."""
 
 
-class OverAccumulation(EthikitError):
-    """More micro-batch gradients were accumulated than the window holds."""
-
-
 class IncompleteAccumulation(EthikitError):
-    """flush was called before the accumulation window was filled."""
+    """flush was called before accumulate counted any micro-batch into the window."""
 
 
 # --- loss / metrics ---

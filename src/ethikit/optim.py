@@ -1,10 +1,12 @@
 """AdamW with decoupled weight decay, gradient accumulation, and 1/sqrt(t) decay.
 
-``accumulate`` counts a micro-batch and hands out the gradient sum, which
-``model.backward`` adds into. A flush divides by the window size, applies the
-bias-corrected moment update at the scheduled rate, and decays weight
-matrices (never biases or norm parameters) in the same step. The schedule
-step t counts flushes, not micro-batches.
+``model.backward`` adds each micro-batch's gradients into ``state.g_acc`` and
+``accumulate`` then counts that micro-batch. A flush divides the sum by the
+count, applies the bias-corrected moment update at the scheduled rate, and
+decays weight matrices (never biases or norm parameters) in the same step.
+How many micro-batches a window holds is the caller's choice: ``trainer.train``
+flushes after every ``OptimConfig.n_acc`` of them and at each epoch's end.
+The schedule step t counts flushes, not micro-batches.
 
 The moments and the gradient buffer share the parameters' flat layout
 (``model.FlatTensors``), so a flush walks all four buffers together in tiles
@@ -19,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ethikit.errors import (
-    ConfigError,
-    IncompleteAccumulation,
-    InvalidStep,
-    OverAccumulation,
-    ShapeMismatch,
-)
+from ethikit.errors import ConfigError, IncompleteAccumulation, InvalidStep, ShapeMismatch
 from ethikit.model import FlatTensors, ModelParams, _row_tiles
 
 
@@ -56,14 +52,13 @@ class OptimState:
     m: FlatTensors
     v: FlatTensors
     g_acc: FlatTensors
-    n_acc: int
     t: int = 0
     counter: int = 0
 
 
-def init_state(params: ModelParams, cfg: OptimConfig) -> OptimState:
+def init_state(params: ModelParams) -> OptimState:
     zeros = params.tensors.zeros_like
-    return OptimState(m=zeros(), v=zeros(), g_acc=zeros(), n_acc=cfg.n_acc)
+    return OptimState(m=zeros(), v=zeros(), g_acc=zeros())
 
 
 def lr_at(t: int, eta0: float) -> float:
@@ -73,35 +68,19 @@ def lr_at(t: int, eta0: float) -> float:
     return eta0 / math.sqrt(t)
 
 
-def accumulate(state: OptimState) -> FlatTensors:
-    """Count one micro-batch into the window; return the sum its gradients add into.
-
-    No parameter changes. A full window raises before the buffer is handed out.
-    """
-    if state.counter >= state.n_acc:
-        raise OverAccumulation(f"window already holds {state.n_acc} micro-batches")
+def accumulate(state: OptimState) -> None:
+    """Count one micro-batch whose gradients are already added into ``state.g_acc``."""
     state.counter += 1
-    return state.g_acc
 
 
-def flush(
-    params: ModelParams,
-    state: OptimState,
-    cfg: OptimConfig,
-    allow_partial: bool = False,
-) -> ModelParams:
-    """Apply one AdamW step from the accumulated mean gradient.
+def flush(params: ModelParams, state: OptimState, cfg: OptimConfig) -> None:
+    """Apply one AdamW step from the mean of the micro-batches the window holds.
 
-    ``allow_partial`` permits an under-filled window (an epoch's leftover
-    micro-batches); the mean then divides by the actual count so the update
-    stays unbiased.
+    The mean divides by the actual count, so an under-filled window (an
+    epoch's leftover micro-batches) still takes an unbiased step.
     """
     if state.counter == 0:
         raise IncompleteAccumulation("nothing accumulated")
-    if state.counter < state.n_acc and not allow_partial:
-        raise IncompleteAccumulation(
-            f"window holds {state.counter} of {state.n_acc} micro-batches"
-        )
 
     if not all(buf.same_layout(params.tensors) for buf in (state.m, state.v, state.g_acc)):
         raise ShapeMismatch("optimizer state was built for another parameter layout")
@@ -141,4 +120,3 @@ def flush(
         theta_t -= update
         g[...] = 0
     state.counter = 0
-    return params

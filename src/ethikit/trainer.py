@@ -2,12 +2,13 @@
 
 Training, scoring and evaluation take sets already encoded by
 ``batching.encode_examples``, so no text is tokenized here. Each epoch
-shuffles the training set, walks micro-batches through forward/loss/backward,
-with backward adding into the sum that ``optim.accumulate`` hands out, flushes
-each full window of ``n_acc`` micro-batches and, at the epoch's last
-micro-batch, a partial one, then records eval-mode loss and accuracy on both
-splits. The best checkpoint by validation accuracy (ties to lower validation
-loss) is retained.
+shuffles the training set and walks its micro-batches in windows of
+``n_acc``, the last window of an epoch holding what is left. Each micro-batch
+runs forward/loss/backward, backward adding its gradients into the optimizer's
+``g_acc``, and ``optim.accumulate`` then counts it; each window ends in one
+flush, which divides by that count. Each epoch then records eval-mode loss
+and accuracy on both splits. The best checkpoint by validation accuracy
+(ties to lower validation loss) is retained.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def train(train_set, val_set, cfg: TrainConfig):
         raise EmptyDataset("empty validation set")
 
     params = init_params(cfg.model)
-    state = init_state(params, cfg.optim)
+    state = init_state(params)
     dropout_rng = np.random.default_rng(cfg.model.seed)
 
     logs: list[EpochLog] = []
@@ -181,17 +182,17 @@ def train(train_set, val_set, cfg: TrainConfig):
         batches = make_batches(
             train_set, cfg.batch_size, order=order, max_len=cfg.model.max_len
         )
-        for i, batch in enumerate(batches):
-            logits, cache = forward(params, batch, train=True, rng=dropout_rng)
-            _require_finite(epoch, state.t + 1, {"logits": logits})
-            backward(params, cache, loss_mod.bce_grad_logits(logits, batch.labels),
-                     accumulate(state))
-            if state.counter == cfg.optim.n_acc or i == len(batches) - 1:
-                # One check of the flat buffer; only a failure searches by name.
-                if not np.isfinite(state.g_acc.flat).all():
-                    _require_finite(epoch, state.t + 1, state.g_acc, "gradient of ")
-                flush(params, state, cfg.optim,
-                      allow_partial=state.counter < cfg.optim.n_acc)
+        for start in range(0, len(batches), cfg.optim.n_acc):
+            for batch in batches[start:start + cfg.optim.n_acc]:
+                logits, cache = forward(params, batch, train=True, rng=dropout_rng)
+                _require_finite(epoch, state.t + 1, {"logits": logits})
+                backward(params, cache, loss_mod.bce_grad_logits(logits, batch.labels),
+                         state.g_acc)
+                accumulate(state)
+            # One check of the flat buffer; only a failure searches by name.
+            if not np.isfinite(state.g_acc.flat).all():
+                _require_finite(epoch, state.t + 1, state.g_acc, "gradient of ")
+            flush(params, state, cfg.optim)
 
         train_loss, train_acc = _eval_loss_acc(params, train_set, cfg.batch_size)
         val_loss, val_acc = _eval_loss_acc(params, val_set, cfg.batch_size)

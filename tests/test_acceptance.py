@@ -16,13 +16,7 @@ from scipy.special import expit
 
 from ethikit.batching import TokenBatch, encode_examples
 from ethikit.cli import main as cli_main
-from ethikit.dataset import (
-    SplitManifest,
-    default_specs,
-    load_split,
-    serialize_split,
-    verify_manifest,
-)
+from ethikit.dataset import default_specs, load_split, serialize_split
 from ethikit.loss import bce, bce_grad_logits
 from ethikit.metrics import ConfusionMatrix, auc, scalar_metrics
 from ethikit.model import (
@@ -153,11 +147,12 @@ def test_c02_optimizer_oracle():
     theta0 = float(params["head.w"][0])
     theta0_bias = float(params["head.b"])
     cfg = OptimConfig(eta0=2e-3, weight_decay=0.013, n_acc=1)
-    state = init_state(params, cfg)
+    state = init_state(params)
     grad_means = []
     for _ in range(100):
         g = float(rng.normal())
-        accumulate(state).flat += g
+        state.g_acc.flat += g
+        accumulate(state)
         flush(params, state, cfg)
         grad_means.append(g)
 
@@ -179,10 +174,11 @@ def test_c03_schedule_exactness():
     _report(3, "lr(1)=6e-5, lr(4)=3e-5, lr(100)=6e-6 exactly")
 
 
-def _add_named(total, grads):
-    """Add named gradients into the sum ``accumulate`` hands out, as backward does."""
+def _add_named(state, grads):
+    """Add named gradients into the sum, as backward does, then count them."""
     for name, g in grads.items():
-        np.add(total[name], g, out=total[name])
+        np.add(state.g_acc[name], g, out=state.g_acc[name])
+    accumulate(state)
 
 
 def test_c04_accumulation_equivalence():
@@ -193,17 +189,17 @@ def test_c04_accumulation_equivalence():
 
     acc = base.copy()
     cfg4 = OptimConfig(eta0=1e-2, weight_decay=0.0, n_acc=4)
-    state4 = init_state(acc, cfg4)
+    state4 = init_state(acc)
     for g in grads:
-        _add_named(accumulate(state4), g)
+        _add_named(state4, g)
     flush(acc, state4, cfg4)
 
     one = base.copy()
     cfg1 = OptimConfig(eta0=1e-2, weight_decay=0.0, n_acc=1)
-    state1 = init_state(one, cfg1)
+    state1 = init_state(one)
     mean_grad = {k: (grads[0][k] + grads[1][k] + grads[2][k] + grads[3][k]) / 4.0
                  for k in base.tensors}
-    _add_named(accumulate(state1), mean_grad)
+    _add_named(state1, mean_grad)
     flush(one, state1, cfg1)
 
     worst = max(
@@ -412,8 +408,7 @@ def test_c12_data_counts(fixtures_dir):
     for domain, (name, count) in fixture_files.items():
         observed[domain] = len(load_split(fixtures_dir / name, specs[domain]))
         expected[domain] = count
-    checks = verify_manifest(observed, SplitManifest(counts=expected))
-    assert all(c.ok for c in checks)
+    assert observed == expected
 
     data_dir = os.environ.get("ETHICS_DATA_DIR")
     if data_dir:
@@ -425,10 +420,10 @@ def test_c12_data_counts(fixtures_dir):
             assert len(load_split(test_file, specs[domain])) == TEST_COUNTS[domain]
             hard_file = _resolve_split_file(Path(data_dir), domain, "test_hard")
             assert len(load_split(hard_file, specs[domain])) == HARD_TEST_COUNTS[domain]
-        _report(12, "fixture manifest verified and real split counts match the "
+        _report(12, "fixture split counts verified and real split counts match the "
                     "published table")
     else:
-        _report(12, "fixture manifest verified (set ETHICS_DATA_DIR to also "
+        _report(12, "fixture split counts verified (set ETHICS_DATA_DIR to also "
                     "check the real splits)")
 
 

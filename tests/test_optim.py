@@ -5,15 +5,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ethikit.errors import (
-    ConfigError,
-    IncompleteAccumulation,
-    InvalidStep,
-    OverAccumulation,
-    ShapeMismatch,
-)
+from ethikit.batching import TokenBatch
+from ethikit.errors import ConfigError, IncompleteAccumulation, InvalidStep, ShapeMismatch
 from ethikit import model
-from ethikit.model import ModelConfig, init_params, is_weight_param
+from ethikit.loss import bce_grad_logits
+from ethikit.model import ModelConfig, backward, forward, init_params, is_weight_param
 from ethikit.optim import OptimConfig, accumulate, flush, init_state, lr_at
 
 
@@ -58,6 +54,15 @@ def per_tensor_flush(theta, m, v, g_acc, t, counter, cfg):
         g_acc[name][...] = 0
 
 
+def per_tensor_first_step(params, grads, cfg):
+    """Copies of the parameters after ``per_tensor_flush`` takes step 1 on one
+    micro-batch of named gradients."""
+    ref = {k: t.copy() for k, t in params.tensors.items()}
+    ref_m, ref_v = ({k: np.zeros_like(t) for k, t in ref.items()} for _ in range(2))
+    per_tensor_flush(ref, ref_m, ref_v, {k: np.array(grads[k]) for k in ref}, 1, 1, cfg)
+    return ref
+
+
 def tiny_params(value=1.0, dtype="float64"):
     cfg = ModelConfig(vocab_size=6, max_len=2, n_layers=1, n_heads=1,
                       d_model=2, d_ff=2, dtype=dtype)
@@ -96,72 +101,94 @@ class TestSchedule:
 
 
 def add_grads(state, grads):
-    """Add one micro-batch's named gradients into the sum, as ``model.backward`` does."""
-    acc = accumulate(state)
+    """Add one micro-batch's named gradients into the sum, as ``model.backward``
+    does, then count the micro-batch."""
     for name, g in grads.items():
-        np.add(acc[name], g, out=acc[name])
+        np.add(state.g_acc[name], g, out=state.g_acc[name])
+    accumulate(state)
 
 
 class TestAccumulate:
-    def _setup(self, n_acc=4):
+    def _setup(self):
         params = tiny_params()
-        cfg = OptimConfig(n_acc=n_acc)
-        return params, init_state(params, cfg), cfg
+        return params, init_state(params)
 
     def test_zero_grads_leave_buffer(self):
-        params, state, _ = self._setup()
-        acc = accumulate(state)
-        assert acc is state.g_acc
-        acc.flat += 0.0
+        params, state = self._setup()
+        add_grads(state, {k: np.zeros_like(v) for k, v in params.tensors.items()})
         assert not any(g.any() for g in state.g_acc.values())
         assert state.counter == 1
 
     def test_linearity(self):
-        params, state, _ = self._setup()
+        params, state = self._setup()
         for _ in range(2):
-            accumulate(state).flat += 0.5
-        assert all((state.g_acc[k] == 1.0).all() for k in params.names)
-
-    def test_over_accumulation(self):
-        params, state, _ = self._setup(n_acc=2)
-        for value in (1.0, 2.5):
-            accumulate(state).flat += value
-        before = state.g_acc.flat.copy()
-        with pytest.raises(OverAccumulation):
+            state.g_acc.flat += 0.5
             accumulate(state)
-        assert state.g_acc.flat.tobytes() == before.tobytes()
+        assert all((state.g_acc[k] == 1.0).all() for k in params.names)
         assert state.counter == 2
 
     def test_no_parameter_change(self):
-        params, state, _ = self._setup()
+        params, state = self._setup()
         before = params.tensors.flat.copy()
-        accumulate(state).flat += 2.0
+        state.g_acc.flat += 2.0
+        accumulate(state)
         assert params.tensors.flat.tobytes() == before.tobytes()
+
+    def test_failed_backward_is_not_counted(self):
+        cfg = ModelConfig(vocab_size=6, max_len=4, n_layers=1, n_heads=1,
+                          d_model=2, d_ff=2, dtype="float64")
+        params = init_params(cfg)
+        state = init_state(params)
+        batch = TokenBatch(ids=np.array([[2, 5, 3]]), mask=np.ones((1, 3), dtype=np.int8),
+                           labels=np.array([1]))
+        logits, cache = forward(params, batch, train=True, rng=np.random.default_rng(0))
+
+        def step(dl_dlogits):   # one micro-batch, as ``trainer.train`` runs it
+            backward(params, cache, dl_dlogits, state.g_acc)
+            accumulate(state)
+
+        before = state.g_acc.flat.copy()
+        with pytest.raises(ShapeMismatch, match="dl_dlogits"):
+            step(np.zeros(2))
+        assert state.counter == 0
+        assert state.g_acc.flat.tobytes() == before.tobytes()
+
+        dl = bce_grad_logits(logits, batch.labels)
+        step(dl)
+        assert state.counter == 1
+        # The flush takes the mean of the one micro-batch backward added.
+        ref = per_tensor_first_step(
+            params, backward(params, cache, dl, params.tensors.zeros_like()), OptimConfig())
+        flush(params, state, OptimConfig())
+        for name, arr in ref.items():
+            assert params[name].tobytes() == arr.tobytes(), name
 
 
 class TestFlush:
-    def test_requires_full_window(self):
-        params = tiny_params()
-        cfg = OptimConfig(n_acc=4)
-        state = init_state(params, cfg)
-        accumulate(state).flat += 1.0
-        with pytest.raises(IncompleteAccumulation):
-            flush(params, state, cfg)
-        flush(params, state, cfg, allow_partial=True)  # leftover window is fine
-        assert state.t == 1
+    def test_partial_window_flushes_its_own_mean(self):
+        rng = np.random.default_rng(37)
+        params = tiny_params(0.5)
+        cfg = OptimConfig(eta0=1e-2, n_acc=4)
+        state = init_state(params)
+        grads = {k: rng.normal(size=v.shape) for k, v in params.tensors.items()}
+        ref = per_tensor_first_step(params, grads, cfg)
+        add_grads(state, grads)   # one micro-batch of a four-batch window
+        flush(params, state, cfg)
+        assert (state.t, state.counter) == (1, 0)
+        for name, arr in ref.items():
+            assert params[name].tobytes() == arr.tobytes(), name
 
     def test_empty_window_rejected_even_partial(self):
         params = tiny_params()
-        cfg = OptimConfig(n_acc=4)
-        state = init_state(params, cfg)
+        state = init_state(params)
         with pytest.raises(IncompleteAccumulation):
-            flush(params, state, cfg, allow_partial=True)
+            flush(params, state, OptimConfig())
 
     def test_zero_gradient_fixed_point(self):
         params = tiny_params(0.37)
         cfg = OptimConfig(n_acc=1, weight_decay=0.0)
-        state = init_state(params, cfg)
-        accumulate(state)
+        state = init_state(params)
+        accumulate(state)   # a micro-batch of zero gradients
         flush(params, state, cfg)
         assert all((v == 0.37).all() for v in params.tensors.values())
 
@@ -169,7 +196,7 @@ class TestFlush:
         params = tiny_params(2.0)
         wd = 0.25
         cfg = OptimConfig(eta0=0.1, weight_decay=wd, n_acc=1)
-        state = init_state(params, cfg)
+        state = init_state(params)
         accumulate(state)
         flush(params, state, cfg)
         # theta <- theta * (1 - eta_1 * wd) on decayed tensors only
@@ -181,9 +208,10 @@ class TestFlush:
     def test_first_step_direction_and_value(self):
         params = tiny_params(1.0)
         cfg = OptimConfig(eta0=6e-5, weight_decay=0.0, n_acc=1)
-        state = init_state(params, cfg)
+        state = init_state(params)
         g = 0.73
-        accumulate(state).flat += g
+        state.g_acc.flat += g
+        accumulate(state)
         flush(params, state, cfg)
         oracle = scalar_adamw(1.0, [g], cfg.eta0, cfg.beta1, cfg.beta2,
                               cfg.epsilon, 0.0, decayed=False)
@@ -198,12 +226,13 @@ class TestFlush:
         params = tiny_params(rng.normal())
         theta0 = float(params["head.w"][0])
         cfg = OptimConfig(eta0=3e-3, weight_decay=0.02, n_acc=2)
-        state = init_state(params, cfg)
+        state = init_state(params)
         grad_means = []
         for _ in range(100):
             g1, g2 = rng.normal(size=2)
             for g in (g1, g2):
-                accumulate(state).flat += g
+                state.g_acc.flat += g
+                accumulate(state)
             flush(params, state, cfg)
             grad_means.append((g1 + g2) / 2.0)
         oracle = scalar_adamw(theta0, grad_means, cfg.eta0, cfg.beta1, cfg.beta2,
@@ -221,14 +250,14 @@ class TestFlush:
 
         acc_params = base.copy()
         cfg4 = OptimConfig(eta0=1e-2, weight_decay=0.0, n_acc=4)
-        state4 = init_state(acc_params, cfg4)
+        state4 = init_state(acc_params)
         for g in grads:
             add_grads(state4, g)
         flush(acc_params, state4, cfg4)
 
         one_params = base.copy()
         cfg1 = OptimConfig(eta0=1e-2, weight_decay=0.0, n_acc=1)
-        state1 = init_state(one_params, cfg1)
+        state1 = init_state(one_params)
         mean_grad = {
             k: (grads[0][k] + grads[1][k] + grads[2][k] + grads[3][k]) / 4.0
             for k in base.tensors
@@ -244,7 +273,7 @@ class TestFlush:
         rng = np.random.default_rng(29)
         params = tiny_params(1.0)
         cfg = OptimConfig(n_acc=1)
-        state = init_state(params, cfg)
+        state = init_state(params)
         for _ in range(50):
             add_grads(state, {k: rng.normal(size=v.shape) for k, v in params.tensors.items()})
             flush(params, state, cfg)
@@ -254,7 +283,7 @@ class TestFlush:
         def run():
             params = tiny_params(1.0)
             cfg = OptimConfig(n_acc=1)
-            state = init_state(params, cfg)
+            state = init_state(params)
             rng = np.random.default_rng(31)
             for _ in range(20):
                 add_grads(state,
@@ -280,7 +309,7 @@ class TestTiledFlush:
         ref = {k: t.copy() for k, t in params.tensors.items()}
         ref_m, ref_v, ref_g = ({k: np.zeros_like(t) for k, t in ref.items()} for _ in range(3))
         cfg = OptimConfig(eta0=3e-2, weight_decay=weight_decay, n_acc=n_acc)
-        state = init_state(params, cfg)
+        state = init_state(params)
         n_micro = 3 * n_acc + (n_acc > 1)   # with n_acc > 1, the last window is partial
         for i in range(n_micro):
             scale = 10.0 ** rng.integers(-4, 2)
@@ -291,7 +320,7 @@ class TestTiledFlush:
                 ref_g[k] += g
             if state.counter == n_acc or i == n_micro - 1:
                 per_tensor_flush(ref, ref_m, ref_v, ref_g, state.t + 1, state.counter, cfg)
-                flush(params, state, cfg, allow_partial=True)
+                flush(params, state, cfg)
         assert state.t == 3 + (n_acc > 1)
         for got, want in ((params.tensors, ref), (state.m, ref_m), (state.v, ref_v),
                           (state.g_acc, ref_g)):
@@ -312,7 +341,7 @@ class TestTiledFlush:
 
     def test_state_shares_the_parameter_layout(self):
         params = init_params(self.CFG)
-        state = init_state(params, OptimConfig())
+        state = init_state(params)
         for buf in (state.m, state.v, state.g_acc):
             assert buf.same_layout(params.tensors)
             assert buf.n_decayed == params.tensors.n_decayed
@@ -326,8 +355,9 @@ class TestTiledFlush:
     def test_state_for_another_layout_rejected(self, other):
         built_for = init_params(other)
         cfg = OptimConfig(n_acc=1)
-        state = init_state(built_for, cfg)
-        accumulate(state).flat += 1.0
+        state = init_state(built_for)
+        state.g_acc.flat += 1.0
+        accumulate(state)
         params = init_params(self.CFG)
         before = params.tensors.flat.copy()
         with pytest.raises(ShapeMismatch, match="layout"):

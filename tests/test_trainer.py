@@ -107,19 +107,21 @@ class TestTrain:
         assert [strip(a) for a in logs1] == [strip(b) for b in logs2]
 
     def test_flush_cadence(self, separable_encoded, separable_vocab, monkeypatch):
-        calls = []
+        counts = []
         real_flush = trainer_mod.flush
-        monkeypatch.setattr(
-            trainer_mod, "flush",
-            lambda *a, **k: (calls.append(k.get("allow_partial", False)),
-                             real_flush(*a, **k))[1],
-        )
+
+        def counting_flush(params, state, cfg):
+            counts.append(state.counter)
+            real_flush(params, state, cfg)
+
+        monkeypatch.setattr(trainer_mod, "flush", counting_flush)
         cfg = toy_train_config(separable_vocab, epochs=2, batch_size=10, n_acc=4)
         train(separable_encoded, separable_encoded[:8], cfg)
-        # 64 examples / batch 10 -> 7 micro-batches; ceil(7/4) = 2 flushes/epoch
-        per_epoch = len(calls) // 2
+        # 64 examples / batch 10 -> 7 micro-batches; ceil(7/4) = 2 flushes/epoch,
+        # the second over the epoch's 3 leftover micro-batches
+        per_epoch = len(counts) // 2
         assert per_epoch == math.ceil(7 / 4)
-        assert calls == [False, True, False, True]
+        assert counts == [4, 3, 4, 3]
 
     def test_non_finite_logits_stop_training(self, separable_encoded, separable_vocab,
                                              monkeypatch):
