@@ -132,6 +132,12 @@ def _sized(cfg: trainer_mod.TrainConfig, vocab: tok_mod.Vocab) -> trainer_mod.Tr
     return dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, vocab_size=len(vocab)))
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; a path that cannot be written raises UnusablePath."""
+    with reading(path):
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def _sparkline(values) -> str:
     lo, hi = min(values), max(values)
     span = hi - lo or 1.0
@@ -193,14 +199,15 @@ def _write_manifest(path: Path, settings: dict) -> None:
             for name in _INPUTS if settings[name]
         },
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _train_from_settings(settings: dict, out_dir: Path) -> int:
     """Shared by fresh runs and manifest replays; settings are plain JSON types."""
     train_cfg, tok_cfg = _configs(settings, _TRAIN_DEFAULTS, tok_mod.TokenizerConfig())
     trainer_mod.check_ratio(settings["val_ratio"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with reading(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     spec = dataset_mod.default_specs()[settings["domain"]]
     examples = _normalized(dataset_mod.load_split(settings["train_file"], spec))
     vocab = _vocab(settings["vocab_file"], tok_cfg, examples)
@@ -215,7 +222,7 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
     )
 
     save_checkpoint(best_params, out_dir / "best.ckpt")
-    (out_dir / "epochs.csv").write_text(trainer_mod.epoch_logs_csv(logs), encoding="utf-8")
+    _write_text(out_dir / "epochs.csv", trainer_mod.epoch_logs_csv(logs))
     _write_manifest(out_dir / "manifest.json", settings)
 
     last = logs[-1]
@@ -348,18 +355,15 @@ def cmd_evaluate(args) -> int:
           f"n={report.n}")
 
     if args.report:
-        Path(args.report).write_text(
-            metrics_mod.REPORT_CSV_HEADER + "\n"
-            + metrics_mod.report_csv_row(args.domain, report) + "\n",
-            encoding="utf-8",
-        )
+        _write_text(args.report, metrics_mod.REPORT_CSV_HEADER + "\n"
+                    + metrics_mod.report_csv_row(args.domain, report) + "\n")
     if args.scores:
         lines = ["example_id,label,score"]
         lines += [
             f"{i},{ex.label},{float(p)!r}"
             for i, (ex, p) in enumerate(zip(examples, report.scores))
         ]
-        Path(args.scores).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(args.scores, "\n".join(lines) + "\n")
     return 0
 
 
@@ -383,9 +387,9 @@ def cmd_filter_hard(args) -> int:
     # pool, so the output stays in the same format as its input.
     hard_raw, _ = hard_mod.filter_hard(pool_raw, scores, cfg.keep_quantile)
     dataset_mod.serialize_split(hard_raw, spec, args.out)
-    score_path = Path(args.scores_out) if args.scores_out else Path(args.out).with_suffix(".scores.csv")
+    score_path = args.scores_out or Path(args.out).with_suffix(".scores.csv")
     lines = ["example_id,score"] + [f"{i},{s!r}" for i, s in enumerate(scores.tolist())]
-    score_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(score_path, "\n".join(lines) + "\n")
     print(f"kept {len(hard_raw)} hard of {len(pool)} pool examples -> {args.out}")
     return 0
 
@@ -442,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, _TRAIN_DEFAULTS, _TRAIN_FLAGS)
     _add_config_flags(p, _TRAIN_DEFAULTS.model, _MODEL_FLAGS)
     _add_config_flags(p, _TRAIN_DEFAULTS.optim, _OPTIM_FLAGS)
-    p.add_argument("--val-ratio", type=float, default=trainer_mod.TRAIN_RATIO)
+    p.add_argument("--val-ratio", type=float, default=trainer_mod.TRAIN_RATIO,
+                   help="share of the rows to train on; the rest validate "
+                        "(default %(default)s)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a labeled file")

@@ -127,7 +127,7 @@ def serialize_split(examples, spec: DomainSpec, path) -> None:
     header = [spec.label_col, spec.text_a_col]
     if spec.text_b_col is not None:
         header.append(spec.text_b_col)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with reading(path), open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for ex in examples:

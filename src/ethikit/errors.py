@@ -58,21 +58,26 @@ class RaggedRow(EthikitError):
     """A data row has a different field count than the header."""
 
 
-class UnreadableFile(EthikitError):
-    """An input path is a directory or not permitted, or its text is not valid UTF-8."""
+class UnusablePath(EthikitError):
+    """A path to read or write cannot be used, or its text is not valid UTF-8.
+
+    It is a directory where a file is needed or the reverse, or not permitted.
+    """
 
 
 @contextmanager
 def reading(path):
-    """Turn a directory, a denied permission or undecodable text into UnreadableFile."""
+    """Turn an input or output path that cannot be used, or undecodable text, into UnusablePath."""
     try:
         yield
     except IsADirectoryError as exc:
-        raise UnreadableFile(f"{path}: is a directory, not a file") from exc
+        raise UnusablePath(f"{path}: is a directory, not a file") from exc
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UnusablePath(f"{path}: a file stands where a directory is needed") from exc
     except PermissionError as exc:
-        raise UnreadableFile(f"{path}: permission denied") from exc
+        raise UnusablePath(f"{path}: permission denied") from exc
     except UnicodeDecodeError as exc:
-        raise UnreadableFile(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        raise UnusablePath(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 # --- model / optimizer ---

@@ -7,6 +7,7 @@ equals brute-force pair counting exactly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -17,7 +18,10 @@ from ethikit.errors import EmptyInput, LengthMismatch, NonFiniteScore, SingleCla
 
 
 class DegenerateMetricWarning(UserWarning):
-    """A metric's denominator was zero; the value was pinned to 0."""
+    """A metric is undefined on its input and is reported as a stand-in.
+
+    A zero denominator reports 0; labels of one value report an AUC of NaN.
+    """
 
 
 @dataclass(frozen=True)
@@ -132,20 +136,28 @@ THRESHOLD = 0.5  # a score at or above it predicts the positive class
 def build_report(scores, labels) -> EvalReport:
     """Threshold scores at ``THRESHOLD``, then assemble the confusion matrix and metrics.
 
-    Raises NonFiniteScore if any score is NaN or infinite.
+    Raises NonFiniteScore if any score is NaN or infinite. Labels of one
+    value, as a hard split can hold, leave AUC undefined; it is reported as
+    NaN with a DegenerateMetricWarning.
     """
     scores, labels = _check_pair(scores, labels)
     check_finite(scores)
     preds = (np.asarray(scores, dtype=np.float64) >= THRESHOLD).astype(np.int64)
     cm = confusion(preds, labels)
     accuracy, precision, recall, f1 = scalar_metrics(cm)
+    try:
+        auc_value = auc(scores, labels)
+    except SingleClass:
+        warnings.warn("auc undefined (one label value); reporting nan",
+                      DegenerateMetricWarning, stacklevel=2)
+        auc_value = math.nan
     return EvalReport(
         confusion=cm,
         accuracy=accuracy,
         precision=precision,
         recall=recall,
         f1=f1,
-        auc=auc(scores, labels),
+        auc=auc_value,
         n=cm.total,
         scores=scores,
     )

@@ -25,7 +25,6 @@ eval mode never holds a [B, H, L, L] array.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import struct
@@ -155,9 +154,9 @@ class FlatTensors(Mapping):
     def __len__(self) -> int:
         return len(self._views)
 
-    def same_layout(self, other: "FlatTensors") -> bool:
-        return (list(self.shapes.items()) == list(other.shapes.items())
-                and self.flat.dtype == other.flat.dtype)
+    def same_layout(self, shapes: dict[str, tuple[int, ...]], dtype) -> bool:
+        """Whether these tensors are ``shapes``, in that order, in ``dtype``."""
+        return list(self.shapes.items()) == list(shapes.items()) and self.flat.dtype == dtype
 
     def zeros_like(self) -> "FlatTensors":
         return FlatTensors.zeros(self.shapes, self.flat.dtype)
@@ -180,8 +179,7 @@ class ModelParams:
             for name, t in tensors.items():
                 flat[name][...] = t
             tensors = flat
-        if (list(tensors.shapes.items()) != list(param_shapes(cfg).items())
-                or tensors.flat.dtype != cfg.dtype):
+        if not tensors.same_layout(param_shapes(cfg), cfg.dtype):
             raise ShapeMismatch("tensors do not match the layout of their config")
         self.tensors = tensors
         self.cfg = cfg
@@ -610,7 +608,7 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray,
     rows = cache.rows
     if dl_dlogits.shape != (rows.ids.shape[0],):
         raise ShapeMismatch("dl_dlogits must have one entry per batch row")
-    if not grads.same_layout(params.tensors):
+    if not grads.same_layout(params.tensors.shapes, params.dtype):
         raise ShapeMismatch("gradient buffer does not have the parameters' layout")
 
     t = params.tensors
@@ -689,24 +687,30 @@ def _cfg_from_text(text: str) -> ModelConfig:
         raise CorruptHeader(f"bad checkpoint config: {exc}") from exc
 
 
-def save_checkpoint(params: ModelParams, path) -> None:
-    """Header (``params.cfg`` as text) plus named little-endian float32 tensors."""
-    buf = io.BytesIO()
-    buf.write(_CKPT_MAGIC)
-    header = _cfg_to_text(params.cfg).encode("utf-8")
-    buf.write(struct.pack("<I", len(header)))
-    buf.write(header)
-    buf.write(struct.pack("<I", len(params.tensors)))
-    for name, tensor in params.tensors.items():
+def _records(shapes: dict[str, tuple[int, ...]]):
+    """Yield (name, record prefix) for each tensor of a ``param_shapes`` layout, in order.
+
+    A prefix packs the length of the UTF-8 name, the name, ndim and each dim;
+    the tensor's little-endian float32 data follows it in the file.
+    """
+    for name, shape in shapes.items():
         encoded = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", tensor.ndim))
-        for dim in tensor.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        try:
+            yield name, struct.pack(f"<I{len(encoded)}sB{len(shape)}I",
+                                    len(encoded), encoded, len(shape), *shape)
+        except struct.error as exc:
+            raise ShapeMismatch(f"{name} {shape} does not fit a checkpoint record") from exc
+
+
+def save_checkpoint(params: ModelParams, path) -> None:
+    """Header (``params.cfg`` as text), the tensor count, then each record and its data."""
+    header = _cfg_to_text(params.cfg).encode("utf-8")
+    parts = [_CKPT_MAGIC, struct.pack("<I", len(header)), header,
+             struct.pack("<I", len(params.tensors))]
+    for name, prefix in _records(params.tensors.shapes):
+        parts += (prefix, np.ascontiguousarray(params[name], dtype="<f4").tobytes())
+    with reading(path), open(path, "wb") as fh:
+        fh.write(b"".join(parts))
 
 
 def _read_exact(fh, n: int, size: int) -> bytes:
@@ -722,7 +726,7 @@ def _read_exact(fh, n: int, size: int) -> bytes:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Inverse of save_checkpoint."""
+    """Inverse of save_checkpoint; records must come in the order it writes them."""
     with reading(path), open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_CKPT_MAGIC))
@@ -741,29 +745,19 @@ def load_checkpoint(path) -> ModelParams:
         count = sum(math.prod(shape) for shape in expected.values())
         tensors = FlatTensors.zeros(expected, cfg.dtype) if 4 * count <= size else None
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, size))
-        seen: set[str] = set()
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, size))
-            name = _read_exact(fh, name_len, size).decode("utf-8", errors="replace")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1, size))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4, size))[0] for _ in range(ndim)
-            )
-            # Validate the declared layout before trusting it for a read size.
-            if name not in expected or name in seen:
-                raise ShapeMismatch(f"unexpected or duplicate tensor {name!r}")
-            if shape != expected[name]:
-                raise ShapeMismatch(
-                    f"{name}: stored {shape}, config implies {expected[name]}"
-                )
-            raw = _read_exact(fh, 4 * math.prod(shape), size)
-            seen.add(name)
+        if n_tensors != len(expected):
+            raise ShapeMismatch(f"{n_tensors} tensors stored, config implies {len(expected)}")
+        # Each stored prefix must be the one the config implies at its place,
+        # byte for byte, before its data length is trusted.
+        for name, prefix in _records(expected):
+            if _read_exact(fh, len(prefix), size) != prefix:
+                raise ShapeMismatch(f"stored record is not {name} {expected[name]}, "
+                                    "which the config implies at its place")
+            raw = _read_exact(fh, 4 * math.prod(expected[name]), size)
             if tensors is not None:
-                tensors[name][...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+                tensors[name][...] = np.frombuffer(raw, dtype="<f4").reshape(expected[name])
         trailing = size - fh.tell()
         if trailing:
             raise CorruptHeader(f"{trailing} trailing bytes after the last tensor")
 
-    if len(seen) != len(expected):
-        raise ShapeMismatch("checkpoint tensors do not match the config layout")
     return ModelParams(tensors, cfg)

@@ -82,7 +82,7 @@ def flush(params: ModelParams, state: OptimState, cfg: OptimConfig) -> None:
     if state.counter == 0:
         raise IncompleteAccumulation("nothing accumulated")
 
-    if not all(buf.same_layout(params.tensors) for buf in (state.m, state.v, state.g_acc)):
+    if not all(buf.same_layout(params.tensors.shapes, params.dtype) for buf in (state.m, state.v, state.g_acc)):
         raise ShapeMismatch("optimizer state was built for another parameter layout")
 
     state.t += 1

@@ -275,7 +275,7 @@ def decode(ids, vocab: Vocab) -> str:
 
 def save_vocab(vocab: Vocab, path) -> None:
     """One token per line; the line number is the id."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with reading(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         for tok in vocab.tokens:
             fh.write(tok + "\n")
 

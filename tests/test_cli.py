@@ -12,6 +12,7 @@ import pytest
 import ethikit
 from ethikit.cli import main
 from ethikit.dataset import default_specs, serialize_split
+from ethikit.metrics import DegenerateMetricWarning
 from tests.conftest import make_separable_examples
 
 FAST_TRAIN_FLAGS = [
@@ -414,6 +415,24 @@ class TestEvaluateCommand:
         assert code == 1
         assert "nowhere.ckpt" in capsys.readouterr().err
 
+    def test_one_label_file_reports_nan_auc(self, tmp_path, train_file, capsys):
+        # A hard split can hold one label value, which leaves AUC undefined.
+        out_dir = run_train(tmp_path, train_file)
+        positives = [ex for ex in make_separable_examples(40, seed=21) if ex.label == 1]
+        data = tmp_path / "hard.csv"
+        serialize_split(positives, default_specs()["justice"], data)
+        report_csv = tmp_path / "report.csv"
+        with pytest.warns(DegenerateMetricWarning, match="auc"):
+            code = main([
+                "evaluate", "--checkpoint", str(out_dir / "best.ckpt"),
+                "--data", str(data), "--domain", "justice", "--report", str(report_csv),
+            ])
+        assert code == 0
+        assert "auc=nan" in capsys.readouterr().out
+        assert report_csv.read_text().splitlines()[1].endswith(",nan")
+        assert main(["report", "--inputs", str(report_csv)]) == 0
+        assert "ours" in capsys.readouterr().out
+
     def test_oversized_tensor_dims_exit_1(self, tmp_path, train_file, capsys):
         out_dir = run_train(tmp_path, train_file)
         ckpt = out_dir / "best.ckpt"
@@ -602,6 +621,30 @@ class TestUnreadableInputs:
                      "--data", str(train_file), "--domain", "justice"])
         assert code == 1
         assert f"{vocab}: not UTF-8" in capsys.readouterr().err
+
+
+class TestUnusableOutputs:
+    """An output path that cannot be written ends in exit 1, naming the path."""
+
+    @pytest.mark.parametrize("argv, out_is_dir", [
+        (["build-vocab", "--input", "{data}", "--out", "{out}"], True),
+        (["train", "--train-file", "{data}", "--domain", "justice", "--out-dir", "{out}",
+          *FAST_TRAIN_FLAGS], False),
+        (["evaluate", "--checkpoint", "{ckpt}", "--data", "{data}", "--domain", "justice",
+          "--report", "{out}"], True),
+        (["filter-hard", "--dev", "{data}", "--pool", "{data}", "--domain", "justice",
+          "--out", "{out}", "--proxies", "1", "--epochs", "1", "--batch-size", "8",
+          "--max-len", "16", "--vocab-size", "300"], True),
+    ], ids=["build-vocab", "train", "evaluate", "filter-hard"])
+    def test_exit_1_naming_the_path(self, tmp_path, train_file, capsys, argv, out_is_dir):
+        out = tmp_path / "out"
+        if out_is_dir:
+            out.mkdir()
+        else:
+            out.write_text("a file, not a run directory\n")
+        ckpt = run_train(tmp_path, train_file) / "best.ckpt" if "{ckpt}" in argv else None
+        assert main([arg.format(data=train_file, out=out, ckpt=ckpt) for arg in argv]) == 1
+        assert f"{out}: " in capsys.readouterr().err
 
 
 class TestNonFiniteTraining:

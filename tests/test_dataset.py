@@ -19,7 +19,7 @@ from ethikit.errors import (
     MissingColumn,
     MissingField,
     RaggedRow,
-    UnreadableFile,
+    UnusablePath,
 )
 
 
@@ -114,11 +114,11 @@ class TestSpecs:
             load_specs(path)
 
     def test_unreadable_spec_file(self, tmp_path):
-        with pytest.raises(UnreadableFile, match="is a directory"):
+        with pytest.raises(UnusablePath, match="is a directory"):
             load_specs(tmp_path)
         path = tmp_path / "domains.json"
         path.write_bytes('{"justice": {"label_col": "\xe9"}}'.encode("latin-1"))
-        with pytest.raises(UnreadableFile, match="not UTF-8"):
+        with pytest.raises(UnusablePath, match="not UTF-8"):
             load_specs(path)
 
     def test_pack_and_pair_exclusive(self):

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from ethikit.errors import UnreadableFile, reading
+from ethikit.errors import UnusablePath, reading
 
 
 class TestReading:
@@ -11,9 +11,11 @@ class TestReading:
         (PermissionError(13, "Permission denied"), "data.csv: permission denied"),
         (UnicodeDecodeError("utf-8", b"\xe9", 0, 1, "invalid continuation byte"),
          "data.csv: not UTF-8 text (invalid continuation byte)"),
+        (FileExistsError(17, "File exists"), "data.csv: a file stands where a directory"),
+        (NotADirectoryError(20, "Not a directory"), "data.csv: a file stands where a directory"),
     ])
     def test_maps_to_unreadable_file(self, exc, message):
-        with pytest.raises(UnreadableFile, match=re.escape(message)) as info:
+        with pytest.raises(UnusablePath, match=re.escape(message)) as info:
             with reading("data.csv"):
                 raise exc
         assert info.value.__cause__ is exc

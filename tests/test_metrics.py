@@ -127,6 +127,17 @@ class TestReporting:
         with pytest.raises(NonFiniteScore):
             build_report([0.2, bad, 0.9, 0.1], [0, 0, 1, 1])
 
+    def test_build_report_on_one_class_reports_nan_auc(self):
+        scores, labels = [0.9, 0.4, 0.7], [1, 1, 1]
+        with pytest.warns(DegenerateMetricWarning, match="auc"):
+            report = build_report(scores, labels)
+        assert np.isnan(report.auc)
+        assert report.confusion == ConfusionMatrix(tp=2, fp=0, fn=1, tn=0)
+        assert (report.accuracy, report.precision, report.recall) == (2 / 3, 1.0, 2 / 3)
+        assert report.f1 == 0.8
+        with pytest.raises(SingleClass):
+            auc(scores, labels)
+
     def test_round_half_up(self):
         assert round_half_up(82.3275, 2) == 82.33
         assert round_half_up(82.325, 2) == 82.33

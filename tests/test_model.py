@@ -49,6 +49,17 @@ TINY = ModelConfig(vocab_size=6, max_len=3, n_layers=1, n_heads=2, d_model=4, d_
 # The v1 header of TINY, field order and number formatting included.
 TINY_HEADER = (b"vocab_size=6\nmax_len=3\nn_layers=1\nn_heads=2\nd_model=4\nd_ff=4\n"
                b"dropout_p=0.3\nseed=0\ndtype=float32\n")
+# TINY's tensors in the order of their v1 records.
+TINY_RECORDS = [
+    ("embed.tok", (6, 4)), ("embed.pos", (3, 4)),
+    *((f"layers.0.attn.{kind}{proj}", (4, 4) if kind == "w" else (4,))
+      for proj in "qkvo" for kind in "wb"),
+    ("layers.0.ln1.g", (4,)), ("layers.0.ln1.b", (4,)),
+    ("layers.0.ff.w1", (4, 4)), ("layers.0.ff.b1", (4,)),
+    ("layers.0.ff.w2", (4, 4)), ("layers.0.ff.b2", (4,)),
+    ("layers.0.ln2.g", (4,)), ("layers.0.ln2.b", (4,)),
+    ("head.w", (4,)), ("head.b", ()),
+]
 
 
 @pytest.fixture(scope="module")
@@ -706,6 +717,48 @@ class TestCheckpoint:
         start = len(_CKPT_MAGIC)
         (header_len,) = struct.unpack("<I", tiny_checkpoint[start:start + 4])
         assert tiny_checkpoint[start + 4:start + 4 + header_len] == TINY_HEADER
+
+    def test_v1_body_bytes(self, tmp_path):
+        # A v1 file written with struct alone: the tensor count, then per
+        # tensor the name length, name, ndim, dims and little-endian float32 data.
+        rng = np.random.default_rng(3)
+        tensors = {name: rng.standard_normal(shape).astype("<f4") for name, shape in TINY_RECORDS}
+        data = (_CKPT_MAGIC + struct.pack("<I", len(TINY_HEADER)) + TINY_HEADER
+                + struct.pack("<I", len(tensors)))
+        for name, t in tensors.items():
+            data += struct.pack("<I", len(name)) + name.encode("utf-8")
+            data += struct.pack(f"<B{t.ndim}I", t.ndim, *t.shape) + t.tobytes()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(data)
+        loaded = load_checkpoint(path)
+        assert loaded.cfg == TINY
+        assert loaded.names == list(tensors)
+        for name, t in tensors.items():
+            assert loaded[name].tobytes() == t.tobytes(), name
+        save_checkpoint(ModelParams(tensors, TINY), path)
+        assert path.read_bytes() == data
+
+    def test_records_out_of_order_rejected(self, tiny_checkpoint, tmp_path):
+        # ln1.g and ln1.b have one shape, so the swap keeps every length valid.
+        record = 4 + len(b"layers.0.ln1.g") + 1 + 4 + 4 * 4
+        start = tiny_checkpoint.index(b"layers.0.ln1.g") - 4
+        assert tiny_checkpoint[start + record + 4:].startswith(b"layers.0.ln1.b")
+        g, b = (tiny_checkpoint[at:at + record] for at in (start, start + record))
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(tiny_checkpoint[:start] + b + g + tiny_checkpoint[start + 2 * record:])
+        with pytest.raises(ShapeMismatch, match="layers.0.ln1.g"):
+            load_checkpoint(path)
+
+    def test_dims_beyond_the_format_rejected(self, tiny_checkpoint, tmp_path):
+        # A v1 dim is a uint32, so a config implying a larger one fits no record.
+        start = len(_CKPT_MAGIC)
+        (header_len,) = struct.unpack("<I", tiny_checkpoint[start:start + 4])
+        header = TINY_HEADER.replace(b"vocab_size=6", b"vocab_size=4294967296")
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(tiny_checkpoint[:start] + struct.pack("<I", len(header)) + header
+                         + tiny_checkpoint[start + 4 + header_len:])
+        with pytest.raises(ShapeMismatch, match="embed.tok .* does not fit"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("header", [
         *(TINY_HEADER.replace(line + b"\n", b"") for line in TINY_HEADER.splitlines()),

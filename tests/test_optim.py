@@ -343,7 +343,7 @@ class TestTiledFlush:
         params = init_params(self.CFG)
         state = init_state(params)
         for buf in (state.m, state.v, state.g_acc):
-            assert buf.same_layout(params.tensors)
+            assert buf.same_layout(params.tensors.shapes, params.dtype)
             assert buf.n_decayed == params.tensors.n_decayed
             for name in params.names:
                 assert np.shares_memory(buf[name], buf.flat), name
