@@ -93,6 +93,8 @@ def pad_batch(seqs, labels, l_cap: int) -> TokenBatch:
     if not seqs:
         raise EmptyBatch("no sequences to pad")
     lengths = [len(s) for s in seqs]
+    if min(lengths) == 0:
+        raise InvalidLength("an empty sequence has no token to attend to")
     if max(lengths) > l_cap:
         raise InvalidLength(f"sequence of length {max(lengths)} exceeds cap {l_cap}")
     width = min(max(lengths), l_cap)

@@ -27,7 +27,7 @@ from ethikit import report as report_mod
 from ethikit import tokenizer as tok_mod
 from ethikit import trainer as trainer_mod
 from ethikit.batching import DOMAINS, Example, encode_examples
-from ethikit.errors import ConfigError, EthikitError, ReplayMismatch, reading
+from ethikit.errors import ConfigError, EthikitError, ReplayMismatch, UnusablePath, reading
 from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
 
 RUN_ROOT_ENV = "ETHIKIT_RUN_ROOT"
@@ -138,6 +138,21 @@ def _write_text(path, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _check_outputs(*paths) -> None:
+    """Raise UnusablePath unless each of ``paths`` could be written as a file.
+
+    Commands check their outputs before any work, so a path that cannot be
+    written does not cost a run.
+    """
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise UnusablePath(f"{path}: is a directory, not a file")
+        if not path.parent.is_dir():
+            raise UnusablePath(f"{path}: {path.parent} is not a directory")
+        if not os.access(path.parent, os.W_OK) or (path.exists() and not os.access(path, os.W_OK)):
+            raise UnusablePath(f"{path}: permission denied")
+
+
 def _sparkline(values) -> str:
     lo, hi = min(values), max(values)
     span = hi - lo or 1.0
@@ -167,6 +182,7 @@ def cmd_normalize(args) -> int:
 # --- build-vocab ---
 
 def cmd_build_vocab(args) -> int:
+    _check_outputs(args.out)
     if args.input == "-":
         lines = _stdin_lines()
     else:
@@ -339,6 +355,7 @@ def cmd_train(args) -> int:
 # --- evaluate ---
 
 def cmd_evaluate(args) -> int:
+    _check_outputs(*filter(None, (args.report, args.scores)))
     ckpt_path = Path(args.checkpoint)
     params = load_checkpoint(ckpt_path)
     vocab_path = Path(args.vocab) if args.vocab else ckpt_path.parent / "vocab.txt"
@@ -374,6 +391,8 @@ def cmd_filter_hard(args) -> int:
     flags = vars(args)
     proxy, tok_cfg = _configs(_settings(flags), hard_mod.PROXY_RECIPE, hard_mod.PROXY_TOKENIZER)
     cfg = hard_mod.FilterConfig(proxy=proxy, **_fields(flags, _FILTER_FLAGS))
+    score_path = args.scores_out or Path(args.out).with_suffix(".scores.csv")
+    _check_outputs(args.out, score_path)
 
     spec = dataset_mod.default_specs()[args.domain]
     dev = _normalized(dataset_mod.load_split(args.dev, spec))
@@ -387,7 +406,6 @@ def cmd_filter_hard(args) -> int:
     # pool, so the output stays in the same format as its input.
     hard_raw, _ = hard_mod.filter_hard(pool_raw, scores, cfg.keep_quantile)
     dataset_mod.serialize_split(hard_raw, spec, args.out)
-    score_path = args.scores_out or Path(args.out).with_suffix(".scores.csv")
     lines = ["example_id,score"] + [f"{i},{s!r}" for i, s in enumerate(scores.tolist())]
     _write_text(score_path, "\n".join(lines) + "\n")
     print(f"kept {len(hard_raw)} hard of {len(pool)} pool examples -> {args.out}")

@@ -15,12 +15,14 @@ residuals skip padding. Attention alone scatters Q/K/V into the padded
 [B, H, L, dk] layout. A one-layer model has no such layer and stays padded.
 
 Attention and GELU run over tiles of whole rows (batch rows in attention),
-about ``_TILE`` elements each (at least one row). Attention runs softmax on
-a tile's query rows up to the longest row of the tile only, while its
-products keep every query row, zero past that extent. A tile therefore
-calls the same BLAS products and elementwise operations on each element as
-whole-batch evaluation would, so every result is bit-identical to it, and
-eval mode never holds a [B, H, L, L] array.
+about ``_TILE`` elements each (at least one row), so eval mode never holds a
+[B, H, L, L] array. With more than one layer, attention computes a tile's
+scores, softmax and context over its first m positions only, as queries and
+as keys, m being the tile's longest row: the keys dropped are masked in
+every row of the tile. Softmax rows then sum over m keys rather than L, so
+these models' bits depend on which rows share a tile; ``_TILE`` is a
+constant, so a replay is still bit-identical. A one-layer model keeps every
+key, and its results are those of whole-batch evaluation.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import os
 import struct
 import typing
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -303,50 +305,50 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _softmax_rows(extent, sl: slice, n_q: int) -> int:
-    """Query rows a tile runs softmax on: up to its longest row, or all of them."""
-    return n_q if extent is None else min(n_q, int(extent[sl].max()))
-
-
 def _attention(q, k, v, attn_bias, extent, keep_probs: bool):
     """Masked softmax attention, one tile of batch rows at a time.
 
     ``q`` is [B, H, Lq, K], ``k`` and ``v`` are [B, H, L, K], and scores are
-    scaled by 1/sqrt(K); ``extent``, unless None, gives the query rows of each
-    batch row that matter, and ``q`` is zero past them. Returns the context
+    scaled by 1/sqrt(K); ``extent``, unless None, gives the positions of each
+    batch row that matter, and no key past it is unmasked. Returns the context
     with heads merged, [B, Lq, H*K], and, when ``keep_probs``, the
-    [B, H, Lq, L] probabilities the backward pass reads. A tile runs softmax
-    on its query rows up to its longest row only; past that, its scores,
-    probabilities and context stay zero. A tile holds every key of its rows,
-    so each softmax row is computed whole, as it would be over the full batch.
+    probabilities the backward pass reads: one [t, H, mq, m] array per tile of
+    t rows. With an extent, a tile computes its first m positions only, m
+    being its longest row's extent, as keys and, up to Lq, as queries; the
+    context past them is left unset. The keys dropped are masked in every row
+    of the tile, so their probabilities are exact zeros, but each softmax row
+    now sums over m keys, not L, so the bits depend on the tile's rows.
     """
     b, h, n_q, dk = q.shape
     length = k.shape[2]
     scale = 1.0 / math.sqrt(dk)
     ctx = np.empty((b, n_q, h * dk), dtype=q.dtype)
     ctx_heads = _split_heads(ctx, h)
-    probs = np.empty((b, h, n_q, length), dtype=q.dtype) if keep_probs else None
+    probs = []
     k_t = k.transpose(0, 1, 3, 2)
     for sl in _row_tiles(b, h * n_q * length):
-        scores = np.matmul(q[sl], k_t[sl], out=None if probs is None else probs[sl])
-        p = scores[:, :, : _softmax_rows(extent, sl, n_q)]
+        m = length if extent is None else int(extent[sl].max())
+        m_q = min(n_q, m)
+        p = q[sl, :, :m_q] @ k_t[sl, :, :, :m]
         p *= scale
-        p += attn_bias[sl]
+        p += attn_bias[sl, :, :, :m]
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(scores, v[sl], out=ctx_heads[sl])
-    return ctx, probs
+        np.matmul(p, v[sl, :, :m], out=ctx_heads[sl, :, :m_q])
+        if keep_probs:
+            probs.append(p)
+    return ctx, tuple(probs) if keep_probs else None
 
 
 def _attention_backward(d_ctx, q, k, v, probs, extent):
     """Gradients of q, k and v with heads merged, one tile of batch rows at a time.
 
-    ``d_ctx`` is [B, H, Lq, K] and zero past each row's extent; the results
-    are [B, Lq, H*K], [B, L, H*K] and [B, L, H*K]. Like the forward pass, a
-    tile runs the softmax gradient on its query rows up to its longest row;
-    every product keeps all Lq rows, so its rounding matches whole-batch
-    evaluation.
+    ``d_ctx`` is [B, H, Lq, K] and zero past each row's extent, and ``probs``
+    holds the forward pass's per-tile probabilities; the results are
+    [B, Lq, H*K], [B, L, H*K] and [B, L, H*K]. Each tile works on the query
+    rows and keys its probabilities cover, so positions past them are left
+    unset when an extent trims them.
     """
     b, h, n_q, dk = q.shape
     length = k.shape[2]
@@ -356,19 +358,19 @@ def _attention_backward(d_ctx, q, k, v, probs, extent):
     d_v = np.empty_like(d_k)
     d_q_heads, d_k_heads, d_v_heads = (_split_heads(d, h) for d in (d_q, d_k, d_v))
     v_t = v.transpose(0, 1, 3, 2)
-    for sl in _row_tiles(b, h * n_q * length):
-        m = _softmax_rows(extent, sl, n_q)
-        p = probs[sl]
-        np.matmul(p.transpose(0, 1, 3, 2), d_ctx[sl], out=d_v_heads[sl])
+    for sl, p in zip(_row_tiles(b, h * n_q * length), probs):
+        m_q, m = p.shape[2:]
+        d_c = d_ctx[sl, :, :m_q]
+        np.matmul(p.transpose(0, 1, 3, 2), d_c, out=d_v_heads[sl, :, :m])
         # d_probs, turned into d_scores in place
-        d_scores = d_ctx[sl] @ v_t[sl]
-        d_rows, p_rows = d_scores[:, :, :m], p[:, :, :m]
-        d_rows -= (d_rows * p_rows).sum(axis=-1, keepdims=True)
-        d_rows *= p_rows
-        np.matmul(d_scores, k[sl], out=d_q_heads[sl])
-        d_q_heads[sl] *= scale
-        np.matmul(d_scores.transpose(0, 1, 3, 2), q[sl], out=d_k_heads[sl])
-        d_k_heads[sl] *= scale
+        d_scores = d_c @ v_t[sl, :, :, :m]
+        d_scores -= (d_scores * p).sum(axis=-1, keepdims=True)
+        d_scores *= p
+        d_q_tile, d_k_tile = d_q_heads[sl, :, :m_q], d_k_heads[sl, :, :m]
+        np.matmul(d_scores, k[sl, :, :m], out=d_q_tile)
+        d_q_tile *= scale
+        np.matmul(d_scores.transpose(0, 1, 3, 2), q[sl, :, :m_q], out=d_k_tile)
+        d_k_tile *= scale
     return d_q, d_k, d_v
 
 
@@ -378,7 +380,8 @@ class _Rows:
     A model with more than one layer keeps the computed positions only, the
     real ones and CLS, packed as [N, D] rows in batch-row order; ``real``
     holds their flat indices into the [B, L] batch and ``extent`` counts
-    each batch row's query rows for attention. A one-layer model, whose only
+    each batch row's positions up to its last computed one, which attention
+    trims its tiles to. A one-layer model, whose only
     layer computes just the CLS row past K/V, keeps the padded [B, L, D]
     layout, and both are None. ``x[rows.cls]`` is each batch row's CLS row,
     [B, 1, D], in either layout.
@@ -463,6 +466,10 @@ def _check_batch(params: ModelParams, batch: TokenBatch) -> None:
         )
     if int(batch.ids.min(initial=0)) < 0 or int(batch.ids.max(initial=0)) >= cfg.vocab_size:
         raise ShapeMismatch("token id outside the model vocabulary")
+    # A row with no key would get a uniform softmax over however many keys
+    # its attention tile holds.
+    if not batch.mask.any(axis=1).all():
+        raise ShapeMismatch("a batch row has no unmasked token")
 
 
 def _encoder(params: ModelParams, batch: TokenBatch, want_cache: bool):
@@ -702,6 +709,18 @@ def _records(shapes: dict[str, tuple[int, ...]]):
             raise ShapeMismatch(f"{name} {shape} does not fit a checkpoint record") from exc
 
 
+def _least_record_bytes(cfg: ModelConfig) -> int:
+    """A lower bound on the bytes of the record prefixes of ``cfg``'s layout.
+
+    Every layer adds the records of layer 1 or longer ones (its index has
+    at least as many digits), so one- and two-layer layouts bound any depth
+    without building its layout.
+    """
+    one, two = (sum(len(prefix) for _, prefix in _records(param_shapes(replace(cfg, n_layers=n))))
+                for n in (1, 2))
+    return one + (cfg.n_layers - 1) * (two - one)
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
     """Header (``params.cfg`` as text), the tensor count, then each record and its data."""
     header = _cfg_to_text(params.cfg).encode("utf-8")
@@ -738,6 +757,10 @@ def load_checkpoint(path) -> ModelParams:
         except UnicodeDecodeError as exc:
             raise CorruptHeader("undecodable header") from exc
         cfg = _cfg_from_text(header)
+        least = _least_record_bytes(cfg)
+        if least > size - fh.tell():
+            raise TruncatedCheckpoint(f"a {cfg.n_layers}-layer layout needs at least {least} "
+                                      f"bytes of records, only {size - fh.tell()} left in the file")
         expected = param_shapes(cfg)
         # The tensors are read straight into the model's buffer, allocated
         # only when the file is large enough to hold it. A smaller file still

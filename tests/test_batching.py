@@ -74,6 +74,11 @@ class TestPadBatch:
         with pytest.raises(InvalidLength):
             pad_batch([[CLS_ID] * 10], [1], l_cap=8)
 
+    def test_empty_sequence_rejected(self):
+        # Its mask row would be all zero: a row with no key to attend to.
+        with pytest.raises(InvalidLength, match="empty sequence"):
+            pad_batch([[CLS_ID, SEP_ID], []], [1, 0], l_cap=8)
+
 
 def _old_make_batches(examples, vocab, batch_size, shuffle_seed=None, max_len=128):
     """The batching path before examples were encoded once: a seeded shuffle

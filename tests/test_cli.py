@@ -647,6 +647,48 @@ class TestUnusableOutputs:
         assert f"{out}: " in capsys.readouterr().err
 
 
+class TestOutputsCheckedFirst:
+    """An output path that cannot be written fails before any model is trained or scored."""
+
+    @pytest.mark.parametrize("flag, target", [
+        ("--report", "dir"), ("--scores", "dir"), ("--report", "missing/eval.csv"),
+    ])
+    def test_evaluate_scores_nothing(self, tmp_path, train_file, capsys, monkeypatch,
+                                     flag, target):
+        import ethikit.trainer as trainer_mod
+
+        ckpt = run_train(tmp_path, train_file) / "best.ckpt"
+        (tmp_path / "dir").mkdir()
+        calls = []
+        monkeypatch.setattr(trainer_mod, "evaluate", lambda *a, **k: calls.append(a))
+        out = tmp_path / target
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(train_file),
+                     "--domain", "justice", flag, str(out)]) == 1
+        assert f"{out}: " in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--out", "{dir}"], "{dir}"),
+        (["--out", "{tmp}/h.csv", "--scores-out", "{dir}"], "{dir}"),
+        (["--out", "{tmp}/missing/h.csv"], "{tmp}/missing/h.csv"),
+        # the default scores path sits beside --out
+        (["--out", "{tmp}/h.csv"], "{tmp}/h.scores.csv"),
+    ], ids=["out-dir", "scores-out-dir", "out-missing-parent", "default-scores-dir"])
+    def test_filter_hard_trains_no_proxy(self, tmp_path, train_file, capsys, monkeypatch,
+                                         flags, named):
+        import ethikit.hard_filter as hard_mod
+
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "h.scores.csv").mkdir()
+        calls = []
+        monkeypatch.setattr(hard_mod, "train_proxies", lambda *a, **k: calls.append(a))
+        fill = dict(tmp=tmp_path, dir=tmp_path / "dir")
+        assert main(["filter-hard", "--dev", str(train_file), "--pool", str(train_file),
+                     "--domain", "justice", *(f.format(**fill) for f in flags)]) == 1
+        assert f"{Path(named.format(**fill))}: " in capsys.readouterr().err
+        assert calls == []
+
+
 class TestNonFiniteTraining:
     def test_nan_gradient_exit_1_without_checkpoint(self, tmp_path, train_file,
                                                    capsys, monkeypatch):
