@@ -1,7 +1,7 @@
 """Fixed-shape model inputs: sequence templates, truncation, dynamic padding.
 
-Single-text domains produce [CLS] text [SEP]; pair domains append the second
-segment and another [SEP]. ``encode_examples`` applies the template once per
+An example with one text becomes [CLS] text [SEP]; a pair appends its second
+text and another [SEP]. ``encode_examples`` applies the template once per
 example; every later consumer batches those ids, in an order it chooses, and
 truncates them to its own maximum length. Padding length adapts to the
 longest sequence in each batch, capped by the maximum sequence length.
@@ -14,21 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ethikit import tokenizer
-from ethikit.errors import EmptyBatch, InvalidConfig, InvalidLength, MissingField
+from ethikit.errors import EmptyBatch, InvalidConfig, InvalidLength
 from ethikit.tokenizer import CLS_ID, PAD_ID, SEP_ID, Vocab
-
-DOMAINS = ("commonsense", "justice", "virtue", "deontology")
-PAIR_DOMAINS = frozenset({"virtue", "deontology"})
 
 DEFAULT_MAX_LEN = 128
 DEFAULT_BATCH_SIZE = 32
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Example:
-    """One labeled scenario; pair domains carry a second text (trait/excuse)."""
+    """One labeled scenario; a pair carries a second text (trait/excuse)."""
 
-    domain: str
     text_a: str
     text_b: str | None = None
     label: int = 0
@@ -59,13 +55,9 @@ class TokenBatch:
 
 
 def format_sequence(ex: Example, vocab: Vocab) -> list[int]:
-    """Apply the per-domain template; texts must already be normalized."""
-    if ex.domain not in DOMAINS:
-        raise ValueError(f"unknown domain {ex.domain!r}")
+    """Apply the template the example's shape selects; texts must already be normalized."""
     ids = [CLS_ID] + tokenizer.encode(ex.text_a, vocab) + [SEP_ID]
-    if ex.domain in PAIR_DOMAINS:
-        if ex.text_b is None:
-            raise MissingField(f"{ex.domain} example lacks its second text")
+    if ex.text_b is not None:
         ids += tokenizer.encode(ex.text_b, vocab) + [SEP_ID]
     return ids
 

@@ -26,8 +26,10 @@ from ethikit import normalize as norm_mod
 from ethikit import report as report_mod
 from ethikit import tokenizer as tok_mod
 from ethikit import trainer as trainer_mod
-from ethikit.batching import DOMAINS, Example, encode_examples
-from ethikit.errors import ConfigError, EthikitError, ReplayMismatch, UnusablePath, reading
+from ethikit.batching import Example, encode_examples
+from ethikit.dataset import DOMAINS
+from ethikit.errors import (ConfigError, EthikitError, NotJson, ReplayMismatch, UnusablePath,
+                            reading)
 from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
 
 RUN_ROOT_ENV = "ETHIKIT_RUN_ROOT"
@@ -76,7 +78,7 @@ def _resolve_split_file(data_dir: Path, domain: str, split: str) -> Path:
     for cand in candidates:
         if cand.exists():
             return cand
-    raise FileNotFoundError(
+    raise UnusablePath(
         f"no {split} file for {domain} under {data_dir} (tried "
         + ", ".join(str(c) for c in candidates)
         + ")"
@@ -86,8 +88,9 @@ def _resolve_split_file(data_dir: Path, domain: str, split: str) -> Path:
 def _normalized(examples) -> list[Example]:
     """``examples`` with every text normalized by the packaged config."""
     cfg = norm_mod.default_config()
-    return [Example(ex.domain, norm_mod.normalize(ex.text_a, cfg),
-                    None if ex.text_b is None else norm_mod.normalize(ex.text_b, cfg), ex.label)
+    return [Example(text_a=norm_mod.normalize(ex.text_a, cfg),
+                    text_b=None if ex.text_b is None else norm_mod.normalize(ex.text_b, cfg),
+                    label=ex.label)
             for ex in examples]
 
 
@@ -188,9 +191,10 @@ def cmd_build_vocab(args) -> int:
     else:
         with reading(args.input), open(args.input, encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
-    if args.normalize:
-        cfg_norm = norm_mod.default_config()
-        lines = [norm_mod.normalize(line, cfg_norm) for line in lines]
+    # train, evaluate and filter-hard encode normalized text, so the vocab is
+    # learned from the same.
+    cfg_norm = norm_mod.default_config()
+    lines = [norm_mod.normalize(line, cfg_norm) for line in lines]
     cfg = tok_mod.TokenizerConfig(**_fields(vars(args), _BUILD_VOCAB_FLAGS))
     vocab = tok_mod.train_vocab(lines, cfg)
     tok_mod.save_vocab(vocab, args.out)
@@ -287,7 +291,11 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
     would not reproduce the recorded run, so each refuses to start.
     """
     with reading(manifest_path):
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        text = manifest_path.read_text(encoding="utf-8")
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise NotJson(f"{manifest_path}: manifest is not JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise ConfigError(f"{manifest_path}: manifest is not a JSON object")
     for key in ("config", "inputs"):
@@ -446,11 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="normalization config file")
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("build-vocab", help="train a subword vocabulary")
+    p = sub.add_parser("build-vocab", help="train a subword vocabulary on normalized lines")
     p.add_argument("--input", default="-", help="corpus file, '-' for stdin")
     _add_config_flags(p, tok_mod.TokenizerConfig(), _BUILD_VOCAB_FLAGS)
     p.add_argument("--out", required=True)
-    p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("train", help="fine-tune a classifier on one domain")
@@ -511,7 +518,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EthikitError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except EthikitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

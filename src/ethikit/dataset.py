@@ -1,20 +1,19 @@
 """Ingestion of ETHICS-format CSV files for the four domains.
 
-Column mappings ship as an editable JSON spec defaulting to the public
-dataset layout: commonsense and justice carry one text column, deontology a
-scenario/excuse pair, and virtue packs "scenario [SEP] trait" into a single
-column that gets split on load.
+One table states each domain's column layout, the public dataset's
+(Hendrycks et al. 2021): commonsense and justice carry one text column,
+deontology a scenario/excuse pair, and virtue packs "scenario [SEP] trait"
+into a single column that gets split on load. Library code with other column
+names passes its own ``DomainSpec`` to ``load_split``.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from dataclasses import dataclass
-from importlib import resources
 
-from ethikit.batching import DOMAINS, Example
+from ethikit.batching import Example
 from ethikit.errors import (
     BadLabel,
     ConfigError,
@@ -29,48 +28,36 @@ TEST_COUNTS = {"commonsense": 3885, "justice": 2704, "virtue": 4975, "deontology
 HARD_TEST_COUNTS = {"commonsense": 3964, "justice": 2052, "virtue": 4780, "deontology": 3536}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DomainSpec:
-    domain: str
+    """Where a file keeps its label and texts.
+
+    A second text has a column of its own, or follows ``pack_separator``
+    within the first text's column.
+    """
+
     label_col: str
     text_a_col: str
     text_b_col: str | None = None
     pack_separator: str | None = None
 
     def __post_init__(self) -> None:
-        if self.domain not in DOMAINS:
-            raise ConfigError(f"unknown domain {self.domain!r}")
         if self.text_b_col is not None and self.pack_separator is not None:
             raise ConfigError("text_b_col and pack_separator are exclusive")
 
 
-def _parse_specs(raw, source) -> dict[str, DomainSpec]:
-    """Build DomainSpecs from the decoded JSON object of a spec file."""
-    specs = {}
-    for domain, cols in raw.items():
-        for key in ("label_col", "text_a_col"):
-            if key not in cols:
-                raise ConfigError(f"{source}: spec for {domain!r} lacks {key!r}")
-        specs[domain] = DomainSpec(
-            domain=domain,
-            label_col=cols["label_col"],
-            text_a_col=cols["text_a_col"],
-            text_b_col=cols.get("text_b_col"),
-            pack_separator=cols.get("pack_separator"),
-        )
-    return specs
+_SPECS = {
+    "commonsense": DomainSpec(label_col="label", text_a_col="input"),
+    "justice": DomainSpec(label_col="label", text_a_col="scenario"),
+    "virtue": DomainSpec(label_col="label", text_a_col="scenario", pack_separator="[SEP]"),
+    "deontology": DomainSpec(label_col="label", text_a_col="scenario", text_b_col="excuse"),
+}
+DOMAINS = tuple(_SPECS)
 
 
 def default_specs() -> dict[str, DomainSpec]:
-    """Domain specs bundled with the package (public ETHICS layout)."""
-    ref = resources.files("ethikit.data") / "domains.json"
-    return _parse_specs(json.loads(ref.read_text(encoding="utf-8")), ref)
-
-
-def load_specs(path) -> dict[str, DomainSpec]:
-    """Load domain specs from a user-edited JSON file."""
-    with reading(path), open(path, encoding="utf-8") as fh:
-        return _parse_specs(json.load(fh), path)
+    """Each domain's spec in the public ETHICS layout, in ``DOMAINS`` order."""
+    return dict(_SPECS)
 
 
 def _parse_label(value: str, row_num: int) -> int:
@@ -116,9 +103,7 @@ def load_split(path, spec: DomainSpec) -> list[Example]:
                     part.strip()
                     for part in text_a.split(spec.pack_separator, 1)
                 )
-            examples.append(
-                Example(domain=spec.domain, text_a=text_a, text_b=text_b, label=label)
-            )
+            examples.append(Example(text_a=text_a, text_b=text_b, label=label))
     return examples
 
 

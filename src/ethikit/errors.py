@@ -35,7 +35,7 @@ class MalformedVocab(EthikitError):
 # --- batching / data ---
 
 class MissingField(EthikitError):
-    """A pair-domain example lacks its second text field."""
+    """A packed data row lacks the separator between its two texts."""
 
 
 class InvalidLength(EthikitError):
@@ -61,7 +61,8 @@ class RaggedRow(EthikitError):
 class UnusablePath(EthikitError):
     """A path to read or write cannot be used, or its text is not valid UTF-8.
 
-    It is a directory where a file is needed or the reverse, or not permitted.
+    It does not exist, is a directory where a file is needed or the reverse,
+    or is not permitted.
     """
 
 
@@ -70,6 +71,8 @@ def reading(path):
     """Turn an input or output path that cannot be used, or undecodable text, into UnusablePath."""
     try:
         yield
+    except FileNotFoundError as exc:
+        raise UnusablePath(f"{path}: no such file or directory") from exc
     except IsADirectoryError as exc:
         raise UnusablePath(f"{path}: is a directory, not a file") from exc
     except (FileExistsError, NotADirectoryError) as exc:
@@ -154,3 +157,7 @@ class NonFiniteTraining(EthikitError):
 
 class ReplayMismatch(EthikitError):
     """A replayed run's inputs or tool version differ from its manifest."""
+
+
+class NotJson(EthikitError):
+    """A file that must hold JSON text does not."""

@@ -12,7 +12,7 @@ import csv
 import json
 from importlib import resources
 
-from ethikit.batching import DOMAINS
+from ethikit.dataset import DOMAINS
 from ethikit.errors import EthikitError, reading
 from ethikit.metrics import REPORT_CSV_HEADER, round_half_up
 

@@ -39,7 +39,7 @@ def make_separable_examples(n: int, seed: int, flip_fraction: float = 0.0):
         words = [fillers[j] for j in rng.integers(0, len(fillers), size=6)]
         words[rng.integers(0, 6)] = "good" if label else "bad"
         stored = 1 - label if i < n_flip else label
-        examples.append(Example("justice", " ".join(words), label=stored))
+        examples.append(Example(text_a=" ".join(words), label=stored))
     return examples
 
 

@@ -9,30 +9,28 @@ from ethikit.batching import (
     pad_batch,
     truncate,
 )
-from ethikit.errors import EmptyBatch, InvalidLength, MissingField
+from ethikit.errors import EmptyBatch, InvalidLength
 from ethikit.tokenizer import CLS_ID, PAD_ID, SEP_ID
 from ethikit.trainer import split_train_val
 
 
 class TestFormatSequence:
     def test_single_text_template(self, tiny_vocab):
-        ex = Example("justice", "a b")
+        ex = Example(text_a="a b")
         ids = format_sequence(ex, tiny_vocab)
         a, b = tiny_vocab.id_of["a"], tiny_vocab.id_of["b"]
         assert ids == [CLS_ID, a, b, SEP_ID]
 
     def test_pair_template(self, tiny_vocab):
-        ex = Example("virtue", "a", text_b="b")
+        ex = Example(text_a="a", text_b="b")
         a, b = tiny_vocab.id_of["a"], tiny_vocab.id_of["b"]
         assert format_sequence(ex, tiny_vocab) == [CLS_ID, a, SEP_ID, b, SEP_ID]
 
-    def test_missing_pair_field(self, tiny_vocab):
-        with pytest.raises(MissingField):
-            format_sequence(Example("deontology", "a"), tiny_vocab)
-
-    def test_unknown_domain(self, tiny_vocab):
-        with pytest.raises(ValueError):
-            format_sequence(Example("utilitarianism", "a"), tiny_vocab)
+    def test_example_fields_are_keyword_only(self):
+        # a positional call written for a leading domain field fails loudly
+        # instead of binding the text to text_b
+        with pytest.raises(TypeError):
+            Example("justice", "a b")
 
 
 class TestTruncate:
@@ -95,8 +93,8 @@ def _old_make_batches(examples, vocab, batch_size, shuffle_seed=None, max_len=12
 
 class TestEncodeExamples:
     def test_untruncated_ids_and_label(self, tiny_vocab):
-        examples = [Example("justice", "a " * 300, label=1),
-                    Example("virtue", "a", text_b="b", label=0)]
+        examples = [Example(text_a="a " * 300, label=1),
+                    Example(text_a="a", text_b="b", label=0)]
         encoded = encode_examples(examples, tiny_vocab)
         assert [e.label for e in encoded] == [1, 0]
         assert encoded[0].ids == tuple(format_sequence(examples[0], tiny_vocab))
@@ -104,7 +102,7 @@ class TestEncodeExamples:
         assert encoded[1].ids == tuple(format_sequence(examples[1], tiny_vocab))
 
     def test_split_works_on_records(self, tiny_vocab):
-        examples = [Example("justice", "a b", label=i % 2) for i in range(20)]
+        examples = [Example(text_a="a b", label=i % 2) for i in range(20)]
         encoded = encode_examples(examples, tiny_vocab)
         enc_train, enc_val = split_train_val(encoded, seed=4)
         ex_train, ex_val = split_train_val(examples, seed=4)
@@ -115,7 +113,7 @@ class TestEncodeExamples:
 class TestMakeBatches:
     def _encoded(self, vocab, n):
         return encode_examples(
-            [Example("justice", "a b", label=i % 2) for i in range(n)], vocab
+            [Example(text_a="a b", label=i % 2) for i in range(n)], vocab
         )
 
     def test_chunk_sizes(self, tiny_vocab):
@@ -134,7 +132,7 @@ class TestMakeBatches:
 
     def test_seeds_give_distinct_permutations(self, tiny_vocab):
         # unique sequence lengths make the permutation observable per row
-        examples = [Example("justice", " ".join(["a"] * (i + 1))) for i in range(10)]
+        examples = [Example(text_a=" ".join(["a"] * (i + 1))) for i in range(10)]
         encoded = encode_examples(examples, tiny_vocab)
         orders = set()
         for seed in range(100):
@@ -146,16 +144,16 @@ class TestMakeBatches:
 
     def test_mask_rowsum_is_unpadded_length(self, tiny_vocab):
         examples = [
-            Example("justice", "a"),
-            Example("justice", "a b the cat"),
-            Example("virtue", "a", text_b="b"),
+            Example(text_a="a"),
+            Example(text_a="a b the cat"),
+            Example(text_a="a", text_b="b"),
         ]
         (batch,) = make_batches(encode_examples(examples, tiny_vocab), 8)
         # CLS + word pieces + SEP(s) per example
         assert batch.mask.sum(axis=1).tolist() == [3, 6, 5]
 
     def test_rows_capped_at_max_len(self, tiny_vocab):
-        encoded = encode_examples([Example("justice", "a " * 300)], tiny_vocab)
+        encoded = encode_examples([Example(text_a="a " * 300)], tiny_vocab)
         (batch,) = make_batches(encoded, 4, order=[0], max_len=128)
         assert batch.length == 128
         assert batch.ids[0, -1] == SEP_ID
@@ -168,9 +166,9 @@ class TestMakeBatches:
         for i in range(37):
             text = " ".join(rng.choice(words, size=int(rng.integers(1, 12))))
             if i % 3:
-                examples.append(Example("justice", text, label=i % 2))
+                examples.append(Example(text_a=text, label=i % 2))
             else:
-                examples.append(Example("deontology", text, text_b="the cat", label=1))
+                examples.append(Example(text_a=text, text_b="the cat", label=1))
         encoded = encode_examples(examples, tiny_vocab)
         for seed in (None, (0, 0), (5, 2)):
             old = _old_make_batches(examples, tiny_vocab, batch_size, seed, max_len)

@@ -11,7 +11,8 @@ import pytest
 
 import ethikit
 from ethikit.cli import main
-from ethikit.dataset import default_specs, serialize_split
+from ethikit.dataset import default_specs, load_split, serialize_split
+from ethikit.errors import UnusablePath
 from ethikit.metrics import DegenerateMetricWarning
 from tests.conftest import make_separable_examples
 
@@ -101,6 +102,18 @@ class TestBuildVocabCommand:
         assert lines[:5] == ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
         assert "the" in lines
 
+    def test_learns_from_normalized_lines(self, tmp_path, capsys):
+        # train, evaluate and filter-hard encode normalized text, so the
+        # vocab is learned from it too
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("THE CAT SAT ON THE MAT\n" * 5, encoding="utf-8")
+        out = tmp_path / "vocab.txt"
+        assert main(["build-vocab", "--input", str(corpus), "--size", "64",
+                     "--min-freq", "2", "--out", str(out)]) == 0
+        learned = out.read_text(encoding="utf-8").splitlines()[5:]
+        assert "the" in learned
+        assert not any(ch.isupper() for token in learned for ch in token)
+
 
 class TestTrainCommand:
     def test_recipe_defaults(self):
@@ -188,6 +201,12 @@ class TestTrainCommand:
                       "commonsense/cm_train.csv", "commonsense/commonsense_train.csv"):
             assert str(data_dir / tried) in err
         assert not (tmp_path / "run").exists()
+
+    def test_missing_split_is_unusable_path(self, tmp_path):
+        from ethikit.cli import _resolve_split_file
+
+        with pytest.raises(UnusablePath, match="no train file for virtue"):
+            _resolve_split_file(tmp_path, "virtue", "train")
 
     def test_data_dir_missing_split_names_each_path_once(self, tmp_path, capsys):
         # justice files use the domain name as their prefix, so the flat and
@@ -483,6 +502,25 @@ class TestFilterHardCommand:
         assert out.read_text().startswith("label,scenario\n")
         assert len(out.with_suffix(".scores.csv").read_text().splitlines()) == 33
 
+    def test_virtue_packed_pairs(self, tmp_path, fixtures_dir, capsys):
+        from ethikit.hard_filter import hard_indices
+
+        # virtue packs both texts into one column, the one such layout
+        pool = fixtures_dir / "virtue_test.csv"
+        out = tmp_path / "hard.csv"
+        assert main(["filter-hard", "--dev", str(pool), "--pool", str(pool),
+                     "--domain", "virtue", "--out", str(out), "--proxies", "1",
+                     "--epochs", "1", "--batch-size", "4", "--max-len", "32",
+                     "--vocab-size", "300"]) == 0
+        spec = default_specs()["virtue"]
+        rows = load_split(pool, spec)
+        score_lines = out.with_suffix(".scores.csv").read_text().splitlines()[1:]
+        scores = [float(line.split(",")[1]) for line in score_lines]
+        assert len(scores) == len(rows)
+        kept = [rows[i] for i in hard_indices(scores, 0.5)]
+        assert load_split(out, spec) == kept
+        assert f"kept {len(kept)} hard of {len(rows)} pool examples" in capsys.readouterr().out
+
 
 class TestBadNumbers:
     @pytest.mark.parametrize("command, flags", [
@@ -572,6 +610,21 @@ class TestUnreadableInputs:
         code = main(["train", "--replay", str(tmp_path), "--out-dir", str(tmp_path / "run")])
         assert code == 1
         assert "is a directory" in capsys.readouterr().err
+
+    def test_replay_manifest_not_json(self, tmp_path, capsys):
+        manifest = tmp_path / "bad.json"
+        manifest.write_text("label,scenario\n", encoding="utf-8")
+        code = main(["train", "--replay", str(manifest), "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        assert f"{manifest}: manifest is not JSON" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_train_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = main(["train", "--train-file", str(missing), "--domain", "justice",
+                     "--out-dir", str(tmp_path / "run"), *FAST_TRAIN_FLAGS])
+        assert code == 1
+        assert f"{missing}: no such file or directory" in capsys.readouterr().err
 
     def test_non_utf8_normalize_config(self, tmp_path, capsys):
         config = tmp_path / "norm.cfg"

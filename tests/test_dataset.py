@@ -1,15 +1,14 @@
-import json
 import os
 from pathlib import Path
 
 import pytest
 
+from ethikit.batching import Example
 from ethikit.dataset import (
     HARD_TEST_COUNTS,
     TEST_COUNTS,
     DomainSpec,
     default_specs,
-    load_specs,
     load_split,
     serialize_split,
 )
@@ -70,6 +69,20 @@ class TestLoadSplit:
         with pytest.raises(MissingField):
             load_split(path, default_specs()["virtue"])
 
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(UnusablePath, match=f"{path}: no such file"):
+            load_split(path, default_specs()["justice"])
+
+    def test_spec_built_in_code(self, tmp_path):
+        spec = DomainSpec(label_col="y", text_a_col="claim", text_b_col="reason")
+        path = tmp_path / "custom.csv"
+        path.write_text("id,reason,y,claim\n7,it was raining,1,I stayed in\n",
+                        encoding="utf-8")
+        assert load_split(path, spec) == [
+            Example(text_a="I stayed in", text_b="it was raining", label=1)
+        ]
+
 
 class TestSerializeRoundTrip:
     @pytest.mark.parametrize("domain,fixture", [
@@ -96,34 +109,9 @@ class TestSpecs:
         assert specs["virtue"].pack_separator == "[SEP]"
         assert specs["deontology"].text_b_col == "excuse"
 
-    def test_editable_spec_file(self, tmp_path):
-        path = tmp_path / "domains.json"
-        path.write_text(
-            '{"justice": {"label_col": "y", "text_a_col": "text"}}', encoding="utf-8"
-        )
-        specs = load_specs(path)
-        assert specs["justice"].label_col == "y"
-
-    @pytest.mark.parametrize("missing", ["label_col", "text_a_col"])
-    def test_missing_key_is_config_error(self, tmp_path, missing):
-        cols = {"label_col": "label", "text_a_col": "scenario"}
-        del cols[missing]
-        path = tmp_path / "domains.json"
-        path.write_text(json.dumps({"justice": cols}), encoding="utf-8")
-        with pytest.raises(ConfigError, match=f"'justice'.*'{missing}'"):
-            load_specs(path)
-
-    def test_unreadable_spec_file(self, tmp_path):
-        with pytest.raises(UnusablePath, match="is a directory"):
-            load_specs(tmp_path)
-        path = tmp_path / "domains.json"
-        path.write_bytes('{"justice": {"label_col": "\xe9"}}'.encode("latin-1"))
-        with pytest.raises(UnusablePath, match="not UTF-8"):
-            load_specs(path)
-
     def test_pack_and_pair_exclusive(self):
         with pytest.raises(ConfigError):
-            DomainSpec("virtue", "label", "scenario",
+            DomainSpec(label_col="label", text_a_col="scenario",
                        text_b_col="x", pack_separator="[SEP]")
 
 

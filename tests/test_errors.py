@@ -13,6 +13,7 @@ class TestReading:
          "data.csv: not UTF-8 text (invalid continuation byte)"),
         (FileExistsError(17, "File exists"), "data.csv: a file stands where a directory"),
         (NotADirectoryError(20, "Not a directory"), "data.csv: a file stands where a directory"),
+        (FileNotFoundError(2, "No such file or directory"), "data.csv: no such file or directory"),
     ])
     def test_maps_to_unreadable_file(self, exc, message):
         with pytest.raises(UnusablePath, match=re.escape(message)) as info:
@@ -21,6 +22,7 @@ class TestReading:
         assert info.value.__cause__ is exc
 
     def test_other_errors_pass_through(self):
-        with pytest.raises(FileNotFoundError):
+        # a full disk says nothing about the path, so it is not an UnusablePath
+        with pytest.raises(OSError, match="No space left on device"):
             with reading("data.csv"):
-                raise FileNotFoundError(2, "No such file or directory")
+                raise OSError(28, "No space left on device")

@@ -69,7 +69,7 @@ class TestEncodeOnce:
             return real_encode(text, vocab)
 
         monkeypatch.setattr(tokenizer_mod, "encode", counted_encode)
-        pair = lambda ex: Example("deontology", ex.text_a, text_b="the cat", label=ex.label)
+        pair = lambda ex: Example(text_a=ex.text_a, text_b="the cat", label=ex.label)
         dev = [pair(ex) for ex in make_separable_examples(20, seed=1)]
         pool = [pair(ex) for ex in make_separable_examples(30, seed=2)]
         cfg = FilterConfig(proxy=proxy_train_config(separable_vocab, epochs=2), n_proxies=3)
@@ -99,7 +99,7 @@ class TestScoreExamples:
 
     def test_mean_across_proxies(self, separable_vocab):
         # proxies with per-example losses 0.2 and 0.6 must average to 0.4
-        example = Example("justice", "the cat", label=1)
+        example = Example(text_a="the cat", label=1)
         proxies = [
             self._constant_prob_proxy(separable_vocab, math.exp(-0.2)),
             self._constant_prob_proxy(separable_vocab, math.exp(-0.6)),
@@ -110,7 +110,7 @@ class TestScoreExamples:
     def test_perfect_proxy_scores_bounded_by_clamp(self, separable_vocab):
         # probabilities saturated at the right label cost at most the clamp
         pos = self._constant_prob_proxy(separable_vocab, 1.0 - 1e-12)
-        examples = [Example("justice", "the cat", label=1)]
+        examples = [Example(text_a="the cat", label=1)]
         (score,) = score_examples([pos], examples, separable_vocab)
         assert score <= 2e-7
 
@@ -134,7 +134,7 @@ class TestScoreExamples:
 
 class TestFilterHard:
     def _pool(self, n):
-        return [Example("justice", f"t{i}", label=i % 2) for i in range(n)]
+        return [Example(text_a=f"t{i}", label=i % 2) for i in range(n)]
 
     def test_median_split_on_distinct_scores(self):
         pool = self._pool(10)

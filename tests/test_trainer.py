@@ -36,7 +36,7 @@ def toy_train_config(vocab, epochs=5, seed=0, lr=0.02, batch_size=16, n_acc=4):
 
 class TestSplit:
     def _balanced(self, n):
-        return [Example("justice", f"text {i}", label=i % 2) for i in range(n)]
+        return [Example(text_a=f"text {i}", label=i % 2) for i in range(n)]
 
     def test_sizes_follow_floor_convention(self):
         for n in (10, 21, 64, 97):
@@ -45,7 +45,7 @@ class TestSplit:
             assert len(train_set) + len(val_set) == n
 
     def test_stratified_within_one_example(self):
-        examples = [Example("justice", str(i), label=int(i < 30)) for i in range(100)]
+        examples = [Example(text_a=str(i), label=int(i < 30)) for i in range(100)]
         train_set, val_set = split_train_val(examples, 0.8, seed=2)
         whole_rate = 30 / 100
         for side in (train_set, val_set):
@@ -72,7 +72,7 @@ class TestSplit:
 
     def test_too_few(self):
         with pytest.raises(TooFewExamples):
-            split_train_val([Example("justice", "x", label=1)])
+            split_train_val([Example(text_a="x", label=1)])
 
 
 class TestTrain:
@@ -206,7 +206,7 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         words = ["the", "cat", "sat", "good", "bad", "mat", "dog"]
         examples = [
-            Example("justice", " ".join(rng.choice(words, size=int(n))), label=i % 2)
+            Example(text_a=" ".join(rng.choice(words, size=int(n))), label=i % 2)
             for i, n in enumerate(rng.integers(1, 30, size=45))
         ]
         encoded = encode_examples(examples, separable_vocab)
