@@ -411,7 +411,8 @@ def cmd_filter_hard(args) -> int:
     proxies = hard_mod.train_proxies(dev, cfg, vocab)
     scores = hard_mod.score_examples(proxies, pool, vocab, args.batch_size)
     # Partition the raw (pre-normalization) rows, parallel to the scored
-    # pool, so the output stays in the same format as its input.
+    # pool, so the output keeps the pool's texts. It holds only the spec's
+    # columns: other pool columns are dropped and packed texts re-joined.
     hard_raw, _ = hard_mod.filter_hard(pool_raw, scores, cfg.keep_quantile)
     dataset_mod.serialize_split(hard_raw, spec, args.out)
     lines = ["example_id,score"] + [f"{i},{s!r}" for i, s in enumerate(scores.tolist())]

@@ -35,7 +35,7 @@ class MalformedVocab(EthikitError):
 # --- batching / data ---
 
 class MissingField(EthikitError):
-    """A packed data row lacks the separator between its two texts."""
+    """A packed row lacks its separator, or an example to write does not fit its spec's layout."""
 
 
 class InvalidLength(EthikitError):
@@ -47,7 +47,7 @@ class EmptyBatch(EthikitError):
 
 
 class MissingColumn(EthikitError):
-    """A data file header lacks a column required by the domain spec."""
+    """A CSV file has no header, or its header does not name a needed column exactly once."""
 
 
 class BadLabel(EthikitError):
@@ -55,7 +55,7 @@ class BadLabel(EthikitError):
 
 
 class RaggedRow(EthikitError):
-    """A data row has a different field count than the header."""
+    """A CSV row has a different field count than the header, or the csv module cannot parse it."""
 
 
 class UnusablePath(EthikitError):
@@ -151,6 +151,13 @@ class QuantileOutOfRange(ConfigError):
 
 class NonFiniteTraining(EthikitError):
     """Training produced a NaN or infinite logit or accumulated gradient."""
+
+
+# --- report ---
+
+class MalformedReport(EthikitError):
+    """No report can be made: an evaluation CSV names an unknown domain or holds a
+    non-numeric metric, or there is no row or baseline table to show."""
 
 
 # --- cli ---

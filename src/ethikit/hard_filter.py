@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ethikit.batching import DEFAULT_BATCH_SIZE, encode_examples
-from ethikit.errors import EmptyDataset, InvalidConfig, QuantileOutOfRange
+from ethikit.errors import (
+    EmptyDataset,
+    InvalidConfig,
+    LengthMismatch,
+    QuantileOutOfRange,
+    ShapeMismatch,
+)
 from ethikit.loss import bce_terms
 from ethikit.metrics import check_finite
 from ethikit.model import ModelConfig, ModelParams
@@ -90,12 +96,15 @@ def score_examples(proxies, pool, vocab: Vocab,
 def hard_indices(scores, q: float) -> list[int]:
     """Pool positions scoring at or above the q-quantile, in pool order.
 
-    Raises EmptyDataset for no scores and NonFiniteScore for a NaN or
-    infinite one, which has no place in the order.
+    Raises ShapeMismatch for scores that are not a vector, EmptyDataset for
+    no scores and NonFiniteScore for a NaN or infinite one, which has no
+    place in the order.
     """
     if not 0.0 < q < 1.0:
         raise QuantileOutOfRange(f"q={q} outside (0, 1)")
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ShapeMismatch(f"scores of shape {scores.shape}, not a vector")
     if scores.size == 0:
         raise EmptyDataset("no scores to filter")
     check_finite(scores)
@@ -111,9 +120,9 @@ def filter_hard(pool, scores, q: float):
     hard side, and both subsets preserve pool order.
     """
     pool = list(pool)
-    if len(scores) != len(pool):
-        raise ValueError("scores must hold one value per pool example")
     keep = set(hard_indices(scores, q))
+    if len(scores) != len(pool):
+        raise LengthMismatch(f"{len(scores)} scores for {len(pool)} pool examples")
     hard = [ex for i, ex in enumerate(pool) if i in keep]
     easy = [ex for i, ex in enumerate(pool) if i not in keep]
     return hard, easy

@@ -14,7 +14,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from ethikit.errors import EmptyInput, LengthMismatch, NonFiniteScore, SingleClass
+from ethikit.errors import BadLabel, EmptyInput, LengthMismatch, NonFiniteScore, SingleClass
 
 
 class DegenerateMetricWarning(UserWarning):
@@ -49,12 +49,17 @@ class EvalReport:
 
 
 def _check_pair(a, b):
+    """Both as arrays of one shape, at least one element; ``b`` holds labels, each 0 or 1."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise LengthMismatch(f"{a.shape} vs {b.shape}")
     if a.size == 0:
         raise EmptyInput("no samples")
+    bad = (b != 0) & (b != 1)
+    if bad.any():
+        raise BadLabel(f"{int(bad.sum())} of {b.size} labels are not 0 or 1 "
+                       f"(first at index {int(np.argmax(bad))})")
     return a, b
 
 

@@ -8,22 +8,17 @@ digit from an average of the displayed (pre-rounded) cells.
 
 from __future__ import annotations
 
-import csv
 import json
 from importlib import resources
 
-from ethikit.dataset import DOMAINS
-from ethikit.errors import EthikitError, reading
+from ethikit.dataset import DOMAINS, read_rows
+from ethikit.errors import MalformedReport
 from ethikit.metrics import REPORT_CSV_HEADER, round_half_up
 
 AVERAGE_FOOTNOTE = (
     "* average recomputed from full-precision domain accuracies, "
     "then rounded half-up"
 )
-
-
-class MalformedReport(EthikitError):
-    """An evaluation CSV does not follow the expected layout."""
 
 
 def load_baselines(split: str) -> list[dict]:
@@ -39,22 +34,14 @@ def read_eval_csv(path) -> dict[str, dict[str, float]]:
     """Parse an evaluation CSV into {domain: {metric: fraction}}."""
     expected_cols = REPORT_CSV_HEADER.split(",")
     out: dict[str, dict[str, float]] = {}
-    with reading(path), open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_cols:
-            raise MalformedReport(f"{path}: header {header} != {expected_cols}")
-        for row in reader:
-            if len(row) != len(expected_cols):
-                raise MalformedReport(f"{path}: ragged row {row}")
-            domain = row[0]
-            if domain not in DOMAINS:
-                raise MalformedReport(f"{path}: unknown domain {domain!r}")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise MalformedReport(f"{path}: non-numeric cell in {row}") from exc
-            out[domain] = dict(zip(expected_cols[1:], values))
+    for domain, *cells in read_rows(path, expected_cols):
+        if domain not in DOMAINS:
+            raise MalformedReport(f"{path}: unknown domain {domain!r}")
+        try:
+            values = [float(v) for v in cells]
+        except ValueError as exc:
+            raise MalformedReport(f"{path}: non-numeric cell in {cells}") from exc
+        out[domain] = dict(zip(expected_cols[1:], values))
     return out
 
 

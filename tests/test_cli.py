@@ -662,6 +662,19 @@ class TestUnreadableInputs:
         assert main(["report", "--inputs", str(latin1_csv)]) == 1
         assert f"{latin1_csv}: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_csv_field_over_limit(self, tmp_path, capsys, command):
+        # a field past the csv module's size limit; each command skips the
+        # other's columns, so both read past the header
+        path = tmp_path / "big.csv"
+        path.write_text("label,scenario,domain,accuracy,precision,recall,f1,auc\n1,"
+                        + "x" * 200_000 + ",justice,1,1,1,1,1\n", encoding="utf-8")
+        argv = {"train": ["train", "--train-file", str(path), "--domain", "justice",
+                          "--out-dir", str(tmp_path / "run"), *FAST_TRAIN_FLAGS],
+                "report": ["report", "--inputs", str(path)]}[command]
+        assert main(argv) == 1
+        assert f"{path} line 2: field larger than field limit" in capsys.readouterr().err
+
     def test_directory_as_report_input(self, tmp_path, capsys):
         assert main(["report", "--inputs", str(tmp_path)]) == 1
         assert "is a directory" in capsys.readouterr().err
@@ -813,3 +826,13 @@ class TestReportCommand:
         path = tmp_path / "bad.csv"
         path.write_text("nope\n", encoding="utf-8")
         assert main(["report", "--inputs", str(path)]) == 1
+
+    def test_extra_columns_skipped(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "domain,exact_match,accuracy,precision,recall,f1,auc\n"
+            "justice,0.5,0.75,0.7,0.7,0.7,0.8\n",
+            encoding="utf-8",
+        )
+        assert main(["report", "--inputs", str(path)]) == 0
+        assert "75.00" in capsys.readouterr().out

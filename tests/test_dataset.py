@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,26 @@ class TestLoadSplit:
         with pytest.raises(MissingField):
             load_split(path, default_specs()["virtue"])
 
+    def test_error_names_the_row(self, tmp_path):
+        path = tmp_path / "justice.csv"
+        path.write_text("label,scenario\n1,fine\n0,fine\nyes,not a label\n", encoding="utf-8")
+        with pytest.raises(BadLabel, match=f"{re.escape(str(path))} row 4: label 'yes'"):
+            load_split(path, default_specs()["justice"])
+
+    @pytest.mark.parametrize("text, error, where", [
+        ("", MissingColumn, "0 columns named 'label'"),
+        ("label,scenario,scenario\n1,first,last\n", MissingColumn, "2 columns named 'scenario'"),
+        ("label,scenario\n1,a,b\n", RaggedRow, "row 2: 3 fields"),
+        # the csv module refuses a field past its (process-wide) size limit
+        ("label,scenario\n1,short\n0," + "x" * 200_000 + "\n", RaggedRow,
+         "line 3: field larger than field limit"),
+    ])
+    def test_unreadable_file_names_the_place(self, tmp_path, text, error, where):
+        path = tmp_path / "justice.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error, match=f"{re.escape(str(path))}:? {where}"):
+            load_split(path, default_specs()["justice"])
+
     def test_missing_file(self, tmp_path):
         path = tmp_path / "missing.csv"
         with pytest.raises(UnusablePath, match=f"{path}: no such file"):
@@ -99,6 +120,27 @@ class TestSerializeRoundTrip:
         again = load_split(out, spec)
         assert again == examples
 
+    @pytest.mark.parametrize("domain, example", [
+        ("virtue", Example(text_a="a b", label=1)),
+        ("virtue", Example(text_a="a [SEP] b", text_b="c", label=1)),
+        ("virtue", Example(text_a="a ", text_b="b", label=1)),
+        ("virtue", Example(text_a="a", text_b=" b", label=1)),
+        ("justice", Example(text_a="a", text_b="b", label=0)),
+        ("deontology", Example(text_a="a", label=0)),
+    ])
+    def test_misfit_raises_and_writes_nothing(self, tmp_path, domain, example):
+        out = tmp_path / "out.csv"
+        fits = Example(text_a="fits", text_b="pair" if domain != "justice" else None, label=1)
+        with pytest.raises(MissingField, match="would not read back"):
+            serialize_split([fits, example], default_specs()[domain], out)
+        assert not out.exists()
+
+    def test_label_outside_0_1_raises(self, tmp_path):
+        out = tmp_path / "out.csv"
+        with pytest.raises(BadLabel, match="label '2' not in"):
+            serialize_split([Example(text_a="a", label=2)], default_specs()["justice"], out)
+        assert not out.exists()
+
 
 class TestSpecs:
     def test_defaults_cover_all_domains(self):
@@ -113,6 +155,11 @@ class TestSpecs:
         with pytest.raises(ConfigError):
             DomainSpec(label_col="label", text_a_col="scenario",
                        text_b_col="x", pack_separator="[SEP]")
+
+    @pytest.mark.parametrize("fields", [{"pack_separator": ""}, {"text_b_col": "scenario"}])
+    def test_empty_separator_or_repeated_column_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            DomainSpec(label_col="label", text_a_col="scenario", **fields)
 
 
 class TestManifest:

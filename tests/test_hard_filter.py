@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from ethikit.batching import Example, encode_examples
-from ethikit.errors import EmptyDataset, InvalidConfig, NonFiniteScore, QuantileOutOfRange
+from ethikit.errors import (
+    EmptyDataset,
+    InvalidConfig,
+    LengthMismatch,
+    NonFiniteScore,
+    QuantileOutOfRange,
+)
 from ethikit.hard_filter import (
     FilterConfig,
     filter_hard,
@@ -188,7 +194,7 @@ class TestFilterHard:
             filter_hard(pool, scores, 0.5)
 
     def test_scores_must_cover_pool(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(LengthMismatch, match="1 scores for 3 pool examples"):
             filter_hard(self._pool(3), np.array([1.0]), 0.5)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ethikit.errors import EmptyInput, LengthMismatch, NonFiniteScore, SingleClass
+from ethikit.errors import BadLabel, EmptyInput, LengthMismatch, NonFiniteScore, SingleClass
 from ethikit.metrics import (
     ConfusionMatrix,
     DegenerateMetricWarning,
@@ -137,6 +137,14 @@ class TestReporting:
         assert report.f1 == 0.8
         with pytest.raises(SingleClass):
             auc(scores, labels)
+
+    @pytest.mark.parametrize("metric", [
+        build_report, auc, lambda scores, labels: confusion(np.round(scores), labels),
+    ])
+    def test_labels_outside_0_1_rejected(self, metric):
+        # cast to bool, 2 and -1 would count as positives (accuracy 1.0)
+        with pytest.raises(BadLabel, match="2 of 3 labels are not 0 or 1"):
+            metric([0.9, 0.1, 0.8], [2, 0, -1])
 
     def test_round_half_up(self):
         assert round_half_up(82.3275, 2) == 82.33
