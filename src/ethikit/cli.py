@@ -86,10 +86,9 @@ def _resolve_split_file(data_dir: Path, domain: str, split: str) -> Path:
 
 
 def _normalized(examples) -> list[Example]:
-    """``examples`` with every text normalized by the packaged config."""
-    cfg = norm_mod.default_config()
-    return [Example(text_a=norm_mod.normalize(ex.text_a, cfg),
-                    text_b=None if ex.text_b is None else norm_mod.normalize(ex.text_b, cfg),
+    """``examples`` with every text normalized by the default table."""
+    return [Example(text_a=norm_mod.normalize(ex.text_a),
+                    text_b=None if ex.text_b is None else norm_mod.normalize(ex.text_b),
                     label=ex.label)
             for ex in examples]
 
@@ -121,10 +120,8 @@ def _configs(settings: dict, train: trainer_mod.TrainConfig, tok: tok_mod.Tokeni
     return train, dataclasses.replace(tok, **_fields(settings, _TOKENIZER_FLAGS))
 
 
-def _vocab(path: str | None, cfg: tok_mod.TokenizerConfig | None, examples) -> tok_mod.Vocab:
-    """The vocab at ``path`` if one is named, else the one ``cfg`` learns from ``examples``."""
-    if path:
-        return tok_mod.load_vocab(path)
+def _learned_vocab(cfg: tok_mod.TokenizerConfig, examples) -> tok_mod.Vocab:
+    """The vocab ``cfg`` learns from the texts of ``examples``."""
     corpus = [ex.text_a for ex in examples]
     corpus += [ex.text_b for ex in examples if ex.text_b is not None]
     return tok_mod.train_vocab(corpus, cfg)
@@ -176,9 +173,8 @@ def _stdin_lines() -> list[str]:
 
 
 def cmd_normalize(args) -> int:
-    cfg = norm_mod.load_config(args.config) if args.config else norm_mod.default_config()
     for line in _stdin_lines():
-        sys.stdout.write(norm_mod.normalize(line, cfg) + "\n")
+        sys.stdout.write(norm_mod.normalize(line) + "\n")
     return 0
 
 
@@ -193,8 +189,7 @@ def cmd_build_vocab(args) -> int:
             lines = [line.rstrip("\n") for line in fh]
     # train, evaluate and filter-hard encode normalized text, so the vocab is
     # learned from the same.
-    cfg_norm = norm_mod.default_config()
-    lines = [norm_mod.normalize(line, cfg_norm) for line in lines]
+    lines = [norm_mod.normalize(line) for line in lines]
     cfg = tok_mod.TokenizerConfig(**_fields(vars(args), _BUILD_VOCAB_FLAGS))
     vocab = tok_mod.train_vocab(lines, cfg)
     tok_mod.save_vocab(vocab, args.out)
@@ -204,7 +199,12 @@ def cmd_build_vocab(args) -> int:
 
 # --- train ---
 
-def _write_manifest(path: Path, settings: dict) -> None:
+def _input_hashes(settings: dict) -> dict[str, str]:
+    """The sha256 of each input file that ``settings`` name, by setting."""
+    return {name: dataset_mod.file_sha256(settings[name]) for name in _INPUTS if settings[name]}
+
+
+def _write_manifest(path: Path, settings: dict, hashes: dict[str, str]) -> None:
     """Record a train run's settings with the hash of each input file they name."""
     manifest = {
         "tool": "ethikit",
@@ -213,24 +213,29 @@ def _write_manifest(path: Path, settings: dict) -> None:
         "command": "train",
         "seed": settings["model"]["seed"],
         "config": settings,
-        "inputs": {
-            name: {"path": str(Path(settings[name])),
-                   "sha256": dataset_mod.file_sha256(settings[name])}
-            for name in _INPUTS if settings[name]
-        },
+        "inputs": {name: {"path": str(Path(settings[name])), "sha256": sha256}
+                   for name, sha256 in hashes.items()},
     }
     _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _train_from_settings(settings: dict, out_dir: Path) -> int:
-    """Shared by fresh runs and manifest replays; settings are plain JSON types."""
+    """Shared by fresh runs and manifest replays; settings are plain JSON types.
+
+    The inputs are read, checked and hashed before ``out_dir`` is made, so a
+    bad input leaves no run directory and the manifest holds the hashes of
+    the bytes the run read.
+    """
     train_cfg, tok_cfg = _configs(settings, _TRAIN_DEFAULTS, tok_mod.TokenizerConfig())
     trainer_mod.check_ratio(settings["val_ratio"])
-    with reading(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
     spec = dataset_mod.default_specs()[settings["domain"]]
     examples = _normalized(dataset_mod.load_split(settings["train_file"], spec))
-    vocab = _vocab(settings["vocab_file"], tok_cfg, examples)
+    vocab = tok_mod.load_vocab(settings["vocab_file"]) if settings["vocab_file"] else None
+    hashes = _input_hashes(settings)
+    with reading(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    if vocab is None:
+        vocab = _learned_vocab(tok_cfg, examples)
     tok_mod.save_vocab(vocab, out_dir / "vocab.txt")
     train_cfg = _sized(train_cfg, vocab)
 
@@ -243,7 +248,7 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
 
     save_checkpoint(best_params, out_dir / "best.ckpt")
     _write_text(out_dir / "epochs.csv", trainer_mod.epoch_logs_csv(logs))
-    _write_manifest(out_dir / "manifest.json", settings)
+    _write_manifest(out_dir / "manifest.json", settings, hashes)
 
     last = logs[-1]
     print(f"trained {settings['epochs']} epoch(s) on {len(train_set)} examples "
@@ -321,12 +326,10 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
             f"{manifest_path}: recorded by ethikit {version}, "
             f"this is ethikit {ethikit.__version__}"
         )
-    for name, path in named.items():
-        with reading(path):
-            actual = dataset_mod.file_sha256(path)
+    for name, actual in _input_hashes(config).items():
         if actual != inputs[name]["sha256"]:
             raise ReplayMismatch(
-                f"{path} ({name}) changed since the recorded run: "
+                f"{named[name]} ({name}) changed since the recorded run: "
                 f"sha256 {actual}, manifest has {inputs[name]['sha256']}"
             )
     return config
@@ -406,7 +409,7 @@ def cmd_filter_hard(args) -> int:
     dev = _normalized(dataset_mod.load_split(args.dev, spec))
     pool_raw = dataset_mod.load_split(args.pool, spec)
     pool = _normalized(pool_raw)
-    vocab = _vocab(args.vocab, tok_cfg, dev + pool)
+    vocab = tok_mod.load_vocab(args.vocab) if args.vocab else _learned_vocab(tok_cfg, dev + pool)
     cfg = dataclasses.replace(cfg, proxy=_sized(proxy, vocab))
     proxies = hard_mod.train_proxies(dev, cfg, vocab)
     scores = hard_mod.score_examples(proxies, pool, vocab, args.batch_size)
@@ -428,9 +431,7 @@ def cmd_report(args) -> int:
     for path in args.inputs:
         for domain, row in report_mod.read_eval_csv(path).items():
             accuracies[domain] = row["accuracy"]
-    baselines = None
-    if args.baselines != "none":
-        baselines = report_mod.load_baselines(args.baselines)
+    baselines = report_mod.BASELINES.get(args.baselines)
     print(report_mod.comparison_table(accuracies, name=args.name, baselines=baselines))
     return 0
 
@@ -452,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("normalize", help="normalize stdin lines to stdout")
-    p.add_argument("--config", help="normalization config file")
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("build-vocab", help="train a subword vocabulary on normalized lines")
@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="comparison table from evaluation CSVs")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--baselines", choices=["test", "hard_test", "none"], default="none")
+    p.add_argument("--baselines", choices=[*report_mod.BASELINES, "none"], default="none")
     p.add_argument("--name", default="ours")
     p.set_defaults(func=cmd_report)
 

@@ -67,13 +67,21 @@ class DomainSpec:
         return Example(text_a=text_a, text_b=text_b, label=int(label))
 
     def fields(self, ex: Example) -> list[str]:
-        """The row holding ``ex``; raises if ``example`` would not read it back as ``ex``."""
+        """The row holding ``ex``; raises if ``example`` would not read it back as ``ex``.
+
+        The row must also encode as UTF-8, the encoding of every CSV file.
+        """
         if self.pack_separator is not None:
             row = [str(ex.label), f"{ex.text_a} {self.pack_separator} {ex.text_b}"]
         else:
             row = [str(ex.label), str(ex.text_a), str(ex.text_b)][: len(self.columns)]
         if self.example(row) != ex:
             raise MissingField(f"{ex!r} would not read back from columns {self.columns}")
+        try:
+            "".join(row).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MissingField(f"{ex!r} would not read back: UTF-8 cannot encode "
+                               f"{exc.object[exc.start:exc.end]!r}") from None
         return row
 
 
@@ -136,7 +144,7 @@ def serialize_split(examples, spec: DomainSpec, path) -> None:
 
 def file_sha256(path) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with reading(path), open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()

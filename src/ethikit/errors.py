@@ -35,7 +35,8 @@ class MalformedVocab(EthikitError):
 # --- batching / data ---
 
 class MissingField(EthikitError):
-    """A packed row lacks its separator, or an example to write does not fit its spec's layout."""
+    """A packed row lacks its separator, or an example to write does not fit its spec's layout
+    or UTF-8."""
 
 
 class InvalidLength(EthikitError):
@@ -157,7 +158,7 @@ class NonFiniteTraining(EthikitError):
 
 class MalformedReport(EthikitError):
     """No report can be made: an evaluation CSV names an unknown domain or holds a
-    non-numeric metric, or there is no row or baseline table to show."""
+    metric that is not a number in [0, 1], or there is no row to show."""
 
 
 # --- cli ---

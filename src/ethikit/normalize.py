@@ -12,9 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 
-from ethikit.errors import ConfigError, reading
+from ethikit.errors import ConfigError
 
 # Non-alphanumeric punctuation retained by strip_noise.
 KEEP_PUNCT = frozenset(".,!?;:'\"-()")
@@ -23,19 +22,40 @@ _WS_SPLIT_RE = re.compile(r"(\s+)")
 _MULTI_SPACE_RE = re.compile(r" {2,}")
 _EDGE_STRIP_RE = re.compile(r"^\W+|\W+$", re.UNICODE)
 
-_DEFAULT_CONFIG_RESOURCE = "normalize_default.cfg"
+# Whitelisted acronyms keep their case inside a shouted run.
+_ACRONYMS = frozenset({"US", "AI", "OK", "TV", "UN", "IX"})
+
+# Possessive "'s" is deliberately absent: it is ambiguous with "is"/"has".
+# Pronoun+"'s" entries pick the copula reading; "'d" picks "would".
+_CONTRACTIONS = {
+    "ain't": "am not", "aren't": "are not", "can't": "cannot", "couldn't": "could not",
+    "didn't": "did not", "doesn't": "does not", "don't": "do not", "hadn't": "had not",
+    "hasn't": "has not", "haven't": "have not", "he'd": "he would", "he'll": "he will",
+    "he's": "he is", "how's": "how is", "i'd": "i would", "i'll": "i will", "i'm": "i am",
+    "i've": "i have", "isn't": "is not", "it'd": "it would", "it'll": "it will",
+    "it's": "it is", "let's": "let us", "mightn't": "might not", "mustn't": "must not",
+    "shan't": "shall not", "she'd": "she would", "she'll": "she will", "she's": "she is",
+    "shouldn't": "should not", "that's": "that is", "there's": "there is",
+    "they'd": "they would", "they'll": "they will", "they're": "they are",
+    "they've": "they have", "wasn't": "was not", "we'd": "we would", "we'll": "we will",
+    "we're": "we are", "we've": "we have", "weren't": "were not", "what's": "what is",
+    "where's": "where is", "who's": "who is", "won't": "will not", "wouldn't": "would not",
+    "you'd": "you would", "you'll": "you will", "you're": "you are", "you've": "you have",
+}
 
 
 @dataclass(frozen=True)
 class NormConfig:
     """Parameters for the case-normalization and contraction stages.
 
-    acronym_whitelist entries must be fully uppercase; contraction_table keys
-    must be lowercase and contain an apostrophe.
+    The defaults are the table every command normalizes with; library
+    callers may pass their own. acronym_whitelist entries must be fully
+    uppercase; contraction_table keys must be lowercase and contain an
+    apostrophe.
     """
 
-    acronym_whitelist: frozenset[str] = field(default_factory=frozenset)
-    contraction_table: dict[str, str] = field(default_factory=dict)
+    acronym_whitelist: frozenset[str] = _ACRONYMS
+    contraction_table: dict[str, str] = field(default_factory=_CONTRACTIONS.copy)
     allcaps_threshold: int = 3
 
     def __post_init__(self) -> None:
@@ -49,51 +69,6 @@ class NormConfig:
                 raise ConfigError(f"contraction key not lowercase: {key!r}")
         if self.allcaps_threshold < 1:
             raise ConfigError("allcaps_threshold must be >= 1")
-
-
-def load_config(path) -> NormConfig:
-    """Parse a key/value config file into a NormConfig.
-
-    Recognized keys: ``allcaps_threshold``, repeatable ``acronym``, and any
-    key containing an apostrophe, which is taken as a contraction entry.
-    """
-    whitelist: set[str] = set()
-    contractions: dict[str, str] = {}
-    threshold = 3
-    with reading(path), open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value': {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if "'" in key:
-            contractions[key] = value
-        elif key == "acronym":
-            whitelist.add(value)
-        elif key == "allcaps_threshold":
-            try:
-                threshold = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad threshold {value!r}") from exc
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    return NormConfig(
-        acronym_whitelist=frozenset(whitelist),
-        contraction_table=contractions,
-        allcaps_threshold=threshold,
-    )
-
-
-def default_config() -> NormConfig:
-    """The configuration shipped with the package."""
-    ref = resources.files("ethikit.data") / _DEFAULT_CONFIG_RESOURCE
-    with resources.as_file(ref) as path:
-        return load_config(path)
 
 
 def _letters(token: str) -> int:
@@ -215,17 +190,19 @@ def strip_noise(text: str) -> str:
     return collapsed.strip()
 
 
-def normalize(text: str, cfg: NormConfig | None = None) -> str:
+_DEFAULT = NormConfig()
+
+
+def normalize(text: str, cfg: NormConfig = _DEFAULT) -> str:
     """Full pipeline: case normalization and contraction expansion between noise removals.
 
     The first noise removal makes the other stages see the text one more
     pass would see: a deleted character neither hides a shouted token
     ("ⅰAA") nor guards a contraction ("_can't"). The second tidies what
     they wrote, such as an expansion or the combining dot of a lowercased
-    "İ"; text they return unchanged is already tidy.
+    "İ"; text they return unchanged is already tidy. ``cfg`` defaults to
+    one ``NormConfig()``, built at import.
     """
-    if cfg is None:
-        cfg = default_config()
     stripped = strip_noise(text)
     out = expand_contractions(normalize_case(stripped, cfg), cfg)
     return stripped if out is stripped else strip_noise(out)

@@ -8,8 +8,7 @@ digit from an average of the displayed (pre-rounded) cells.
 
 from __future__ import annotations
 
-import json
-from importlib import resources
+import math
 
 from ethikit.dataset import DOMAINS, read_rows
 from ethikit.errors import MalformedReport
@@ -20,18 +19,33 @@ AVERAGE_FOOTNOTE = (
     "then rounded half-up"
 )
 
-
-def load_baselines(split: str) -> list[dict]:
-    """Published reference rows ('test' or 'hard_test'), verbatim averages."""
-    ref = resources.files("ethikit.data") / "baselines.json"
-    data = json.loads(ref.read_text(encoding="utf-8"))
-    if split not in data:
-        raise MalformedReport(f"no baseline table for split {split!r}")
-    return data[split]
+# Published reference rows (Hendrycks et al. 2021, arXiv 2008.02275) in
+# percent, by split, with their published averages verbatim.
+BASELINES = {
+    "test": [
+        {"model": "BERT-base", "commonsense": 86.5, "justice": 26.0, "virtue": 33.1,
+         "deontology": 38.8, "average": 46.1},
+        {"model": "RoBERTa-large", "commonsense": 90.4, "justice": 56.7, "virtue": 53.0,
+         "deontology": 60.3, "average": 65.1},
+        {"model": "ALBERT-xxlarge", "commonsense": 85.1, "justice": 59.9, "virtue": 64.1,
+         "deontology": 64.1, "average": 68.3},
+    ],
+    "hard_test": [
+        {"model": "BERT-base", "commonsense": 48.7, "justice": 7.6, "virtue": 8.6,
+         "deontology": 10.3, "average": 16.8},
+        {"model": "RoBERTa-large", "commonsense": 63.4, "justice": 38.0, "virtue": 25.5,
+         "deontology": 30.8, "average": 39.42},
+        {"model": "ALBERT-xxlarge", "commonsense": 59.0, "justice": 38.2, "virtue": 37.8,
+         "deontology": 37.2, "average": 43.05},
+    ],
+}
 
 
 def read_eval_csv(path) -> dict[str, dict[str, float]]:
-    """Parse an evaluation CSV into {domain: {metric: fraction}}."""
+    """Parse an evaluation CSV into {domain: {metric: fraction}}.
+
+    Every metric must lie in [0, 1], except an AUC may be NaN.
+    """
     expected_cols = REPORT_CSV_HEADER.split(",")
     out: dict[str, dict[str, float]] = {}
     for domain, *cells in read_rows(path, expected_cols):
@@ -41,7 +55,12 @@ def read_eval_csv(path) -> dict[str, dict[str, float]]:
             values = [float(v) for v in cells]
         except ValueError as exc:
             raise MalformedReport(f"{path}: non-numeric cell in {cells}") from exc
-        out[domain] = dict(zip(expected_cols[1:], values))
+        row = dict(zip(expected_cols[1:], values))
+        for name, value in row.items():
+            # evaluate writes a NaN AUC for a split of one label
+            if not 0.0 <= value <= 1.0 and not (name == "auc" and math.isnan(value)):
+                raise MalformedReport(f"{path}: {domain} {name} {value!r} is not in [0, 1]")
+        out[domain] = row
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import ethikit
+from ethikit import trainer as trainer_mod
 from ethikit.cli import main
 from ethikit.dataset import default_specs, load_split, serialize_split
 from ethikit.errors import UnusablePath
@@ -88,6 +90,12 @@ class TestNormalizeCommand:
         monkeypatch.setattr("sys.stdin", _stdin(b"I am here\r\n\nTHE END"))
         assert main(["normalize"]) == 0
         assert capsys.readouterr().out == "I am here\n\nthe end\n"
+
+    def test_takes_no_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "--config", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config x" in capsys.readouterr().err
 
 
 class TestBuildVocabCommand:
@@ -217,6 +225,22 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         for tried in ("justice_train.csv", "justice/justice_train.csv"):
             assert err.count(str(data_dir / tried)) == 1, tried
+
+    def test_manifest_hashes_the_bytes_read(self, tmp_path, train_file, monkeypatch):
+        # the train file changes while the run trains; the manifest vouches
+        # for the bytes the run read
+        read = hashlib.sha256(train_file.read_bytes()).hexdigest()
+        train = trainer_mod.train
+
+        def train_then_edit(*args, **kwargs):
+            result = train(*args, **kwargs)
+            train_file.write_text("label,scenario\n1,edited\n", encoding="utf-8")
+            return result
+
+        monkeypatch.setattr(trainer_mod, "train", train_then_edit)
+        out_dir = run_train(tmp_path, train_file)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["inputs"]["train_file"]["sha256"] == read
 
     def test_run_directory_contents(self, tmp_path, train_file):
         out_dir = run_train(tmp_path, train_file)
@@ -625,12 +649,7 @@ class TestUnreadableInputs:
                      "--out-dir", str(tmp_path / "run"), *FAST_TRAIN_FLAGS])
         assert code == 1
         assert f"{missing}: no such file or directory" in capsys.readouterr().err
-
-    def test_non_utf8_normalize_config(self, tmp_path, capsys):
-        config = tmp_path / "norm.cfg"
-        config.write_bytes("acronym = CAF\xc9\n".encode("latin-1"))
-        assert main(["normalize", "--config", str(config)]) == 1
-        assert f"{config}: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_non_utf8_build_vocab_input(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
@@ -674,6 +693,7 @@ class TestUnreadableInputs:
                 "report": ["report", "--inputs", str(path)]}[command]
         assert main(argv) == 1
         assert f"{path} line 2: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_directory_as_report_input(self, tmp_path, capsys):
         assert main(["report", "--inputs", str(tmp_path)]) == 1
@@ -821,11 +841,22 @@ class TestReportCommand:
         assert main(["report", "--inputs", str(path)]) == 0
         out = capsys.readouterr().out
         assert "75.00" in out
+        # evaluate writes a NaN AUC for a split of one label
+        path.write_text("domain,accuracy,precision,recall,f1,auc\njustice,0.75,0.7,0.7,0.7,nan\n",
+                        encoding="utf-8")
+        assert main(["report", "--inputs", str(path)]) == 0
+        assert "75.00" in capsys.readouterr().out
 
-    def test_malformed_report_exit_1(self, tmp_path):
+    def test_malformed_report_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("nope\n", encoding="utf-8")
         assert main(["report", "--inputs", str(path)]) == 1
+        # an accuracy that is no fraction
+        for cell in ("inf", "nan", "-0.5", "1.5"):
+            path.write_text(f"domain,accuracy,precision,recall,f1,auc\njustice,{cell},0,0,0,0\n",
+                            encoding="utf-8")
+            assert main(["report", "--inputs", str(path)]) == 1
+            assert f"justice accuracy {float(cell)!r} is not in [0, 1]" in capsys.readouterr().err
 
     def test_extra_columns_skipped(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"

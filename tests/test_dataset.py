@@ -127,6 +127,7 @@ class TestSerializeRoundTrip:
         ("virtue", Example(text_a="a", text_b=" b", label=1)),
         ("justice", Example(text_a="a", text_b="b", label=0)),
         ("deontology", Example(text_a="a", label=0)),
+        ("justice", Example(text_a="a\ud800", label=1)),
     ])
     def test_misfit_raises_and_writes_nothing(self, tmp_path, domain, example):
         out = tmp_path / "out.csv"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 
 import pytest
@@ -9,9 +11,7 @@ from ethikit.errors import ConfigError
 from ethikit.normalize import (
     KEEP_PUNCT,
     NormConfig,
-    default_config,
     expand_contractions,
-    load_config,
     normalize,
     normalize_case,
     strip_noise,
@@ -20,7 +20,7 @@ from ethikit.normalize import (
 
 @pytest.fixture(scope="module")
 def cfg():
-    return default_config()
+    return NormConfig()
 
 
 # --- references: each stage doing its work per occurrence ---
@@ -113,7 +113,7 @@ class TestAgainstReferences:
     @given(_unicode_text)
     @settings(max_examples=300, deadline=None)
     def test_each_stage(self, text):
-        cfg = default_config()
+        cfg = NormConfig()
         assert normalize_case(text, cfg) == _reference_normalize_case(text, cfg)
         assert expand_contractions(text, cfg) == _reference_expand_contractions(text, cfg)
         assert strip_noise(text) == _reference_strip_noise(text)
@@ -121,7 +121,7 @@ class TestAgainstReferences:
     @given(_unicode_text)
     @settings(max_examples=300, deadline=None)
     def test_pipeline(self, text):
-        cfg = default_config()
+        cfg = NormConfig()
         expected = _reference_strip_noise(_reference_expand_contractions(
             _reference_normalize_case(_reference_strip_noise(text), cfg), cfg))
         assert normalize(text, cfg) == expected
@@ -216,14 +216,14 @@ class TestPipeline:
     @example("½can't")
     @settings(max_examples=300, deadline=None)
     def test_idempotent(self, text):
-        cfg = default_config()
+        cfg = NormConfig()
         once = normalize(text, cfg)
         assert normalize(once, cfg) == once
 
     @given(st.text(max_size=200))
     @settings(max_examples=200, deadline=None)
     def test_output_alphabet(self, text):
-        out = normalize(text, default_config())
+        out = normalize(text, NormConfig())
         for ch in out:
             assert ch == " " or ch.isalpha() or ch.isdigit() or ch in KEEP_PUNCT
         assert "  " not in out
@@ -236,6 +236,14 @@ class TestConfig:
         assert cfg.allcaps_threshold == 3
         assert {"US", "AI", "OK", "TV", "UN", "IX"} <= cfg.acronym_whitelist
 
+    def test_default_table_is_pinned(self, cfg):
+        # the threshold, the sorted whitelist and the contraction entries in
+        # table order: a changed entry or order changes every command's text
+        table = [cfg.allcaps_threshold, sorted(cfg.acronym_whitelist),
+                 list(cfg.contraction_table.items())]
+        digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
+        assert digest == "00e61472d8a10f201b508aabe751636806242f8a12c01cb6fe96a95e01f926fd"
+
     def test_whitelist_must_be_uppercase(self):
         with pytest.raises(ConfigError):
             NormConfig(acronym_whitelist=frozenset({"Us"}))
@@ -243,20 +251,3 @@ class TestConfig:
     def test_contraction_keys_need_apostrophe(self):
         with pytest.raises(ConfigError):
             NormConfig(contraction_table={"cant": "cannot"})
-
-    def test_load_config_roundtrip(self, tmp_path):
-        path = tmp_path / "norm.cfg"
-        path.write_text(
-            "allcaps_threshold = 2\nacronym = NASA\nwon't = will not\n",
-            encoding="utf-8",
-        )
-        cfg = load_config(path)
-        assert cfg.allcaps_threshold == 2
-        assert cfg.acronym_whitelist == frozenset({"NASA"})
-        assert cfg.contraction_table == {"won't": "will not"}
-
-    def test_load_config_rejects_unknown_key(self, tmp_path):
-        path = tmp_path / "norm.cfg"
-        path.write_text("mystery = 1\n", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_config(path)

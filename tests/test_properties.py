@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ethikit import hard_filter, metrics, model, normalize, report, tokenizer
+from ethikit import hard_filter, metrics, model, report, tokenizer
 from ethikit.batching import Example
 from ethikit.dataset import DomainSpec, default_specs, load_split, serialize_split
 from ethikit.errors import BadLabel, EthikitError, MissingField
@@ -92,7 +92,6 @@ LOADERS = {
     **{f"load_split[{name}]": partial(load_split, spec=spec) for name, spec in SPECS.items()},
     "read_eval_csv": report.read_eval_csv,
     "load_vocab": tokenizer.load_vocab,
-    "load_config": normalize.load_config,
     "load_checkpoint": model.load_checkpoint,
 }
 
@@ -103,7 +102,6 @@ def valid_files(workdir) -> dict[str, bytes]:
     files = {
         "read_eval_csv": f"{metrics.REPORT_CSV_HEADER}\njustice,0.5,0.5,0.5,0.5,0.5\n".encode(),
         "load_vocab": ("\n".join(tokenizer.SPECIAL_TOKENS) + "\nword\n##s\n").encode(),
-        "load_config": b"allcaps_threshold = 3\nacronym = US\ncan't = cannot\n",
     }
     for name, spec in SPECS.items():
         text_b = "b" if spec.text_b_col or spec.pack_separator else None
