@@ -605,7 +605,8 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray,
 
     ``grads`` must have the parameters' layout, which is checked before any
     write. Each gradient, computed whole with the cached dropout masks, is
-    added into its view once.
+    added into its view once. The cache is read, never changed, so backward
+    may run on it again; each temporary is dropped after its last reader.
     """
     if cache is None:
         raise StaleCache("backward needs the cache from a train-mode forward")
@@ -641,6 +642,7 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray,
         _add(grads, (p + "ff.w1", p + "ff.b1"), _affine_grads(lc["x_mid"], d_ff_pre))
         dh1, *ln1 = _layer_norm_backward(
             dh2 + d_ff_pre @ t[p + "ff.w1"].T, lc["ln1"], t[p + "ln1.g"])
+        del dh2, d_ff_pre  # the largest temporaries, [N, d_ff] among them
         _add(grads, (p + "ln1.g", p + "ln1.b"), ln1)
 
         # h1 = x_q + ctx @ wo + bo
@@ -651,6 +653,7 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray,
         d_q, d_k, d_v = _attention_backward(
             d_ctx, lc["q"], lc["k"], lc["v"], lc["probs"], rows.extent
         )
+        del d_ctx  # the padded gradient: nothing reads it past attention
         d_k, d_v = rows.pack(d_k), rows.pack(d_v)
         if not last:
             d_q = rows.pack(d_q)

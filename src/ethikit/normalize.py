@@ -10,8 +10,10 @@ survive untouched while shouted passages are lowercased.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from ethikit.errors import ConfigError
 
@@ -51,12 +53,14 @@ class NormConfig:
     The defaults are the table every command normalizes with; library
     callers may pass their own. acronym_whitelist entries must be fully
     uppercase; contraction_table keys must be lowercase and contain an
-    apostrophe.
+    apostrophe. The config keeps a read-only copy of the table it checked,
+    and the contraction pattern built from it.
     """
 
     acronym_whitelist: frozenset[str] = _ACRONYMS
-    contraction_table: dict[str, str] = field(default_factory=_CONTRACTIONS.copy)
+    contraction_table: Mapping[str, str] = field(default_factory=_CONTRACTIONS.copy)
     allcaps_threshold: int = 3
+    contraction_re: re.Pattern[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for entry in self.acronym_whitelist:
@@ -69,6 +73,9 @@ class NormConfig:
                 raise ConfigError(f"contraction key not lowercase: {key!r}")
         if self.allcaps_threshold < 1:
             raise ConfigError("allcaps_threshold must be >= 1")
+        table = MappingProxyType(dict(self.contraction_table))
+        object.__setattr__(self, "contraction_table", table)
+        object.__setattr__(self, "contraction_re", _contraction_re(table))
 
 
 def _letters(token: str) -> int:
@@ -126,9 +133,9 @@ def normalize_case(text: str, cfg: NormConfig) -> str:
     return "".join(parts)
 
 
-@lru_cache(maxsize=8)
-def _contraction_re(keys: tuple[str, ...]) -> re.Pattern[str]:
-    ordered = sorted(keys, key=len, reverse=True)
+def _contraction_re(table: Mapping[str, str]) -> re.Pattern[str]:
+    """Whole-token, case-insensitive alternation of the keys, longest first."""
+    ordered = sorted(sorted(table), key=len, reverse=True)
     alternation = "|".join(re.escape(k) for k in ordered)
     return re.compile(rf"(?<![\w'])({alternation})(?![\w'])", re.IGNORECASE)
 
@@ -144,7 +151,6 @@ def expand_contractions(text: str, cfg: NormConfig) -> str:
     """
     if not cfg.contraction_table or "'" not in text:
         return text
-    pattern = _contraction_re(tuple(sorted(cfg.contraction_table)))
 
     def replace(match: re.Match[str]) -> str:
         found = match.group(0)
@@ -155,7 +161,7 @@ def expand_contractions(text: str, cfg: NormConfig) -> str:
             expansion = expansion[0].upper() + expansion[1:]
         return expansion
 
-    return pattern.sub(replace, text)
+    return cfg.contraction_re.sub(replace, text)
 
 
 class _NoiseTable(dict):

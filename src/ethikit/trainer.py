@@ -9,10 +9,16 @@ runs forward/loss/backward, backward adding its gradients into the optimizer's
 flush, which divides by that count. Each epoch then records eval-mode loss
 and accuracy on both splits. The best checkpoint by validation accuracy
 (ties to lower validation loss) is retained.
+
+One micro-batch's activations are alive at a time: its logits and cache are
+dropped once backward has added its gradients, before the next forward or
+the epoch-end scoring, and ``_keep_freed_heap`` keeps the heap they leave
+for the next step.
 """
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 
@@ -154,6 +160,27 @@ def _require_finite(epoch: int, step: int, tensors: dict, kind: str = "") -> Non
             )
 
 
+def _keep_freed_heap() -> None:
+    """Pin glibc's mmap and trim thresholds, so freed activations stay reusable.
+
+    A training step frees every activation it made. Below the mmap
+    threshold they come from the heap, and freed heap is returned to the
+    kernel only past the trim threshold, so each step reuses the last one's
+    pages instead of faulting them in again. The values are those glibc's
+    own dynamic rule climbs to on a 64-bit system, and they are process-wide.
+    Where the running program's C library cannot be opened (``CDLL(None)``
+    is a TypeError on Windows) or has no ``mallopt``, this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the dynamic rule's maximum
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as the rule sets it
+
+
 def train(train_set, val_set, cfg: TrainConfig):
     """Run the fine-tuning loop on encoded sets; returns (best params, logs).
 
@@ -168,6 +195,7 @@ def train(train_set, val_set, cfg: TrainConfig):
     if not val_set:
         raise EmptyDataset("empty validation set")
 
+    _keep_freed_heap()
     params = init_params(cfg.model)
     state = init_state(params)
     dropout_rng = np.random.default_rng(cfg.model.seed)
@@ -188,6 +216,7 @@ def train(train_set, val_set, cfg: TrainConfig):
                 _require_finite(epoch, state.t + 1, {"logits": logits})
                 backward(params, cache, loss_mod.bce_grad_logits(logits, batch.labels),
                          state.g_acc)
+                del logits, cache
                 accumulate(state)
             # One check of the flat buffer; only a failure searches by name.
             if not np.isfinite(state.g_acc.flat).all():

@@ -251,3 +251,16 @@ class TestConfig:
     def test_contraction_keys_need_apostrophe(self):
         with pytest.raises(ConfigError):
             NormConfig(contraction_table={"cant": "cannot"})
+
+    def test_checked_table_is_read_only(self):
+        table = {"can't": "cannot"}
+        cfg = NormConfig(contraction_table=table)
+        with pytest.raises(TypeError):
+            cfg.contraction_table["Bad Key"] = "y"
+        # the config holds a copy: the caller's dict no longer reaches it
+        table["won't"] = "will not"
+        assert dict(cfg.contraction_table) == {"can't": "cannot"}
+        assert expand_contractions("won't", cfg) == "won't"
+        with pytest.raises(TypeError):
+            NormConfig().contraction_table["can't"] = "can not"
+        assert normalize("can't") == "cannot"

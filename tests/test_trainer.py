@@ -1,5 +1,7 @@
+import ctypes
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -142,6 +144,55 @@ class TestTrain:
         cfg = toy_train_config(separable_vocab, epochs=2)
         with pytest.raises(NonFiniteTraining, match="epoch 1, flush step 2: logits"):
             train(separable_encoded, separable_encoded[:16], cfg)
+
+    def test_one_cache_alive_at_a_time(self, separable_encoded, separable_vocab,
+                                       monkeypatch):
+        real_forward = trainer_mod.forward
+        real_predict_probs = trainer_mod.predict_probs
+        caches = []
+        starts = []
+
+        def assert_no_cache_alive(where):
+            alive = [k for k, ref in enumerate(caches) if ref() is not None]
+            assert not alive, f"{where}: train caches {alive} still alive"
+
+        def tracking_forward(*args, **kwargs):  # train-mode: scoring calls classify
+            assert_no_cache_alive(f"train forward {len(caches)}")
+            logits, cache = real_forward(*args, **kwargs)
+            caches.append(weakref.ref(cache))
+            return logits, cache
+
+        def checked_predict_probs(*args, **kwargs):
+            assert_no_cache_alive("epoch-end predict_probs")
+            starts.append(len(caches))
+            return real_predict_probs(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "forward", tracking_forward)
+        monkeypatch.setattr(trainer_mod, "predict_probs", checked_predict_probs)
+        # 64 examples / batch 10 -> 7 micro-batches per epoch, flushed 4 + 3
+        cfg = toy_train_config(separable_vocab, epochs=2, batch_size=10, n_acc=4)
+        train(separable_encoded, separable_encoded[:8], cfg)
+        assert len(caches) == 14
+        assert starts == [7, 7, 14, 14]  # train and val scoring after each epoch
+
+    def test_allocator_call_is_harmless_where_it_cannot_act(
+        self, separable_encoded, separable_vocab, monkeypatch
+    ):
+        cfg = toy_train_config(separable_vocab, epochs=2)
+        train_set, val_set = separable_encoded[:48], separable_encoded[48:]
+        expected, _ = train(train_set, val_set, cfg)
+
+        def no_library(*args, **kwargs):
+            raise OSError("no C library")
+
+        def no_mallopt(*args, **kwargs):
+            return object()
+
+        for fake_cdll in (no_library, no_mallopt):
+            monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+            got, _ = train(train_set, val_set, cfg)
+            for name in expected.names:
+                assert got[name].tobytes() == expected[name].tobytes()
 
     def test_best_checkpoint_fidelity(self, tmp_path, separable_encoded, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=4)
