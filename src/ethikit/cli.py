@@ -162,10 +162,12 @@ def _sparkline(values) -> str:
 
 # --- normalize ---
 
-def _stdin_lines() -> list[str]:
-    """Standard input decoded strictly as UTF-8, split at each newline."""
-    with reading("<stdin>"):
-        text = sys.stdin.buffer.read().decode("utf-8")
+def _read_lines(path: str) -> list[str]:
+    """The file at ``path``, or standard input for '-', decoded strictly as UTF-8 and
+    split at each newline only (a lone carriage return stays in its line)."""
+    with reading("<stdin>" if path == "-" else path):
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        text = data.decode("utf-8")
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
@@ -173,7 +175,7 @@ def _stdin_lines() -> list[str]:
 
 
 def cmd_normalize(args) -> int:
-    for line in _stdin_lines():
+    for line in _read_lines("-"):
         sys.stdout.write(norm_mod.normalize(line) + "\n")
     return 0
 
@@ -182,14 +184,9 @@ def cmd_normalize(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     _check_outputs(args.out)
-    if args.input == "-":
-        lines = _stdin_lines()
-    else:
-        with reading(args.input), open(args.input, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
     # train, evaluate and filter-hard encode normalized text, so the vocab is
     # learned from the same.
-    lines = [norm_mod.normalize(line) for line in lines]
+    lines = [norm_mod.normalize(line) for line in _read_lines(args.input)]
     cfg = tok_mod.TokenizerConfig(**_fields(vars(args), _BUILD_VOCAB_FLAGS))
     vocab = tok_mod.train_vocab(lines, cfg)
     tok_mod.save_vocab(vocab, args.out)

@@ -341,7 +341,7 @@ def _attention(q, k, v, attn_bias, extent, keep_probs: bool):
     return ctx, tuple(probs) if keep_probs else None
 
 
-def _attention_backward(d_ctx, q, k, v, probs, extent):
+def _attention_backward(d_ctx, q, k, v, probs):
     """Gradients of q, k and v with heads merged, one tile of batch rows at a time.
 
     ``d_ctx`` is [B, H, Lq, K] and zero past each row's extent, and ``probs``
@@ -549,7 +549,7 @@ def forward(
         if cfg.dropout_p > 0.0:
             if head_mask is None:
                 if rng is None:
-                    raise ValueError("train-mode forward with dropout needs an rng")
+                    raise ConfigError("train-mode forward with dropout needs an rng")
                 keep = 1.0 - cfg.dropout_p
                 head_mask = (rng.random(h_cls.shape) < keep).astype(params.dtype)
             elif head_mask.shape != h_cls.shape:
@@ -650,9 +650,7 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray,
         d_ctx = dh1 @ t[p + "attn.wo"].T
         d_ctx = _split_heads(d_ctx if last else rows.padded(d_ctx), cfg.n_heads)
 
-        d_q, d_k, d_v = _attention_backward(
-            d_ctx, lc["q"], lc["k"], lc["v"], lc["probs"], rows.extent
-        )
+        d_q, d_k, d_v = _attention_backward(d_ctx, lc["q"], lc["k"], lc["v"], lc["probs"])
         del d_ctx  # the padded gradient: nothing reads it past attention
         d_k, d_v = rows.pack(d_k), rows.pack(d_v)
         if not last:
@@ -687,13 +685,15 @@ def _cfg_from_text(text: str) -> ModelConfig:
             continue
         key, _, val = line.partition("=")
         values[key] = val
-    # Each field's annotation (int, float or str) parses its value.
+    # Each field's annotation (int, float or str) parses its value, and
+    # ModelConfig checks it: a value it rejects is as corrupt as one that
+    # does not parse.
     try:
         return ModelConfig(**{
             name: parse(values[name])
             for name, parse in typing.get_type_hints(ModelConfig).items()
         })
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ConfigError) as exc:
         raise CorruptHeader(f"bad checkpoint config: {exc}") from exc
 
 

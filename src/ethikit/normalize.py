@@ -10,12 +10,8 @@ survive untouched while shouted passages are lowercased.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-
-from ethikit.errors import ConfigError
 
 # Non-alphanumeric punctuation retained by strip_noise.
 KEEP_PUNCT = frozenset(".,!?;:'\"-()")
@@ -24,12 +20,17 @@ _WS_SPLIT_RE = re.compile(r"(\s+)")
 _MULTI_SPACE_RE = re.compile(r" {2,}")
 _EDGE_STRIP_RE = re.compile(r"^\W+|\W+$", re.UNICODE)
 
-# Whitelisted acronyms keep their case inside a shouted run.
-_ACRONYMS = frozenset({"US", "AI", "OK", "TV", "UN", "IX"})
+# Whitelisted acronyms keep their case inside a shouted run. Entries are
+# fully uppercase.
+ACRONYM_WHITELIST = frozenset({"US", "AI", "OK", "TV", "UN", "IX"})
 
-# Possessive "'s" is deliberately absent: it is ambiguous with "is"/"has".
-# Pronoun+"'s" entries pick the copula reading; "'d" picks "would".
-_CONTRACTIONS = {
+# A run of shouted tokens is lowercased when it holds more letters than this.
+ALLCAPS_THRESHOLD = 3
+
+# Keys are lowercase and hold an apostrophe. Possessive "'s" is deliberately
+# absent: it is ambiguous with "is"/"has". Pronoun+"'s" entries pick the
+# copula reading; "'d" picks "would".
+CONTRACTIONS = MappingProxyType({
     "ain't": "am not", "aren't": "are not", "can't": "cannot", "couldn't": "could not",
     "didn't": "did not", "doesn't": "does not", "don't": "do not", "hadn't": "had not",
     "hasn't": "has not", "haven't": "have not", "he'd": "he would", "he'll": "he will",
@@ -43,39 +44,15 @@ _CONTRACTIONS = {
     "we're": "we are", "we've": "we have", "weren't": "were not", "what's": "what is",
     "where's": "where is", "who's": "who is", "won't": "will not", "wouldn't": "would not",
     "you'd": "you would", "you'll": "you will", "you're": "you are", "you've": "you have",
-}
+})
 
-
-@dataclass(frozen=True)
-class NormConfig:
-    """Parameters for the case-normalization and contraction stages.
-
-    The defaults are the table every command normalizes with; library
-    callers may pass their own. acronym_whitelist entries must be fully
-    uppercase; contraction_table keys must be lowercase and contain an
-    apostrophe. The config keeps a read-only copy of the table it checked,
-    and the contraction pattern built from it.
-    """
-
-    acronym_whitelist: frozenset[str] = _ACRONYMS
-    contraction_table: Mapping[str, str] = field(default_factory=_CONTRACTIONS.copy)
-    allcaps_threshold: int = 3
-    contraction_re: re.Pattern[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for entry in self.acronym_whitelist:
-            if not entry or entry != entry.upper():
-                raise ConfigError(f"whitelist entry not uppercase: {entry!r}")
-        for key in self.contraction_table:
-            if "'" not in key:
-                raise ConfigError(f"contraction key lacks apostrophe: {key!r}")
-            if key != key.lower():
-                raise ConfigError(f"contraction key not lowercase: {key!r}")
-        if self.allcaps_threshold < 1:
-            raise ConfigError("allcaps_threshold must be >= 1")
-        table = MappingProxyType(dict(self.contraction_table))
-        object.__setattr__(self, "contraction_table", table)
-        object.__setattr__(self, "contraction_re", _contraction_re(table))
+# Whole-token, case-insensitive alternation of the keys, longest first.
+_CONTRACTION_RE = re.compile(
+    r"(?<![\w'])("
+    + "|".join(re.escape(k) for k in sorted(sorted(CONTRACTIONS), key=len, reverse=True))
+    + r")(?![\w'])",
+    re.IGNORECASE,
+)
 
 
 def _letters(token: str) -> int:
@@ -99,11 +76,11 @@ def _core(token: str) -> str:
     return _EDGE_STRIP_RE.sub("", token)
 
 
-def normalize_case(text: str, cfg: NormConfig) -> str:
+def normalize_case(text: str) -> str:
     """Lowercase shouted passages while preserving meaningful uppercase.
 
     Consecutive all-caps tokens form a run. When the run's total letter count
-    exceeds ``allcaps_threshold``, every token in it is lowercased except
+    exceeds ``ALLCAPS_THRESHOLD``, every token in it is lowercased except
     whitelisted acronyms. Short isolated uppercase tokens ("IX", "US") are
     kept, since their casing disambiguates.
     """
@@ -118,9 +95,9 @@ def normalize_case(text: str, cfg: NormConfig) -> str:
     def flush_run() -> None:
         if not run:
             return
-        if sum(_letters(parts[i]) for i in run) > cfg.allcaps_threshold:
+        if sum(_letters(parts[i]) for i in run) > ALLCAPS_THRESHOLD:
             for i in run:
-                if _core(parts[i]) not in cfg.acronym_whitelist:
+                if _core(parts[i]) not in ACRONYM_WHITELIST:
                     parts[i] = parts[i].lower()
         run.clear()
 
@@ -133,14 +110,7 @@ def normalize_case(text: str, cfg: NormConfig) -> str:
     return "".join(parts)
 
 
-def _contraction_re(table: Mapping[str, str]) -> re.Pattern[str]:
-    """Whole-token, case-insensitive alternation of the keys, longest first."""
-    ordered = sorted(sorted(table), key=len, reverse=True)
-    alternation = "|".join(re.escape(k) for k in ordered)
-    return re.compile(rf"(?<![\w'])({alternation})(?![\w'])", re.IGNORECASE)
-
-
-def expand_contractions(text: str, cfg: NormConfig) -> str:
+def expand_contractions(text: str) -> str:
     """Replace whole-token contractions with their expansions.
 
     Matching is case-insensitive; a leading capital on the contraction is
@@ -149,19 +119,19 @@ def expand_contractions(text: str, cfg: NormConfig) -> str:
     not a key ("it'ſ", with a long s, matches "it's" case-insensitively).
     Every key holds an apostrophe, so text without one is returned as is.
     """
-    if not cfg.contraction_table or "'" not in text:
+    if "'" not in text:
         return text
 
     def replace(match: re.Match[str]) -> str:
         found = match.group(0)
-        expansion = cfg.contraction_table.get(found.lower())
+        expansion = CONTRACTIONS.get(found.lower())
         if expansion is None:
             return found
-        if found[0].isupper() and expansion:
+        if found[0].isupper():
             expansion = expansion[0].upper() + expansion[1:]
         return expansion
 
-    return cfg.contraction_re.sub(replace, text)
+    return _CONTRACTION_RE.sub(replace, text)
 
 
 class _NoiseTable(dict):
@@ -196,19 +166,15 @@ def strip_noise(text: str) -> str:
     return collapsed.strip()
 
 
-_DEFAULT = NormConfig()
-
-
-def normalize(text: str, cfg: NormConfig = _DEFAULT) -> str:
+def normalize(text: str) -> str:
     """Full pipeline: case normalization and contraction expansion between noise removals.
 
     The first noise removal makes the other stages see the text one more
     pass would see: a deleted character neither hides a shouted token
     ("ⅰAA") nor guards a contraction ("_can't"). The second tidies what
     they wrote, such as an expansion or the combining dot of a lowercased
-    "İ"; text they return unchanged is already tidy. ``cfg`` defaults to
-    one ``NormConfig()``, built at import.
+    "İ"; text they return unchanged is already tidy.
     """
     stripped = strip_noise(text)
-    out = expand_contractions(normalize_case(stripped, cfg), cfg)
+    out = expand_contractions(normalize_case(stripped))
     return stripped if out is stripped else strip_noise(out)

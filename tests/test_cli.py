@@ -122,6 +122,19 @@ class TestBuildVocabCommand:
         assert "the" in learned
         assert not any(ch.isupper() for token in learned for ch in token)
 
+    def test_file_and_stdin_split_lines_alike(self, tmp_path, monkeypatch, capsys):
+        # a lone carriage return does not end a line in either mode, so
+        # "AA\rBB" stays one shouted run of four letters and is lowercased
+        data = b"AA\rBB cat\nDOGS run\n"
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(data)
+        from_file, from_stdin = tmp_path / "file.vocab", tmp_path / "stdin.vocab"
+        assert main(["build-vocab", "--input", str(corpus), "--out", str(from_file)]) == 0
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        assert main(["build-vocab", "--input", "-", "--out", str(from_stdin)]) == 0
+        assert from_file.read_bytes() == from_stdin.read_bytes()
+        assert "AA" not in from_file.read_text(encoding="utf-8").splitlines()
+
 
 class TestTrainCommand:
     def test_recipe_defaults(self):

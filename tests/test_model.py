@@ -262,7 +262,7 @@ class TestForward:
 
     def test_train_needs_rng_when_dropping(self):
         params = init_params(TOY)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="needs an rng"):
             forward(params, make_batch(TOY), train=True)
 
     def test_too_long_sequence_rejected(self):
@@ -854,6 +854,10 @@ class TestCheckpoint:
         *(TINY_HEADER.replace(line + b"\n", b"") for line in TINY_HEADER.splitlines()),
         TINY_HEADER.replace(b"d_ff=4", b"d_ff=four"),
         TINY_HEADER.replace(b"dropout_p=0.3", b"dropout_p=high"),
+        # values that parse but that ModelConfig rejects
+        TINY_HEADER.replace(b"n_layers=1", b"n_layers=0"),
+        TINY_HEADER.replace(b"dtype=float32", b"dtype=float16"),
+        TINY_HEADER.replace(b"dropout_p=0.3", b"dropout_p=nan"),
     ])
     def test_missing_or_non_numeric_field(self, tiny_checkpoint, tmp_path, header):
         start = len(_CKPT_MAGIC)

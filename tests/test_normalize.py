@@ -7,20 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ethikit import normalize as normalize_mod
-from ethikit.errors import ConfigError
 from ethikit.normalize import (
+    ACRONYM_WHITELIST,
+    ALLCAPS_THRESHOLD,
+    CONTRACTIONS,
     KEEP_PUNCT,
-    NormConfig,
     expand_contractions,
     normalize,
     normalize_case,
     strip_noise,
 )
-
-
-@pytest.fixture(scope="module")
-def cfg():
-    return NormConfig()
 
 
 # --- references: each stage doing its work per occurrence ---
@@ -30,7 +26,7 @@ def _reference_is_shouted(token):
     return bool(cased) and all(ch == ch.upper() for ch in cased)
 
 
-def _reference_normalize_case(text, cfg):
+def _reference_normalize_case(text):
     """Every token checked where it occurs; no early return."""
     parts = re.split(r"(\s+)", text)
     token_idx = [i for i in range(0, len(parts), 2) if parts[i]]
@@ -38,9 +34,9 @@ def _reference_normalize_case(text, cfg):
 
     def flush_run():
         letters = sum(1 for i in run for ch in parts[i] if ch.isalpha())
-        if letters > cfg.allcaps_threshold:
+        if letters > ALLCAPS_THRESHOLD:
             for i in run:
-                if re.sub(r"^\W+|\W+$", "", parts[i]) not in cfg.acronym_whitelist:
+                if re.sub(r"^\W+|\W+$", "", parts[i]) not in ACRONYM_WHITELIST:
                     parts[i] = parts[i].lower()
         run.clear()
 
@@ -53,17 +49,15 @@ def _reference_normalize_case(text, cfg):
     return "".join(parts)
 
 
-def _reference_expand_contractions(text, cfg):
+def _reference_expand_contractions(text):
     """The table's matcher run on every text, apostrophe or not."""
-    if not cfg.contraction_table:
-        return text
-    ordered = sorted(cfg.contraction_table, key=len, reverse=True)
+    ordered = sorted(CONTRACTIONS, key=len, reverse=True)
     alternation = "|".join(re.escape(k) for k in ordered)
     pattern = re.compile(rf"(?<![\w'])({alternation})(?![\w'])", re.IGNORECASE)
 
     def replace(match):
         found = match.group(0)
-        expansion = cfg.contraction_table.get(found.lower())
+        expansion = CONTRACTIONS.get(found.lower())
         if expansion is None:
             return found
         if found[0].isupper() and expansion:
@@ -113,70 +107,68 @@ class TestAgainstReferences:
     @given(_unicode_text)
     @settings(max_examples=300, deadline=None)
     def test_each_stage(self, text):
-        cfg = NormConfig()
-        assert normalize_case(text, cfg) == _reference_normalize_case(text, cfg)
-        assert expand_contractions(text, cfg) == _reference_expand_contractions(text, cfg)
+        assert normalize_case(text) == _reference_normalize_case(text)
+        assert expand_contractions(text) == _reference_expand_contractions(text)
         assert strip_noise(text) == _reference_strip_noise(text)
 
     @given(_unicode_text)
     @settings(max_examples=300, deadline=None)
     def test_pipeline(self, text):
-        cfg = NormConfig()
         expected = _reference_strip_noise(_reference_expand_contractions(
-            _reference_normalize_case(_reference_strip_noise(text), cfg), cfg))
-        assert normalize(text, cfg) == expected
+            _reference_normalize_case(_reference_strip_noise(text))))
+        assert normalize(text) == expected
 
-    def test_no_case_mapping_is_not_shouted(self, cfg):
+    def test_no_case_mapping_is_not_shouted(self):
         # U+2102 is an uppercase letter to str.isupper, but has no lowercase,
         # so it does not join the run and "IS" stays under the threshold.
-        assert normalize_case("\u2102\u2102 IS", cfg) == "\u2102\u2102 IS"
-        assert normalize_case("\u03d2\u03d2 IS", cfg) == "\u03d2\u03d2 IS"
+        assert normalize_case("\u2102\u2102 IS") == "\u2102\u2102 IS"
+        assert normalize_case("\u03d2\u03d2 IS") == "\u03d2\u03d2 IS"
 
 
 class TestNormalizeCase:
-    def test_deshouts_long_runs_keeps_whitelist(self, cfg):
-        assert normalize_case("THIS IS WRONG about the US", cfg) == \
+    def test_deshouts_long_runs_keeps_whitelist(self):
+        assert normalize_case("THIS IS WRONG about the US") == \
             "this is wrong about the US"
 
-    def test_empty(self, cfg):
-        assert normalize_case("", cfg) == ""
+    def test_empty(self):
+        assert normalize_case("") == ""
 
-    def test_short_acronym_preserved(self, cfg):
-        assert normalize_case("Title IX applies", cfg) == "Title IX applies"
+    def test_short_acronym_preserved(self):
+        assert normalize_case("Title IX applies") == "Title IX applies"
 
-    def test_isolated_long_token(self, cfg):
-        assert normalize_case("HELLO world", cfg) == "hello world"
+    def test_isolated_long_token(self):
+        assert normalize_case("HELLO world") == "hello world"
 
-    def test_whitelisted_inside_run(self, cfg):
-        assert normalize_case("THE US IS BAD", cfg) == "the US is bad"
+    def test_whitelisted_inside_run(self):
+        assert normalize_case("THE US IS BAD") == "the US is bad"
 
-    def test_mixed_case_untouched(self, cfg):
-        assert normalize_case("McDonald stayed", cfg) == "McDonald stayed"
+    def test_mixed_case_untouched(self):
+        assert normalize_case("McDonald stayed") == "McDonald stayed"
 
-    def test_whitespace_preserved(self, cfg):
-        assert normalize_case("A  B\tC", cfg) == "A  B\tC"
+    def test_whitespace_preserved(self):
+        assert normalize_case("A  B\tC") == "A  B\tC"
 
 
 class TestExpandContractions:
-    def test_plain(self, cfg):
-        assert expand_contractions("can't", cfg) == "cannot"
+    def test_plain(self):
+        assert expand_contractions("can't") == "cannot"
 
-    def test_leading_capital_preserved(self, cfg):
-        assert expand_contractions("Can't stop", cfg) == "Cannot stop"
+    def test_leading_capital_preserved(self):
+        assert expand_contractions("Can't stop") == "Cannot stop"
 
-    def test_unknown_apostrophe_untouched(self, cfg):
-        assert expand_contractions("o'clock", cfg) == "o'clock"
+    def test_unknown_apostrophe_untouched(self):
+        assert expand_contractions("o'clock") == "o'clock"
 
-    def test_possessive_untouched(self, cfg):
-        assert expand_contractions("the dog's bone", cfg) == "the dog's bone"
+    def test_possessive_untouched(self):
+        assert expand_contractions("the dog's bone") == "the dog's bone"
 
-    def test_not_inside_words(self, cfg):
-        assert expand_contractions("scant'stop", cfg) == "scant'stop"
+    def test_not_inside_words(self):
+        assert expand_contractions("scant'stop") == "scant'stop"
 
-    def test_case_insensitive_match_that_is_not_a_key(self, cfg):
+    def test_case_insensitive_match_that_is_not_a_key(self):
         # The pattern matches long s (U+017F) as "s", but "it'\u017f" is no key.
-        assert expand_contractions("IT'\u017f so", cfg) == "IT'\u017f so"
-        assert normalize("it'\u017f so", cfg) == "it'\u017f so"
+        assert expand_contractions("IT'\u017f so") == "IT'\u017f so"
+        assert normalize("it'\u017f so") == "it'\u017f so"
 
 
 class TestStripNoise:
@@ -195,19 +187,19 @@ class TestStripNoise:
 
 
 class TestPipeline:
-    def test_composition_example(self, cfg):
-        assert normalize("can't   do THAT", cfg) == "cannot do that"
+    def test_composition_example(self):
+        assert normalize("can't   do THAT") == "cannot do that"
 
-    def test_empty(self, cfg):
-        assert normalize("", cfg) == ""
+    def test_empty(self):
+        assert normalize("") == ""
 
-    def test_fixed_point(self, cfg):
-        assert normalize("I am here", cfg) == "I am here"
+    def test_fixed_point(self):
+        assert normalize("I am here") == "I am here"
 
-    def test_equals_staged_application(self, cfg):
+    def test_equals_staged_application(self):
         text = "WE'RE NOT OK — they'd said so… (twice!)"
-        staged = strip_noise(expand_contractions(normalize_case(text, cfg), cfg))
-        assert normalize(text, cfg) == staged
+        staged = strip_noise(expand_contractions(normalize_case(text)))
+        assert normalize(text) == staged
 
     @given(st.text(max_size=200))
     @example("AA\r/\rAº")  # "/" splits the run only until strip_noise deletes it
@@ -216,51 +208,45 @@ class TestPipeline:
     @example("½can't")
     @settings(max_examples=300, deadline=None)
     def test_idempotent(self, text):
-        cfg = NormConfig()
-        once = normalize(text, cfg)
-        assert normalize(once, cfg) == once
+        once = normalize(text)
+        assert normalize(once) == once
 
     @given(st.text(max_size=200))
     @settings(max_examples=200, deadline=None)
     def test_output_alphabet(self, text):
-        out = normalize(text, NormConfig())
+        out = normalize(text)
         for ch in out:
             assert ch == " " or ch.isalpha() or ch.isdigit() or ch in KEEP_PUNCT
         assert "  " not in out
 
 
 class TestConfig:
-    def test_default_table_pins_cant(self, cfg):
-        assert cfg.contraction_table["can't"] == "cannot"
-        assert len(cfg.contraction_table) >= 50
-        assert cfg.allcaps_threshold == 3
-        assert {"US", "AI", "OK", "TV", "UN", "IX"} <= cfg.acronym_whitelist
+    def test_default_table_pins_cant(self):
+        assert CONTRACTIONS["can't"] == "cannot"
+        assert len(CONTRACTIONS) >= 50
+        assert ALLCAPS_THRESHOLD == 3
+        assert {"US", "AI", "OK", "TV", "UN", "IX"} <= ACRONYM_WHITELIST
 
-    def test_default_table_is_pinned(self, cfg):
+    def test_default_table_is_pinned(self):
         # the threshold, the sorted whitelist and the contraction entries in
         # table order: a changed entry or order changes every command's text
-        table = [cfg.allcaps_threshold, sorted(cfg.acronym_whitelist),
-                 list(cfg.contraction_table.items())]
+        table = [ALLCAPS_THRESHOLD, sorted(ACRONYM_WHITELIST), list(CONTRACTIONS.items())]
         digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()
         assert digest == "00e61472d8a10f201b508aabe751636806242f8a12c01cb6fe96a95e01f926fd"
 
-    def test_whitelist_must_be_uppercase(self):
-        with pytest.raises(ConfigError):
-            NormConfig(acronym_whitelist=frozenset({"Us"}))
-
-    def test_contraction_keys_need_apostrophe(self):
-        with pytest.raises(ConfigError):
-            NormConfig(contraction_table={"cant": "cannot"})
+    def test_constants_are_well_formed(self):
+        # expand_contractions returns text without an apostrophe as is and
+        # looks each match up lowercased, which is right only for such keys;
+        # a whitelist entry that is not uppercase is never a shouted token
+        for key in CONTRACTIONS:
+            assert "'" in key and key == key.lower(), key
+        for entry in ACRONYM_WHITELIST:
+            assert entry and entry == entry.upper(), entry
+        assert ALLCAPS_THRESHOLD >= 1
 
     def test_checked_table_is_read_only(self):
-        table = {"can't": "cannot"}
-        cfg = NormConfig(contraction_table=table)
         with pytest.raises(TypeError):
-            cfg.contraction_table["Bad Key"] = "y"
-        # the config holds a copy: the caller's dict no longer reaches it
-        table["won't"] = "will not"
-        assert dict(cfg.contraction_table) == {"can't": "cannot"}
-        assert expand_contractions("won't", cfg) == "won't"
+            CONTRACTIONS["can't"] = "can not"
         with pytest.raises(TypeError):
-            NormConfig().contraction_table["can't"] = "can not"
+            CONTRACTIONS["Bad Key"] = "y"
         assert normalize("can't") == "cannot"
