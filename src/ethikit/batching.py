@@ -102,7 +102,8 @@ def make_batches(
     encoded,
     batch_size: int = DEFAULT_BATCH_SIZE,
     order=None,
-    max_len: int = DEFAULT_MAX_LEN,
+    *,
+    max_len: int,
 ) -> list[TokenBatch]:
     """Take rows in ``order`` (default: as given), truncate, chunk, and pad.
 

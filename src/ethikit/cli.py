@@ -28,8 +28,8 @@ from ethikit import tokenizer as tok_mod
 from ethikit import trainer as trainer_mod
 from ethikit.batching import Example, encode_examples
 from ethikit.dataset import DOMAINS
-from ethikit.errors import (ConfigError, EthikitError, NotJson, ReplayMismatch, UnusablePath,
-                            reading)
+from ethikit.errors import (ConfigError, EthikitError, MalformedReport, NotJson, ReplayMismatch,
+                            UnusablePath, reading)
 from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
 
 RUN_ROOT_ENV = "ETHIKIT_RUN_ROOT"
@@ -294,8 +294,18 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
     """
     with reading(manifest_path):
         text = manifest_path.read_text(encoding="utf-8")
+
+    def unique_keys(pairs: list) -> dict:
+        # json.loads alone would keep a repeated key's last value
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{manifest_path}: manifest repeats key {key!r} in one object")
+            obj[key] = value
+        return obj
+
     try:
-        manifest = json.loads(text)
+        manifest = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise NotJson(f"{manifest_path}: manifest is not JSON ({exc})") from exc
     if not isinstance(manifest, dict):
@@ -425,8 +435,12 @@ def cmd_filter_hard(args) -> int:
 
 def cmd_report(args) -> int:
     accuracies: dict[str, float] = {}
+    source: dict[str, str] = {}
     for path in args.inputs:
         for domain, row in report_mod.read_eval_csv(path).items():
+            if domain in source:
+                raise MalformedReport(f"{domain} is in both {source[domain]} and {path}")
+            source[domain] = path
             accuracies[domain] = row["accuracy"]
     baselines = report_mod.BASELINES.get(args.baselines)
     print(report_mod.comparison_table(accuracies, name=args.name, baselines=baselines))

@@ -679,21 +679,24 @@ def _cfg_to_text(cfg: ModelConfig) -> str:
 
 
 def _cfg_from_text(text: str) -> ModelConfig:
-    values: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line:
-            continue
-        key, _, val = line.partition("=")
-        values[key] = val
+    """Inverse of _cfg_to_text: the header must be exactly the lines it writes.
+
+    One ``name=value`` line per field, each ending in a newline, in field
+    order; any other line, or none, is corrupt.
+    """
+    *lines, tail = text.split("\n")
+    pairs = [line.partition("=") for line in lines]
+    names = [f.name for f in fields(ModelConfig)]
+    if tail or [(key, sep) for key, sep, _ in pairs] != [(name, "=") for name in names]:
+        raise CorruptHeader("checkpoint config is not one name=value line per field, "
+                            f"in the order {', '.join(names)}")
     # Each field's annotation (int, float or str) parses its value, and
     # ModelConfig checks it: a value it rejects is as corrupt as one that
     # does not parse.
+    parse = typing.get_type_hints(ModelConfig)
     try:
-        return ModelConfig(**{
-            name: parse(values[name])
-            for name, parse in typing.get_type_hints(ModelConfig).items()
-        })
-    except (KeyError, ValueError, ConfigError) as exc:
+        return ModelConfig(**{key: parse[key](value) for key, _, value in pairs})
+    except (ValueError, ConfigError) as exc:
         raise CorruptHeader(f"bad checkpoint config: {exc}") from exc
 
 

@@ -44,13 +44,18 @@ BASELINES = {
 def read_eval_csv(path) -> dict[str, dict[str, float]]:
     """Parse an evaluation CSV into {domain: {metric: fraction}}.
 
-    Every metric must lie in [0, 1], except an AUC may be NaN.
+    Every metric must lie in [0, 1], except an AUC may be NaN, and each
+    domain may appear in one row only.
     """
     expected_cols = REPORT_CSV_HEADER.split(",")
     out: dict[str, dict[str, float]] = {}
-    for domain, *cells in read_rows(path, expected_cols):
+    row_of: dict[str, int] = {}
+    for row_num, (domain, *cells) in enumerate(read_rows(path, expected_cols), start=2):
         if domain not in DOMAINS:
             raise MalformedReport(f"{path}: unknown domain {domain!r}")
+        if domain in row_of:
+            raise MalformedReport(f"{path}: {domain} is in rows {row_of[domain]} and {row_num}")
+        row_of[domain] = row_num
         try:
             values = [float(v) for v in cells]
         except ValueError as exc:

@@ -118,14 +118,14 @@ class TestMakeBatches:
 
     def test_chunk_sizes(self, tiny_vocab):
         batches = make_batches(self._encoded(tiny_vocab, 70), 32,
-                               order=np.random.default_rng(0).permutation(70))
+                               order=np.random.default_rng(0).permutation(70), max_len=128)
         assert [len(b) for b in batches] == [32, 32, 6]
 
     def test_same_seed_same_order(self, tiny_vocab):
         encoded = self._encoded(tiny_vocab, 40)
         order = np.random.default_rng(9).permutation(40)
-        b1 = make_batches(encoded, 8, order=order)
-        b2 = make_batches(encoded, 8, order=order)
+        b1 = make_batches(encoded, 8, order=order, max_len=128)
+        b2 = make_batches(encoded, 8, order=order, max_len=128)
         for x, y in zip(b1, b2):
             assert np.array_equal(x.labels, y.labels)
             assert np.array_equal(x.ids, y.ids)
@@ -137,7 +137,7 @@ class TestMakeBatches:
         orders = set()
         for seed in range(100):
             order = np.random.default_rng(seed).permutation(10)
-            batches = make_batches(encoded, 10, order=order)
+            batches = make_batches(encoded, 10, order=order, max_len=128)
             orders.add(tuple(batches[0].mask.sum(axis=1).tolist()))
         # collisions among 10! permutations are vanishingly unlikely
         assert len(orders) >= 99
@@ -148,7 +148,7 @@ class TestMakeBatches:
             Example(text_a="a b the cat"),
             Example(text_a="a", text_b="b"),
         ]
-        (batch,) = make_batches(encode_examples(examples, tiny_vocab), 8)
+        (batch,) = make_batches(encode_examples(examples, tiny_vocab), 8, max_len=128)
         # CLS + word pieces + SEP(s) per example
         assert batch.mask.sum(axis=1).tolist() == [3, 6, 5]
 

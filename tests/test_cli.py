@@ -332,18 +332,30 @@ class TestTrainCommand:
         (lambda config: config["model"].update(bogus=1), "'bogus'"),
         (lambda config: config.update(epochs="5"), "config.epochs is '5', not int"),
         (lambda config: config.update(domain="nope"), "'nope'"),
-    ], ids=["unknown-key", "mistyped-value", "unknown-domain"])
+        (lambda config: config.update(model=[]), "config.model is not a JSON object"),
+        # json.dumps writes no repeated key: this one is renamed in the text
+        (lambda config: config["model"].update(seed_again=5), "repeats key 'seed'"),
+    ], ids=["unknown-key", "mistyped-value", "unknown-domain", "model-not-object",
+            "repeated-key"])
     def test_replay_malformed_config_exit_2(self, tmp_path, train_file, capsys, edit, named):
         d1 = run_train(tmp_path, train_file, "run1")
         manifest = json.loads((d1 / "manifest.json").read_text())
         edit(manifest["config"])
-        (d1 / "manifest.json").write_text(json.dumps(manifest))
+        (d1 / "manifest.json").write_text(json.dumps(manifest).replace('"seed_again"', '"seed"'))
         capsys.readouterr()
         code = main(["train", "--replay", str(d1 / "manifest.json"),
                      "--out-dir", str(tmp_path / "replayed")])
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and named in err
+        assert not (tmp_path / "replayed").exists()
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"config"', "null"])
+    def test_replay_manifest_not_an_object_exit_2(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text, encoding="utf-8")
+        assert _replay(tmp_path, manifest) == 2
+        assert "manifest is not a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "replayed").exists()
 
     def test_replay_with_vocab_file(self, tmp_path, train_file, vocab_file):
@@ -870,6 +882,27 @@ class TestReportCommand:
                             encoding="utf-8")
             assert main(["report", "--inputs", str(path)]) == 1
             assert f"justice accuracy {float(cell)!r} is not in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, named", [
+        ("ethics,0.5,0.5,0.5,0.5,0.5\n", "unknown domain 'ethics'"),
+        ("justice,high,0.5,0.5,0.5,0.5\n", "non-numeric cell"),
+        ("justice,0.9,0.9,0.9,0.9,0.9\njustice,0.1,0.1,0.1,0.1,0.1\n",
+         "justice is in rows 2 and 3"),
+        ("", "no domain accuracies to report"),
+    ], ids=["unknown-domain", "non-numeric-cell", "repeated-domain", "no-rows"])
+    def test_bad_rows_exit_1(self, tmp_path, capsys, rows, named):
+        path = tmp_path / "eval.csv"
+        path.write_text("domain,accuracy,precision,recall,f1,auc\n" + rows, encoding="utf-8")
+        assert main(["report", "--inputs", str(path)]) == 1
+        assert named in capsys.readouterr().err
+
+    def test_domain_in_two_inputs_exit_1(self, tmp_path, capsys):
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path, accuracy in zip(paths, (0.9, 0.1)):
+            path.write_text("domain,accuracy,precision,recall,f1,auc\n"
+                            f"justice,{accuracy},0.5,0.5,0.5,0.5\n", encoding="utf-8")
+        assert main(["report", "--inputs", *map(str, paths)]) == 1
+        assert f"justice is in both {paths[0]} and {paths[1]}" in capsys.readouterr().err
 
     def test_extra_columns_skipped(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"

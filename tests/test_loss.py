@@ -92,3 +92,7 @@ class TestBceGradLogits:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             bce_grad_logits(np.zeros(3), np.zeros(2))
+
+    def test_empty(self):
+        with pytest.raises(EmptyInput):
+            bce_grad_logits([], [])

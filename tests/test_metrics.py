@@ -65,6 +65,10 @@ class TestScalarMetrics:
         cm = ConfusionMatrix(tp=4, fp=0, fn=0, tn=6)
         assert scalar_metrics(cm) == (1.0, 1.0, 1.0, 1.0)
 
+    def test_empty(self):
+        with pytest.raises(EmptyInput):
+            scalar_metrics(ConfusionMatrix(tp=0, fp=0, fn=0, tn=0))
+
 
 class TestAuc:
     def test_perfect_ranking(self):

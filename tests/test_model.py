@@ -868,6 +868,32 @@ class TestCheckpoint:
         with pytest.raises(CorruptHeader):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header", [
+        TINY_HEADER + b"bogus=1\n",
+        TINY_HEADER.replace(b"seed=0\n", b"seed=0\nseed=5\n"),
+        b"".join(reversed(TINY_HEADER.splitlines(keepends=True))),
+        b"\n" + TINY_HEADER,
+        TINY_HEADER.replace(b"seed=0", b"seed 0"),
+        TINY_HEADER[:-1],
+    ], ids=["unknown-line", "repeated-line", "reversed-lines", "leading-blank-line",
+            "line-without-equals", "no-final-newline"])
+    def test_header_is_exactly_the_written_lines(self, tiny_checkpoint, tmp_path, header):
+        start = len(_CKPT_MAGIC)
+        (header_len,) = struct.unpack("<I", tiny_checkpoint[start:start + 4])
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(tiny_checkpoint[:start] + struct.pack("<I", len(header)) + header
+                         + tiny_checkpoint[start + 4 + header_len:])
+        with pytest.raises(CorruptHeader, match="one name=value line per field"):
+            load_checkpoint(path)
+
+    def test_integral_dropout_round_trips(self, tmp_path):
+        # written as dropout_p=0, which parses back as 0.0
+        cfg = replace(TINY, dropout_p=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(cfg), path)
+        assert b"\ndropout_p=0\n" in path.read_bytes()
+        assert load_checkpoint(path).cfg == cfg
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_params(TINY), path)

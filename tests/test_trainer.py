@@ -241,6 +241,8 @@ class TestEvaluate:
                           n_heads=2, d_model=16, d_ff=32)
         with pytest.raises(EmptyDataset):
             evaluate(init_params(cfg), [])
+        with pytest.raises(EmptyDataset):
+            predict_probs(init_params(cfg), [])
 
     def test_predict_probs_order_stable(self, separable_encoded, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=1)
