@@ -10,9 +10,9 @@ row the head reads.
 
 The layers before the last compute every position, but only the real ones
 matter: a model with more than one layer keeps its hidden state as packed
-[N, D] rows of the N real tokens, so the projections, layer norms, GELU and
-residuals skip padding. Attention alone scatters Q/K/V into the padded
-[B, H, L, dk] layout. A one-layer model has no such layer and stays padded.
+[N, D] rows of the N real tokens, so every layer skips padding; attention
+tiles reach their Q/K/V rows through a [B, L] map of positions to packed
+rows. A one-layer model has no such layer and stays padded.
 
 Attention and GELU run over tiles of whole rows (batch rows in attention),
 about ``_TILE`` elements each (at least one row), so eval mode never holds a
@@ -238,20 +238,19 @@ def _row_tiles(n_rows: int, row_size: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
-def _gelu(x: np.ndarray, erf_out: np.ndarray | None) -> np.ndarray:
-    """Exact GELU, one tile of rows at a time.
+def _gelu(x: np.ndarray, out: np.ndarray, erf_out=None, erf_in=None) -> np.ndarray:
+    """Exact GELU written to ``out``, which may be ``x``, one tile of rows at a time.
 
-    The erf term, which the backward pass reuses, is written to ``erf_out``
-    (shaped like ``x``) when one is given.
+    The erf term is read from ``erf_in`` if given (backward rebuilds the
+    output so, bit for bit), else computed and written to ``erf_out`` if given.
     """
-    act = np.empty_like(x)
     for sl in _row_tiles(len(x), x[0].size):
-        erf_term = erf(x[sl] * _INV_SQRT2)
+        erf_term = erf(x[sl] * _INV_SQRT2) if erf_in is None else erf_in[sl].copy()
         if erf_out is not None:
             erf_out[sl] = erf_term
         erf_term += 1.0
-        np.multiply(0.5 * x[sl], erf_term, out=act[sl])
-    return act
+        np.multiply(0.5 * x[sl], erf_term, out=out[sl])
+    return out
 
 
 def _gelu_backward(d_act: np.ndarray, x: np.ndarray, erf_term: np.ndarray) -> np.ndarray:
@@ -305,73 +304,88 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _attention(q, k, v, attn_bias, extent, keep_probs: bool):
+def _matmul_into(dest: np.ndarray, at, a: np.ndarray, b: np.ndarray, scale=None) -> None:
+    """``dest[at] = a @ b`` of [t, H, m, K] heads, merged, times ``scale`` if given."""
+    view = isinstance(at, tuple)
+    out = dest[at] if view else np.empty((len(a), a.shape[2], dest.shape[-1]), dest.dtype)
+    np.matmul(a, b, out=_split_heads(out, a.shape[1]))
+    if scale is not None:
+        out *= scale
+    if not view:
+        dest[at] = out
+
+
+def _slotted(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``x @ w + b``, packed [N, D] rows gaining a zero row N for ``_Rows.slot``."""
+    out = x @ w if x.ndim == 3 else np.empty((len(x) + 1, w.shape[1]), dtype=x.dtype)
+    if x.ndim == 2:
+        out[-1] = 0.0
+        np.matmul(x, w, out=out[:-1])
+    if b is not None:
+        out[:len(x)] += b
+    return out
+
+
+def _attention(q, k, v, attn_bias, rows, n_heads: int, keep_probs: bool):
     """Masked softmax attention, one tile of batch rows at a time.
 
-    ``q`` is [B, H, Lq, K], ``k`` and ``v`` are [B, H, L, K], and scores are
-    scaled by 1/sqrt(K); ``extent``, unless None, gives the positions of each
-    batch row that matter, and no key past it is unmasked. Returns the context
-    with heads merged, [B, Lq, H*K], and, when ``keep_probs``, the
-    probabilities the backward pass reads: one [t, H, mq, m] array per tile of
-    t rows. With an extent, a tile computes its first m positions only, m
-    being its longest row's extent, as keys and, up to Lq, as queries; the
-    context past them is left unset. The keys dropped are masked in every row
-    of the tile, so their probabilities are exact zeros, but each softmax row
-    now sums over m keys, not L, so the bits depend on the tile's rows.
+    Each of ``q``, ``k`` and ``v`` is padded, [B, Lq, D] (Lq = L for ``k``
+    and ``v``), or packed [N+1, D] rows that ``rows.slot`` maps the [B, L]
+    positions to. Scores are scaled by 1/sqrt(D / n_heads). Returns the
+    context in ``q``'s layout without row N, and, when ``keep_probs``, the
+    probabilities the backward pass reads: one [t, H, mq, m] array per tile
+    of t rows. With ``rows.extent``, a tile computes its first m positions
+    only, m being its longest row's extent, as keys and, up to Lq, as
+    queries; a padded context past them is left unset. The keys dropped are
+    masked in every row of the tile, so their probabilities are exact zeros,
+    but each softmax row now sums over m keys, not L, so the bits depend on
+    the tile's rows.
     """
-    b, h, n_q, dk = q.shape
-    length = k.shape[2]
-    scale = 1.0 / math.sqrt(dk)
-    ctx = np.empty((b, n_q, h * dk), dtype=q.dtype)
-    ctx_heads = _split_heads(ctx, h)
+    b, length = rows.ids.shape
+    n_q = length if q.ndim == 2 else q.shape[1]
+    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
+    ctx = np.empty_like(q)
     probs = []
-    k_t = k.transpose(0, 1, 3, 2)
-    for sl in _row_tiles(b, h * n_q * length):
-        m = length if extent is None else int(extent[sl].max())
-        m_q = min(n_q, m)
-        p = q[sl, :, :m_q] @ k_t[sl, :, :, :m]
+    for sl in _row_tiles(b, n_heads * n_q * length):
+        m = length if rows.extent is None else int(rows.extent[sl].max())
+        at_q, at = rows.at(q, sl, min(n_q, m)), rows.at(k, sl, m)
+        q_t, k_t, v_t = (_split_heads(a[i], n_heads) for a, i in ((q, at_q), (k, at), (v, at)))
+        p = q_t @ k_t.transpose(0, 1, 3, 2)
         p *= scale
         p += attn_bias[sl, :, :, :m]
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, v[sl, :, :m], out=ctx_heads[sl, :, :m_q])
+        _matmul_into(ctx, at_q, p, v_t)
         if keep_probs:
             probs.append(p)
-    return ctx, tuple(probs) if keep_probs else None
+    return ctx[:-1] if ctx.ndim == 2 else ctx, tuple(probs) if keep_probs else None
 
 
-def _attention_backward(d_ctx, q, k, v, probs):
-    """Gradients of q, k and v with heads merged, one tile of batch rows at a time.
+def _attention_backward(d_ctx, q, k, v, probs, rows, n_heads: int):
+    """Gradients of q, k and v, one tile of batch rows at a time.
 
-    ``d_ctx`` is [B, H, Lq, K] and zero past each row's extent, and ``probs``
-    holds the forward pass's per-tile probabilities; the results are
-    [B, Lq, H*K], [B, L, H*K] and [B, L, H*K]. Each tile works on the query
-    rows and keys its probabilities cover, so positions past them are left
-    unset when an extent trims them.
+    ``q``, ``k``, ``v`` and ``rows`` are as ``_attention`` read them,
+    ``probs`` holds its per-tile probabilities, and ``d_ctx`` is in ``q``'s
+    layout and zero past each row's extent. Each gradient is in its input's
+    layout without row N; a padded one is left unset past the positions the
+    tile's probabilities cover.
     """
-    b, h, n_q, dk = q.shape
-    length = k.shape[2]
-    scale = 1.0 / math.sqrt(dk)
-    d_q = np.empty((b, n_q, h * dk), dtype=q.dtype)
-    d_k = np.empty((b, length, h * dk), dtype=q.dtype)
-    d_v = np.empty_like(d_k)
-    d_q_heads, d_k_heads, d_v_heads = (_split_heads(d, h) for d in (d_q, d_k, d_v))
-    v_t = v.transpose(0, 1, 3, 2)
-    for sl, p in zip(_row_tiles(b, h * n_q * length), probs):
-        m_q, m = p.shape[2:]
-        d_c = d_ctx[sl, :, :m_q]
-        np.matmul(p.transpose(0, 1, 3, 2), d_c, out=d_v_heads[sl, :, :m])
+    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
+    d_q, d_k, d_v = (np.empty_like(a) for a in (q, k, v))
+    n_q = rows.ids.shape[1] if q.ndim == 2 else q.shape[1]
+    for sl, p in zip(_row_tiles(len(rows.ids), n_heads * n_q * rows.ids.shape[1]), probs):
+        at_q, at = rows.at(q, sl, p.shape[2]), rows.at(k, sl, p.shape[3])
+        d_c, q_t, k_t, v_t = (_split_heads(a[i], n_heads)
+                              for a, i in ((d_ctx, at_q), (q, at_q), (k, at), (v, at)))
+        _matmul_into(d_v, at, p.transpose(0, 1, 3, 2), d_c)
         # d_probs, turned into d_scores in place
-        d_scores = d_c @ v_t[sl, :, :, :m]
+        d_scores = d_c @ v_t.transpose(0, 1, 3, 2)
         d_scores -= (d_scores * p).sum(axis=-1, keepdims=True)
         d_scores *= p
-        d_q_tile, d_k_tile = d_q_heads[sl, :, :m_q], d_k_heads[sl, :, :m]
-        np.matmul(d_scores, k[sl, :, :m], out=d_q_tile)
-        d_q_tile *= scale
-        np.matmul(d_scores.transpose(0, 1, 3, 2), q[sl, :, :m_q], out=d_k_tile)
-        d_k_tile *= scale
-    return d_q, d_k, d_v
+        _matmul_into(d_q, at_q, d_scores, k_t, scale)
+        _matmul_into(d_k, at, d_scores.transpose(0, 1, 3, 2), q_t, scale)
+    return tuple(g[:-1] if g.ndim == 2 else g for g in (d_q, d_k, d_v))
 
 
 class _Rows:
@@ -379,27 +393,28 @@ class _Rows:
 
     A model with more than one layer keeps the computed positions only, the
     real ones and CLS, packed as [N, D] rows in batch-row order; ``real``
-    holds their flat indices into the [B, L] batch and ``extent`` counts
-    each batch row's positions up to its last computed one, which attention
-    trims its tiles to. A one-layer model, whose only
-    layer computes just the CLS row past K/V, keeps the padded [B, L, D]
-    layout, and both are None. ``x[rows.cls]`` is each batch row's CLS row,
-    [B, 1, D], in either layout.
+    holds their flat indices into the [B, L] batch, ``slot`` maps each
+    position to its packed row (N if not computed) and ``extent`` counts each
+    batch row's positions up to its last computed one, which attention trims
+    its tiles to. A one-layer model, whose only layer computes just the CLS
+    row past K/V, keeps the padded [B, L, D] layout, and all three are None.
+    ``x[rows.cls]`` is each batch row's CLS row, [B, 1, D], in either layout.
     """
 
     def __init__(self, batch: TokenBatch, n_layers: int):
         self.ids = batch.ids
         self.mask = batch.mask
         if n_layers == 1:
-            self.real = self.extent = None
+            self.real = self.slot = self.extent = None
             self.cls = np.s_[:, :1]
             return
-        b, length = batch.ids.shape
         computed = self._computed()
         self.real = np.flatnonzero(computed)
         # One past each row's last computed position.
-        self.extent = length - np.argmax(computed[:, ::-1], axis=1)
-        self.cls = np.searchsorted(self.real, np.arange(b) * length)[:, None]
+        self.extent = computed.shape[1] - np.argmax(computed[:, ::-1], axis=1)
+        self.slot = np.where(computed, computed.cumsum().reshape(computed.shape) - 1,
+                             len(self.real))
+        self.cls = self.slot[:, :1]
 
     def _computed(self) -> np.ndarray:
         """The real positions and CLS, which the head reads whatever its mask says."""
@@ -407,26 +422,21 @@ class _Rows:
         computed[:, 0] = True
         return computed
 
+    def at(self, a: np.ndarray, sl: slice, m: int):
+        """Index of rows ``sl``'s first m positions in ``a``: a slice, or ``slot`` rows."""
+        if a.ndim == 3:
+            return np.s_[sl, :m]
+        slots = self.slot[sl, :m]
+        first, last = slots[0, 0], slots[0, -1]
+        consecutive = len(slots) == 1 and last - first == m - 1 and last < len(self.real)
+        return np.s_[None, first:last + 1] if consecutive else slots
+
     def embed(self, tok: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Token plus position embeddings of the kept rows."""
         length = self.ids.shape[1]
         if self.real is None:
             return tok[self.ids] + pos[None, :length]
         return tok[self.ids.reshape(-1)[self.real]] + pos[self.real % length]
-
-    def padded(self, x: np.ndarray) -> np.ndarray:
-        """Rows in the padded [B, L, D] layout, zero at padding."""
-        if self.real is None:
-            return x
-        out = np.zeros((self.ids.size, x.shape[-1]), dtype=x.dtype)
-        out[self.real] = x
-        return out.reshape(*self.ids.shape, -1)
-
-    def pack(self, padded: np.ndarray) -> np.ndarray:
-        """The rows of a padded [B, L, D] array that this layout keeps."""
-        if self.real is None:
-            return padded
-        return padded.reshape(-1, padded.shape[-1])[self.real]
 
     def add_embed_grads(self, dx: np.ndarray, g_tok: np.ndarray, g_pos: np.ndarray) -> None:
         """Add the token and position embedding gradients from the first layer's input.
@@ -489,32 +499,32 @@ def _encoder(params: ModelParams, batch: TokenBatch, want_cache: bool):
 
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        last = i == cfg.n_layers - 1
-        x_q = x[rows.cls if last else slice(None)]
-        q = x_q @ t[p + "attn.wq"] + t[p + "attn.bq"]
-        k = x @ t[p + "attn.wk"] + t[p + "attn.bk"]
-        v = x @ t[p + "attn.wv"] + t[p + "attn.bv"]
-        q = _split_heads(q if last else rows.padded(q), cfg.n_heads)
-        k = _split_heads(rows.padded(k), cfg.n_heads)
-        v = _split_heads(rows.padded(v), cfg.n_heads)
-        ctx, probs = _attention(q, k, v, attn_bias, rows.extent, keep_probs=want_cache)
-        if not last:
-            ctx = rows.pack(ctx)
-        attn_out = ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]
-        h1 = x_q + attn_out
-        x_mid, ln1 = _layer_norm(h1, t[p + "ln1.g"], t[p + "ln1.b"])
-        ff_pre = x_mid @ t[p + "ff.w1"] + t[p + "ff.b1"]
-        erf_term = np.empty_like(ff_pre) if want_cache else None
-        act = _gelu(ff_pre, erf_term)
-        ff_out = act @ t[p + "ff.w2"] + t[p + "ff.b2"]
-        h2 = x_mid + ff_out
-        x_next, ln2 = _layer_norm(h2, t[p + "ln2.g"], t[p + "ln2.b"])
+        x_q = x[rows.cls if i == cfg.n_layers - 1 else slice(None)]
+        q = _slotted(x_q, t[p + "attn.wq"], t[p + "attn.bq"])
+        k = _slotted(x, t[p + "attn.wk"], t[p + "attn.bk"])
+        v = _slotted(x, t[p + "attn.wv"], t[p + "attn.bv"])
+        ctx, probs = _attention(q, k, v, attn_bias, rows, cfg.n_heads, keep_probs=want_cache)
         if want_cache:
-            layer_caches.append(
-                dict(x_in=x, q=q, k=k, v=v, probs=probs, ctx=ctx, ln1=ln1,
-                     x_mid=x_mid, ff_pre=ff_pre, erf=erf_term, act=act, ln2=ln2)
-            )
-        x = x_next
+            layer_caches.append(dict(x_in=x, q=q, k=k, v=v, probs=probs, ctx=ctx))
+        del q, k, v, probs
+        x_mid, ln1 = _layer_norm(x_q + (ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]),
+                                 t[p + "ln1.g"], t[p + "ln1.b"])
+        del ctx, x_q, x
+        ff_pre = x_mid @ t[p + "ff.w1"] + t[p + "ff.b1"]
+        if want_cache:
+            erf_term = np.empty_like(ff_pre)
+            layer_caches[-1].update(ln1=ln1, x_mid=x_mid, ff_pre=ff_pre, erf=erf_term)
+            act = _gelu(ff_pre, np.empty_like(ff_pre), erf_out=erf_term)
+        else:
+            act = _gelu(ff_pre, ff_pre)  # nothing keeps the pre-activation
+        del ln1, ff_pre
+        h2 = act @ t[p + "ff.w2"] + t[p + "ff.b2"]
+        h2 += x_mid
+        del act, x_mid
+        x, ln2 = _layer_norm(h2, t[p + "ln2.g"], t[p + "ln2.b"])
+        if want_cache:
+            layer_caches[-1]["ln2"] = ln2
+        del h2, ln2
 
     return x[:, 0, :], rows, layer_caches
 
@@ -603,10 +613,11 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray,
              grads: FlatTensors) -> FlatTensors:
     """Add every parameter's exact gradient into ``grads`` and return it.
 
-    ``grads`` must have the parameters' layout, which is checked before any
-    write. Each gradient, computed whole with the cached dropout masks, is
-    added into its view once. The cache is read, never changed, so backward
-    may run on it again; each temporary is dropped after its last reader.
+    ``grads`` must have the parameters' layout, checked before any write.
+    Each gradient, computed whole with the cached dropout masks, is added
+    into its view once. The cache is only read, so backward may run on it
+    again; the GELU output it lacks is rebuilt from ``ff_pre`` and ``erf``,
+    and each temporary is dropped after its last reader.
     """
     if cache is None:
         raise StaleCache("backward needs the cache from a train-mode forward")
@@ -631,35 +642,34 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray,
     for i in reversed(range(cfg.n_layers)):
         p = f"layers.{i}."
         lc = cache.layer_caches[i]
-        last = i == cfg.n_layers - 1
 
         dh2, *ln2 = _layer_norm_backward(dx, lc["ln2"], t[p + "ln2.g"])
+        del dx
         _add(grads, (p + "ln2.g", p + "ln2.b"), ln2)
 
-        # h2 = x_mid + act @ w2 + b2
-        _add(grads, (p + "ff.w2", p + "ff.b2"), _affine_grads(lc["act"], dh2))
+        # h2 = x_mid + act @ w2 + b2, act rebuilt from ff_pre and its erf term
+        act = _gelu(lc["ff_pre"], np.empty_like(lc["ff_pre"]), erf_in=lc["erf"])
+        _add(grads, (p + "ff.w2", p + "ff.b2"), _affine_grads(act, dh2))
+        del act
         d_ff_pre = _gelu_backward(dh2 @ t[p + "ff.w2"].T, lc["ff_pre"], lc["erf"])
         _add(grads, (p + "ff.w1", p + "ff.b1"), _affine_grads(lc["x_mid"], d_ff_pre))
-        dh1, *ln1 = _layer_norm_backward(
-            dh2 + d_ff_pre @ t[p + "ff.w1"].T, lc["ln1"], t[p + "ln1.g"])
-        del dh2, d_ff_pre  # the largest temporaries, [N, d_ff] among them
+        dh2 += d_ff_pre @ t[p + "ff.w1"].T
+        del d_ff_pre
+        dh1, *ln1 = _layer_norm_backward(dh2, lc["ln1"], t[p + "ln1.g"])
+        del dh2
         _add(grads, (p + "ln1.g", p + "ln1.b"), ln1)
 
         # h1 = x_q + ctx @ wo + bo
         _add(grads, (p + "attn.wo", p + "attn.bo"), _affine_grads(lc["ctx"], dh1))
-        d_ctx = dh1 @ t[p + "attn.wo"].T
-        d_ctx = _split_heads(d_ctx if last else rows.padded(d_ctx), cfg.n_heads)
-
-        d_q, d_k, d_v = _attention_backward(d_ctx, lc["q"], lc["k"], lc["v"], lc["probs"])
-        del d_ctx  # the padded gradient: nothing reads it past attention
-        d_k, d_v = rows.pack(d_k), rows.pack(d_v)
-        if not last:
-            d_q = rows.pack(d_q)
+        d_ctx = _slotted(dh1, t[p + "attn.wo"].T)
+        d_q, d_k, d_v = _attention_backward(d_ctx, lc["q"], lc["k"], lc["v"], lc["probs"],
+                                            rows, cfg.n_heads)
+        del d_ctx
 
         # Q reads the query rows of x_in (only CLS in the last layer), K and V
         # read all of them.
         x_in = lc["x_in"]
-        at_q = rows.cls if last else slice(None)
+        at_q = rows.cls if i == cfg.n_layers - 1 else slice(None)
         for proj, d_proj, x_proj in (
             ("q", d_q, x_in[at_q]), ("k", d_k, x_in), ("v", d_v, x_in)
         ):
@@ -667,6 +677,7 @@ def backward(params: ModelParams, cache: ForwardCache, dl_dlogits: np.ndarray,
                  _affine_grads(x_proj, d_proj))
         dx = d_k @ t[p + "attn.wk"].T + d_v @ t[p + "attn.wv"].T
         dx[at_q] += dh1 + d_q @ t[p + "attn.wq"].T
+        del d_q, d_k, d_v, dh1
 
     rows.add_embed_grads(dx, grads["embed.tok"], grads["embed.pos"])
     return grads
@@ -682,7 +693,8 @@ def _cfg_from_text(text: str) -> ModelConfig:
     """Inverse of _cfg_to_text: the header must be exactly the lines it writes.
 
     One ``name=value`` line per field, each ending in a newline, in field
-    order; any other line, or none, is corrupt.
+    order, the value as ``_cfg_to_text`` writes it; any other line, or none,
+    is corrupt.
     """
     *lines, tail = text.split("\n")
     pairs = [line.partition("=") for line in lines]
@@ -690,12 +702,18 @@ def _cfg_from_text(text: str) -> ModelConfig:
     if tail or [(key, sep) for key, sep, _ in pairs] != [(name, "=") for name in names]:
         raise CorruptHeader("checkpoint config is not one name=value line per field, "
                             f"in the order {', '.join(names)}")
-    # Each field's annotation (int, float or str) parses its value, and
-    # ModelConfig checks it: a value it rejects is as corrupt as one that
-    # does not parse.
+    # Each field's annotation (int, float or str) parses its value, which must
+    # read as written (int and float also take "0_5", " +5" or "3e-1"), and
+    # ModelConfig checks it: a value it rejects is as corrupt as one that does not parse.
     parse = typing.get_type_hints(ModelConfig)
     try:
-        return ModelConfig(**{key: parse[key](value) for key, _, value in pairs})
+        values = {key: parse[key](written) for key, _, written in pairs}
+        for key, _, written in pairs:
+            v = values[key]
+            if written != str(v) and not (type(v) is float and v.is_integer()
+                                          and written == str(int(v))):
+                raise ValueError(f"{key}={written} is not how {v!r} is written")
+        return ModelConfig(**values)
     except (ValueError, ConfigError) as exc:
         raise CorruptHeader(f"bad checkpoint config: {exc}") from exc
 
