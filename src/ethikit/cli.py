@@ -32,19 +32,15 @@ from ethikit.errors import (ConfigError, EthikitError, MalformedReport, NotJson,
                             UnusablePath, reading)
 from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
 
-RUN_ROOT_ENV = "ETHIKIT_RUN_ROOT"
-
 _SPARK_LEVELS = " .:-=+*#%@"
 
 # Each config-backed flag, by its argparse dest, names the config field it
 # sets. The flag takes its default, and its type, from a config instance.
 _MODEL_FLAGS = {"max_len": "max_len", "dropout": "dropout_p", "layers": "n_layers",
                 "heads": "n_heads", "d_model": "d_model", "d_ff": "d_ff", "seed": "seed"}
-_OPTIM_FLAGS = {"lr": "eta0", "wd": "weight_decay", "beta1": "beta1", "beta2": "beta2",
-                "eps": "epsilon", "grad_accum": "n_acc"}
+_OPTIM_FLAGS = {"lr": "eta0", "wd": "weight_decay", "grad_accum": "n_acc"}
 _TRAIN_FLAGS = {"epochs": "epochs", "batch_size": "batch_size"}
 _TOKENIZER_FLAGS = {"vocab_size": "vocab_size", "min_freq": "min_frequency"}
-_BUILD_VOCAB_FLAGS = {"size": "vocab_size", "min_freq": "min_frequency"}
 _FILTER_FLAGS = {"quantile": "keep_quantile", "proxies": "n_proxies"}
 
 # The vocab size is known only once the vocab is, so the smallest valid one
@@ -61,8 +57,10 @@ def _fields(values: dict, table: dict) -> dict:
     return {field: values[dest] for dest, field in table.items() if dest in values}
 
 
-def _run_root() -> Path:
-    return Path(os.environ.get(RUN_ROOT_ENV, "."))
+def _changed(values: dict, defaults: dict) -> list[str]:
+    """The flags, by name, of each dest in ``defaults`` whose value in ``values`` differs."""
+    return ["--" + dest.replace("_", "-") for dest, default in defaults.items()
+            if values[dest] != default]
 
 
 def _resolve_split_file(data_dir: Path, domain: str, split: str) -> Path:
@@ -106,7 +104,8 @@ def _settings(flags: dict) -> dict:
 def _configs(settings: dict, train: trainer_mod.TrainConfig, tok: tok_mod.TokenizerConfig):
     """The training and tokenizer configs that ``settings`` set over ``train`` and ``tok``.
 
-    The tokenizer config is None when the settings name a vocab file. Each
+    The tokenizer config is None when the settings name a vocab file, which
+    then must leave every tokenizer setting at its value in ``tok``. Each
     replace checks its config, so a bad setting raises ConfigError here.
     """
     train = dataclasses.replace(
@@ -116,6 +115,11 @@ def _configs(settings: dict, train: trainer_mod.TrainConfig, tok: tok_mod.Tokeni
         **_fields(settings, _TRAIN_FLAGS),
     )
     if settings["vocab_file"]:
+        inert = _changed(settings, {dest: getattr(tok, field)
+                                    for dest, field in _TOKENIZER_FLAGS.items() if dest in settings})
+        if inert:
+            raise ConfigError(f"--vocab fixes the vocabulary, so {' '.join(inert)} "
+                              "would have no effect; drop them")
         return train, None
     return train, dataclasses.replace(tok, **_fields(settings, _TOKENIZER_FLAGS))
 
@@ -138,19 +142,27 @@ def _write_text(path, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _check_outputs(*paths) -> None:
-    """Raise UnusablePath unless each of ``paths`` could be written as a file.
+def _check_outputs(outputs: dict) -> None:
+    """Raise UnusablePath unless each path in ``outputs``, keyed by its flag,
+    could be written as a file no other output names; None is no output.
 
     Commands check their outputs before any work, so a path that cannot be
-    written does not cost a run.
+    written, or that two outputs share, does not cost a run.
     """
-    for path in map(Path, paths):
+    flag_of = {}
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        path = Path(path)
         if path.is_dir():
             raise UnusablePath(f"{path}: is a directory, not a file")
         if not path.parent.is_dir():
             raise UnusablePath(f"{path}: {path.parent} is not a directory")
         if not os.access(path.parent, os.W_OK) or (path.exists() and not os.access(path, os.W_OK)):
             raise UnusablePath(f"{path}: permission denied")
+        first = flag_of.setdefault(path.resolve(), flag)
+        if first != flag:
+            raise UnusablePath(f"{path}: {first} and {flag} name the same file")
 
 
 def _sparkline(values) -> str:
@@ -183,11 +195,11 @@ def cmd_normalize(args) -> int:
 # --- build-vocab ---
 
 def cmd_build_vocab(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs({"--out": args.out})
     # train, evaluate and filter-hard encode normalized text, so the vocab is
     # learned from the same.
     lines = [norm_mod.normalize(line) for line in _read_lines(args.input)]
-    cfg = tok_mod.TokenizerConfig(**_fields(vars(args), _BUILD_VOCAB_FLAGS))
+    cfg = tok_mod.TokenizerConfig(**_fields(vars(args), _TOKENIZER_FLAGS))
     vocab = tok_mod.train_vocab(lines, cfg)
     tok_mod.save_vocab(vocab, args.out)
     print(f"wrote {len(vocab)} tokens to {args.out}")
@@ -345,12 +357,12 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
 def _replay_conflicts(args) -> list[str]:
     """The flags besides --replay and --out-dir that ``args`` set off their defaults."""
     defaults = vars(build_parser().parse_args(["train"]))
-    return ["--" + dest.replace("_", "-") for dest, value in vars(args).items()
-            if dest not in ("replay", "out_dir") and value != defaults[dest]]
+    del defaults["replay"], defaults["out_dir"]
+    return _changed(vars(args), defaults)
 
 
 def cmd_train(args) -> int:
-    out_dir = _run_root() / args.out_dir
+    out_dir = Path(args.out_dir)
     if args.replay:
         conflicts = _replay_conflicts(args)
         if conflicts:
@@ -373,7 +385,7 @@ def cmd_train(args) -> int:
 # --- evaluate ---
 
 def cmd_evaluate(args) -> int:
-    _check_outputs(*filter(None, (args.report, args.scores)))
+    _check_outputs({"--report": args.report, "--scores": args.scores})
     ckpt_path = Path(args.checkpoint)
     params = load_checkpoint(ckpt_path)
     vocab_path = Path(args.vocab) if args.vocab else ckpt_path.parent / "vocab.txt"
@@ -410,7 +422,7 @@ def cmd_filter_hard(args) -> int:
     proxy, tok_cfg = _configs(_settings(flags), hard_mod.PROXY_RECIPE, hard_mod.PROXY_TOKENIZER)
     cfg = hard_mod.FilterConfig(proxy=proxy, **_fields(flags, _FILTER_FLAGS))
     score_path = args.scores_out or Path(args.out).with_suffix(".scores.csv")
-    _check_outputs(args.out, score_path)
+    _check_outputs({"--out": args.out, "--scores-out": score_path})
 
     spec = dataset_mod.default_specs()[args.domain]
     dev = _normalized(dataset_mod.load_split(args.dev, spec))
@@ -468,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-vocab", help="train a subword vocabulary on normalized lines")
     p.add_argument("--input", default="-", help="corpus file, '-' for stdin")
-    _add_config_flags(p, tok_mod.TokenizerConfig(), _BUILD_VOCAB_FLAGS)
+    _add_config_flags(p, tok_mod.TokenizerConfig(), _TOKENIZER_FLAGS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_vocab)
 

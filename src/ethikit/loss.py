@@ -7,8 +7,6 @@ a mean of means. Probabilities are clamped away from {0, 1} before the logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ethikit.errors import EmptyInput, LengthMismatch
@@ -17,13 +15,7 @@ from ethikit.special import expit
 PROB_CLAMP = 1e-7
 
 
-@dataclass(frozen=True)
-class LossValue:
-    mean_loss: float
-    n: int
-
-
-def bce(probs, labels) -> LossValue:
+def bce(probs, labels) -> float:
     """Mean binary cross-entropy of predicted probabilities."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -31,7 +23,7 @@ def bce(probs, labels) -> LossValue:
         raise LengthMismatch(f"{probs.shape} vs {labels.shape}")
     if probs.size == 0:
         raise EmptyInput("no samples")
-    return LossValue(mean_loss=float(bce_terms(probs, labels).mean()), n=probs.size)
+    return float(bce_terms(probs, labels).mean())
 
 
 def bce_terms(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -24,23 +24,21 @@ import numpy as np
 from ethikit.errors import ConfigError, IncompleteAccumulation, InvalidStep, ShapeMismatch
 from ethikit.model import FlatTensors, ModelParams, _row_tiles
 
+# Adam's published constants (Kingma & Ba 2015); no recipe sets other values.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class OptimConfig:
     eta0: float = 6e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.01
     n_acc: int = 4
 
     def __post_init__(self) -> None:
         if self.eta0 <= 0:
             raise ConfigError("eta0 must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be nonnegative")
         if self.n_acc < 1:
@@ -87,8 +85,8 @@ def flush(params: ModelParams, state: OptimState, cfg: OptimConfig) -> None:
 
     state.t += 1
     eta = lr_at(state.t, cfg.eta0)
-    bias1 = 1.0 - cfg.beta1 ** state.t
-    bias2 = 1.0 - cfg.beta2 ** state.t
+    bias1 = 1.0 - BETA1 ** state.t
+    bias2 = 1.0 - BETA2 ** state.t
     decay = eta * cfg.weight_decay
     n_decayed = params.tensors.n_decayed if cfg.weight_decay > 0.0 else 0
 
@@ -99,11 +97,11 @@ def flush(params: ModelParams, state: OptimState, cfg: OptimConfig) -> None:
         g, m_t, v_t, theta_t = g_acc[sl], m[sl], v[sl], theta[sl]
         update = scratch[:g.size]
         g /= state.counter
-        m_t *= cfg.beta1
-        np.multiply(g, 1.0 - cfg.beta1, out=update)
+        m_t *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=update)
         m_t += update
-        v_t *= cfg.beta2
-        np.multiply(g, 1.0 - cfg.beta2, out=update)
+        v_t *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=update)
         update *= g
         v_t += update
         # The mean gradient is used up; g holds the denominator, then the decay.
@@ -111,7 +109,7 @@ def flush(params: ModelParams, state: OptimState, cfg: OptimConfig) -> None:
         update *= eta
         np.divide(v_t, bias2, out=g)
         np.sqrt(g, out=g)
-        g += cfg.epsilon
+        g += EPSILON
         update /= g
         decayed = max(0, min(sl.stop, n_decayed) - sl.start)
         if decayed:

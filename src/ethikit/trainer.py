@@ -133,7 +133,7 @@ def predict_probs(params: ModelParams, dataset,
 def _eval_loss_acc(params, dataset, batch_size):
     probs = predict_probs(params, dataset, batch_size)
     labels = np.array([ex.label for ex in dataset], dtype=np.float64)
-    mean_loss = loss_mod.bce(probs, labels).mean_loss
+    mean_loss = loss_mod.bce(probs, labels)
     preds = (probs >= metrics_mod.THRESHOLD).astype(np.int64)
     acc = float((preds == labels.astype(np.int64)).mean())
     return mean_loss, acc

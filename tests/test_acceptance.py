@@ -27,7 +27,7 @@ from ethikit.model import (
     init_params,
     is_weight_param,
 )
-from ethikit.optim import OptimConfig, accumulate, flush, init_state, lr_at
+from ethikit.optim import BETA1, BETA2, EPSILON, OptimConfig, accumulate, flush, init_state, lr_at
 from ethikit.tokenizer import (
     SPECIAL_TOKENS,
     UNK_ID,
@@ -88,7 +88,7 @@ def test_c01_gradient_oracle():
 
     def loss_at():
         out, _ = forward(params, batch, train=True, head_mask=keep)
-        return bce(expit(out), batch.labels).mean_loss
+        return bce(expit(out), batch.labels)
 
     step = 1e-3
     worst = 0.0
@@ -156,10 +156,10 @@ def test_c02_optimizer_oracle():
         flush(params, state, cfg)
         grad_means.append(g)
 
-    decayed = _scalar_adamw(theta0, grad_means, cfg.eta0, cfg.beta1, cfg.beta2,
-                            cfg.epsilon, cfg.weight_decay, decayed=True)
-    plain = _scalar_adamw(theta0_bias, grad_means, cfg.eta0, cfg.beta1, cfg.beta2,
-                          cfg.epsilon, cfg.weight_decay, decayed=False)
+    decayed = _scalar_adamw(theta0, grad_means, cfg.eta0, BETA1, BETA2,
+                            EPSILON, cfg.weight_decay, decayed=True)
+    plain = _scalar_adamw(theta0_bias, grad_means, cfg.eta0, BETA1, BETA2,
+                          EPSILON, cfg.weight_decay, decayed=False)
     err_w = abs(float(params["head.w"][0]) - decayed) / max(1.0, abs(decayed))
     err_b = abs(float(params["head.b"]) - plain) / max(1.0, abs(plain))
     assert err_w <= 1e-12 and err_b <= 1e-12, (err_w, err_b)
@@ -255,9 +255,9 @@ def test_c06_padding_invariance():
 
 
 def test_c07_loss_values():
-    ln2 = bce([0.5], [1]).mean_loss
+    ln2 = bce([0.5], [1])
     assert abs(ln2 - math.log(2)) <= 1e-12
-    hand = bce([0.9, 0.2], [1, 0]).mean_loss
+    hand = bce([0.9, 0.2], [1, 0])
     assert abs(hand - 0.164252) <= 1e-6
     _report(7, f"bce([0.5],[1])={ln2:.12f}, two-sample case={hand:.6f}")
 

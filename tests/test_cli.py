@@ -18,11 +18,13 @@ from ethikit.errors import UnusablePath
 from ethikit.metrics import DegenerateMetricWarning
 from tests.conftest import make_separable_examples
 
-FAST_TRAIN_FLAGS = [
+# The tokenizer flags stand apart: a run given --vocab sets none of them.
+FAST_MODEL_FLAGS = [
     "--epochs", "2", "--batch-size", "8", "--max-len", "16",
     "--layers", "1", "--heads", "2", "--d-model", "16", "--d-ff", "32",
-    "--lr", "0.01", "--vocab-size", "300", "--min-freq", "1", "--seed", "3",
+    "--lr", "0.01", "--seed", "3",
 ]
+FAST_TRAIN_FLAGS = [*FAST_MODEL_FLAGS, "--vocab-size", "300", "--min-freq", "1"]
 
 
 @pytest.fixture
@@ -33,11 +35,13 @@ def train_file(tmp_path) -> Path:
     return path
 
 
-def run_train(tmp_path, train_file, out_name="run1", extra=()) -> Path:
+def run_train(tmp_path, train_file, out_name="run1", vocab=None) -> Path:
+    """A fast run on ``vocab``, or else on a vocab learned from ``train_file``."""
     out_dir = tmp_path / out_name
+    flags = [*FAST_MODEL_FLAGS, "--vocab", str(vocab)] if vocab else FAST_TRAIN_FLAGS
     code = main([
         "train", "--train-file", str(train_file), "--domain", "justice",
-        "--out-dir", str(out_dir), *FAST_TRAIN_FLAGS, *extra,
+        "--out-dir", str(out_dir), *flags,
     ])
     assert code == 0
     return out_dir
@@ -47,7 +51,7 @@ def run_train(tmp_path, train_file, out_name="run1", extra=()) -> Path:
 def vocab_file(tmp_path, train_file) -> Path:
     """A vocab that build-vocab learns from the training file."""
     path = tmp_path / "vocab.txt"
-    assert main(["build-vocab", "--input", str(train_file), "--size", "300",
+    assert main(["build-vocab", "--input", str(train_file), "--vocab-size", "300",
                  "--min-freq", "1", "--out", str(path)]) == 0
     return path
 
@@ -103,7 +107,7 @@ class TestBuildVocabCommand:
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("the cat sat\nthe dog sat\n" * 5, encoding="utf-8")
         out = tmp_path / "vocab.txt"
-        code = main(["build-vocab", "--input", str(corpus), "--size", "64",
+        code = main(["build-vocab", "--input", str(corpus), "--vocab-size", "64",
                      "--min-freq", "2", "--out", str(out)])
         assert code == 0
         lines = out.read_text(encoding="utf-8").splitlines()
@@ -116,7 +120,7 @@ class TestBuildVocabCommand:
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("THE CAT SAT ON THE MAT\n" * 5, encoding="utf-8")
         out = tmp_path / "vocab.txt"
-        assert main(["build-vocab", "--input", str(corpus), "--size", "64",
+        assert main(["build-vocab", "--input", str(corpus), "--vocab-size", "64",
                      "--min-freq", "2", "--out", str(out)]) == 0
         learned = out.read_text(encoding="utf-8").splitlines()[5:]
         assert "the" in learned
@@ -158,8 +162,7 @@ class TestTrainCommand:
             "min_freq": 2,
             "model": {"d_ff": 256, "d_model": 64, "dropout_p": 0.3, "max_len": 128,
                       "n_heads": 4, "n_layers": 2, "seed": 0},
-            "optim": {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-08, "eta0": 6e-05,
-                      "n_acc": 4, "weight_decay": 0.01},
+            "optim": {"eta0": 6e-05, "n_acc": 4, "weight_decay": 0.01},
             "train_file": str(train_file),
             "val_ratio": 0.8,
             "vocab_file": None,
@@ -359,14 +362,14 @@ class TestTrainCommand:
         assert not (tmp_path / "replayed").exists()
 
     def test_replay_with_vocab_file(self, tmp_path, train_file, vocab_file):
-        d1 = run_train(tmp_path, train_file, extra=["--vocab", str(vocab_file)])
+        d1 = run_train(tmp_path, train_file, vocab=vocab_file)
         manifest = json.loads((d1 / "manifest.json").read_text())
         assert manifest["inputs"]["vocab_file"]["path"] == str(vocab_file)
         assert _replay(tmp_path, d1 / "manifest.json") == 0
         assert (d1 / "best.ckpt").read_bytes() == (tmp_path / "replayed" / "best.ckpt").read_bytes()
 
     def test_replay_of_changed_vocab_exit_1(self, tmp_path, train_file, vocab_file, capsys):
-        d1 = run_train(tmp_path, train_file, extra=["--vocab", str(vocab_file)])
+        d1 = run_train(tmp_path, train_file, vocab=vocab_file)
         vocab_file.write_text(vocab_file.read_text() + "zzz\n")
         assert _replay(tmp_path, d1 / "manifest.json") == 1
         err = capsys.readouterr().err
@@ -387,7 +390,7 @@ class TestTrainCommand:
                                              edit, named):
         # A replay reads only files whose hash it checked, so a manifest
         # whose inputs and config name different files is refused outright.
-        d1 = run_train(tmp_path, train_file, extra=["--vocab", str(vocab_file)])
+        d1 = run_train(tmp_path, train_file, vocab=vocab_file)
         other = tmp_path / "other.csv"
         serialize_split(make_separable_examples(40, seed=22), default_specs()["justice"], other)
         manifest = json.loads((d1 / "manifest.json").read_text())
@@ -412,14 +415,23 @@ class TestTrainCommand:
         assert all(flag in err for flag in extra if flag.startswith("--"))
         assert not (tmp_path / "replayed").exists()
 
-    def test_run_root_env(self, tmp_path, train_file, monkeypatch):
-        monkeypatch.setenv("ETHIKIT_RUN_ROOT", str(tmp_path / "root"))
-        code = main([
-            "train", "--train-file", str(train_file), "--domain", "justice",
-            "--out-dir", "nested", *FAST_TRAIN_FLAGS,
-        ])
-        assert code == 0
-        assert (tmp_path / "root" / "nested" / "best.ckpt").exists()
+    def test_vocab_file_with_tokenizer_flags_exit_2(self, tmp_path, train_file, vocab_file,
+                                                     capsys):
+        # a vocab file fixes the vocabulary, so these flags would change nothing
+        out_dir = tmp_path / "run"
+        code = main(["train", "--train-file", str(train_file), "--domain", "justice",
+                     "--out-dir", str(out_dir), "--vocab", str(vocab_file),
+                     "--vocab-size", "99", "--min-freq", "7"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--vocab-size --min-freq" in err
+        assert not out_dir.exists()
+
+    def test_vocab_file_with_default_tokenizer_flags(self, tmp_path, train_file, vocab_file):
+        # a flag given at its default value changes nothing, so it is no conflict
+        assert main(["train", "--train-file", str(train_file), "--domain", "justice",
+                     "--out-dir", str(tmp_path / "run"), "--vocab", str(vocab_file),
+                     *FAST_MODEL_FLAGS, "--vocab-size", "8000", "--min-freq", "2"]) == 0
 
 
 class TestEvaluateCommand:
@@ -550,6 +562,20 @@ class TestFilterHardCommand:
         out = self.run_filter_hard(tmp_path, "--vocab", str(vocab_file))
         assert out.read_text().startswith("label,scenario\n")
         assert len(out.with_suffix(".scores.csv").read_text().splitlines()) == 33
+
+    def test_vocab_file_with_vocab_size_exit_2(self, tmp_path, train_file, vocab_file, capsys,
+                                               monkeypatch):
+        import ethikit.hard_filter as hard_mod
+
+        calls = []
+        monkeypatch.setattr(hard_mod, "train_proxies", lambda *a, **k: calls.append(a))
+        out = tmp_path / "hard.csv"
+        assert main(["filter-hard", "--dev", str(train_file), "--pool", str(train_file),
+                     "--domain", "justice", "--out", str(out), "--vocab", str(vocab_file),
+                     "--vocab-size", "300"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--vocab-size" in err
+        assert calls == [] and not out.exists()
 
     def test_virtue_packed_pairs(self, tmp_path, fixtures_dir, capsys):
         from ethikit.hard_filter import hard_indices
@@ -798,6 +824,49 @@ class TestOutputsCheckedFirst:
                      "--domain", "justice", *(f.format(**fill) for f in flags)]) == 1
         assert f"{Path(named.format(**fill))}: " in capsys.readouterr().err
         assert calls == []
+
+    def test_evaluate_report_and_scores_one_file(self, tmp_path, train_file, capsys,
+                                                  monkeypatch):
+        import ethikit.trainer as trainer_mod
+
+        ckpt = run_train(tmp_path, train_file) / "best.ckpt"
+        calls = []
+        monkeypatch.setattr(trainer_mod, "evaluate", lambda *a, **k: calls.append(a))
+        # one file named twice, once relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(train_file),
+                     "--domain", "justice", "--report", str(tmp_path / "p.csv"),
+                     "--scores", "p.csv"]) == 1
+        assert "p.csv: --report and --scores name the same file" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_filter_hard_out_and_scores_one_file(self, tmp_path, train_file, capsys,
+                                                 monkeypatch):
+        import ethikit.hard_filter as hard_mod
+
+        calls = []
+        monkeypatch.setattr(hard_mod, "train_proxies", lambda *a, **k: calls.append(a))
+        out = tmp_path / "x.csv"
+        assert main(["filter-hard", "--dev", str(train_file), "--pool", str(train_file),
+                     "--domain", "justice", "--out", str(out), "--scores-out", str(out)]) == 1
+        assert f"{out}: --out and --scores-out name the same file" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_permission_denied(self, tmp_path, train_file, capsys, monkeypatch):
+        import ethikit.hard_filter as hard_mod
+
+        calls = []
+        monkeypatch.setattr(hard_mod, "train_proxies", lambda *a, **k: calls.append(a))
+        # a test run as root may write anywhere, so the refusal is simulated
+        monkeypatch.setattr("ethikit.cli.os.access", lambda *a, **k: False)
+        out = tmp_path / "h.csv"
+        assert main(["filter-hard", "--dev", str(train_file), "--pool", str(train_file),
+                     "--domain", "justice", "--out", str(out)]) == 1
+        assert f"{out}: permission denied" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
 
 class TestNonFiniteTraining:

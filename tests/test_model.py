@@ -383,7 +383,7 @@ class TestBackward:
 
         def loss_at():
             out, _ = forward(params, batch, train=True, head_mask=keep)
-            return bce(expit(out), batch.labels).mean_loss
+            return bce(expit(out), batch.labels)
 
         h = 1e-3
         rng = np.random.default_rng(1)
@@ -816,6 +816,18 @@ class TestCheckpoint:
         assert loaded.cfg == cfg
         for name in params.names:
             assert loaded[name].tobytes() == params[name].tobytes()
+
+    def test_float64_stored_rounded_to_float32(self, tmp_path):
+        cfg = ModelConfig(vocab_size=30, max_len=12, n_layers=1, n_heads=2,
+                          d_model=16, d_ff=32, seed=5, dtype="float64")
+        params = init_params(cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert loaded.cfg == cfg and loaded.dtype == np.float64
+        rounded = params.tensors.flat.astype(np.float32).astype(np.float64)
+        assert loaded.tensors.flat.tobytes() == rounded.tobytes()
+        assert not np.array_equal(loaded.tensors.flat, params.tensors.flat)
 
     def test_truncated_file(self, tmp_path):
         cfg = ModelConfig(vocab_size=30, max_len=12, n_layers=1, n_heads=2,
