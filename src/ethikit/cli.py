@@ -142,13 +142,16 @@ def _write_text(path, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _check_outputs(outputs: dict) -> None:
+def _check_outputs(outputs: dict, inputs: dict) -> None:
     """Raise UnusablePath unless each path in ``outputs``, keyed by its flag,
-    could be written as a file no other output names; None is no output.
+    could be written as a file that no other output and none of ``inputs``,
+    keyed the same way, names; None is no path.
 
     Commands check their outputs before any work, so a path that cannot be
-    written, or that two outputs share, does not cost a run.
+    written, that two outputs share or that would overwrite an input, does
+    not cost a run.
     """
+    input_of = {Path(path).resolve(): flag for flag, path in inputs.items() if path is not None}
     flag_of = {}
     for flag, path in outputs.items():
         if path is None:
@@ -160,7 +163,10 @@ def _check_outputs(outputs: dict) -> None:
             raise UnusablePath(f"{path}: {path.parent} is not a directory")
         if not os.access(path.parent, os.W_OK) or (path.exists() and not os.access(path, os.W_OK)):
             raise UnusablePath(f"{path}: permission denied")
-        first = flag_of.setdefault(path.resolve(), flag)
+        resolved = path.resolve()
+        if resolved in input_of:
+            raise UnusablePath(f"{path}: {flag} would overwrite the {input_of[resolved]} input")
+        first = flag_of.setdefault(resolved, flag)
         if first != flag:
             raise UnusablePath(f"{path}: {first} and {flag} name the same file")
 
@@ -195,7 +201,7 @@ def cmd_normalize(args) -> int:
 # --- build-vocab ---
 
 def cmd_build_vocab(args) -> int:
-    _check_outputs({"--out": args.out})
+    _check_outputs({"--out": args.out}, {"--input": None if args.input == "-" else args.input})
     # train, evaluate and filter-hard encode normalized text, so the vocab is
     # learned from the same.
     lines = [norm_mod.normalize(line) for line in _read_lines(args.input)]
@@ -385,7 +391,8 @@ def cmd_train(args) -> int:
 # --- evaluate ---
 
 def cmd_evaluate(args) -> int:
-    _check_outputs({"--report": args.report, "--scores": args.scores})
+    _check_outputs({"--report": args.report, "--scores": args.scores},
+                   {"--checkpoint": args.checkpoint, "--data": args.data, "--vocab": args.vocab})
     ckpt_path = Path(args.checkpoint)
     params = load_checkpoint(ckpt_path)
     vocab_path = Path(args.vocab) if args.vocab else ckpt_path.parent / "vocab.txt"
@@ -422,7 +429,8 @@ def cmd_filter_hard(args) -> int:
     proxy, tok_cfg = _configs(_settings(flags), hard_mod.PROXY_RECIPE, hard_mod.PROXY_TOKENIZER)
     cfg = hard_mod.FilterConfig(proxy=proxy, **_fields(flags, _FILTER_FLAGS))
     score_path = args.scores_out or Path(args.out).with_suffix(".scores.csv")
-    _check_outputs({"--out": args.out, "--scores-out": score_path})
+    _check_outputs({"--out": args.out, "--scores-out": score_path},
+                   {"--dev": args.dev, "--pool": args.pool, "--vocab": args.vocab})
 
     spec = dataset_mod.default_specs()[args.domain]
     dev = _normalized(dataset_mod.load_split(args.dev, spec))

@@ -32,6 +32,10 @@ class MalformedVocab(EthikitError):
     """A vocabulary file is missing the reserved special tokens."""
 
 
+class TooManySymbols(EthikitError):
+    """Vocabulary training needs more distinct symbols than code points exist."""
+
+
 # --- batching / data ---
 
 class MissingField(EthikitError):

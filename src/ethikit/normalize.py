@@ -84,11 +84,11 @@ def normalize_case(text: str) -> str:
     whitelisted acronyms. Short isolated uppercase tokens ("IX", "US") are
     kept, since their casing disambiguates.
     """
+    if not any(map(_is_shouted, text.split())):
+        return text
     parts = _WS_SPLIT_RE.split(text)
     # Even indices are tokens (possibly empty at the edges), odd are whitespace.
     shouted = [_is_shouted(token) for token in parts[::2]]
-    if not any(shouted):
-        return text
 
     run: list[int] = []
 

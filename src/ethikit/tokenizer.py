@@ -8,9 +8,10 @@ for non-initial pieces. Whole words that cannot be covered map to [UNK].
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from ethikit.errors import (
     ConfigError,
@@ -18,6 +19,7 @@ from ethikit.errors import (
     EmptyCorpus,
     IdOutOfRange,
     MalformedVocab,
+    TooManySymbols,
     reading,
 )
 
@@ -28,6 +30,9 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 CONTINUATION_PREFIX = "##"
 
 MAX_WORD_CHARS = 100
+
+# Code points a str can hold: the most symbol names train_vocab can learn from.
+MAX_SYMBOLS = 0x110000
 
 
 @dataclass(frozen=True)
@@ -81,47 +86,9 @@ class Vocab:
         return self.tokens[token_id]
 
 
-def _word_symbols(word: str) -> list[str]:
-    return [word[0]] + [CONTINUATION_PREFIX + ch for ch in word[1:]]
-
-
 def _strip_prefix(piece: str) -> str:
     """A continuation piece without its prefix."""
     return piece[len(CONTINUATION_PREFIX):]
-
-
-def _merge_word(seq: list[str], left: str, right: str, merged: str) -> list[str]:
-    """Rewrite every adjacent (left, right) of one word into ``merged``.
-
-    Overlapping occurrences are consumed greedily from the left, so with
-    left == right a run of three symbols merges only its first two.
-    """
-    out = []
-    i = 0
-    n = len(seq)
-    while i < n:
-        if i + 1 < n and seq[i] == left and seq[i + 1] == right:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out
-
-
-class _HeapEntry:
-    """``heapq`` entry that pops the highest count first, ties to the greatest pair."""
-
-    __slots__ = ("count", "pair")
-
-    def __init__(self, count: int, pair: tuple[str, str]):
-        self.count = count
-        self.pair = pair
-
-    def __lt__(self, other: "_HeapEntry") -> bool:
-        if self.count != other.count:
-            return self.count > other.count
-        return self.pair > other.pair
 
 
 def train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
@@ -133,79 +100,105 @@ def train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
     size budget allows. A merge whose result is already a token is applied
     but adds no token. Deterministic for a fixed corpus and config.
 
+    Each distinct symbol name (``a``, ``##b``, a merged name) is one code
+    point, so a word is a ``str`` of codes, a pair is a 2-character slice,
+    and merging pair P into code X is ``word.replace(P, X)``, whose
+    left-to-right, non-overlapping rule merges ``aaa`` into ``Xa``. At most
+    ``MAX_SYMBOLS`` names fit, the first and ``##`` forms of a character
+    counting apart; a corpus needing more raises TooManySymbols.
+
     The pair counts are kept between merges rather than recounted: the
     corpus is counted once, together with an index from each pair to the
-    words that hold it, and a merge recounts only those words (their old
-    pairs are subtracted, the word is rewritten, its new pairs are added).
-    The best pair comes from a lazy max-heap of (count, pair) entries, a
-    pair being pushed again whenever its count changes; an entry whose
-    count no longer matches the pair's current count is discarded when
-    popped. The result equals a full recount of every pair before every
-    merge.
+    words that hold it, and a merge recounts only those words, and in each
+    only the window from one left of its first P to one right of its last X.
+    The best pair comes from a lazy heap of ``(-count, key(left),
+    key(right), pair)`` tuples, where ``key`` is the negated ``ord`` of each
+    character of a symbol's name followed by 1, so the greater name, or the
+    longer of a name and its prefix, pops first. A pair whose count grows is
+    pushed again. An entry above its pair's count is pushed again at that
+    count when it reaches the top; one below it, or whose pair has fallen
+    under the floor, is discarded. The result equals a full recount of every
+    pair before every merge.
     """
-    word_counts: Counter[str] = Counter()
-    for line in corpus:
-        word_counts.update(line.split())
+    word_counts = Counter(" ".join(corpus).split())
     if not word_counts:
         raise EmptyCorpus("corpus contains no tokens")
 
-    char_counts: Counter[str] = Counter()
+    char_counts: dict[str, int] = {}
     for word, freq in word_counts.items():
         for ch in word:
-            char_counts[ch] += freq
-    alphabet = sorted(
-        ch for ch, count in char_counts.items() if count >= cfg.min_frequency
-    )
+            char_counts[ch] = char_counts.get(ch, 0) + freq
+    floor = cfg.min_frequency
+    alphabet = sorted(ch for ch, count in char_counts.items() if count >= floor)
 
     tokens: list[str] = list(SPECIAL_TOKENS) + alphabet
     token_set = set(tokens)
 
-    words = sorted(word_counts)
-    seqs: list[list[str]] = [_word_symbols(w) for w in words]
-    freqs: list[int] = [word_counts[w] for w in words]
+    code_of: dict[str, str] = {}
+    name_of: dict[str, str] = {}
+    key_of: dict[str, tuple[int, ...]] = {}
 
-    counts: dict[tuple[str, str], int] = {}
-    where: dict[tuple[str, str], list[int]] = {}
-    for idx, (seq, freq) in enumerate(zip(seqs, freqs)):
-        pairs = list(zip(seq, seq[1:]))
-        for pair in pairs:
+    def code(name: str) -> str:
+        """The code point of symbol ``name``, assigned on first sight."""
+        c = code_of.get(name)
+        if c is None:
+            if len(code_of) >= MAX_SYMBOLS:
+                raise TooManySymbols(f"the corpus needs more than {MAX_SYMBOLS} symbols")
+            c = code_of[name] = chr(len(code_of))
+            name_of[c] = name
+            key_of[c] = (*map(neg, map(ord, name)), 1)
+        return c
+
+    first = {ch: code(ch) for ch in char_counts}
+    rest = {ord(ch): code(CONTINUATION_PREFIX + ch) for ch in char_counts}
+    words = [first[w[0]] + w[1:].translate(rest) for w in word_counts]
+    freqs = list(word_counts.values())
+
+    counts: dict[str, int] = {}
+    where: dict[str, list[int]] = {}
+    for idx, (word, freq) in enumerate(zip(words, freqs)):
+        for pair in map(str.__add__, word, word[1:]):
             counts[pair] = counts.get(pair, 0) + freq
-        for pair in set(pairs):
             where.setdefault(pair, []).append(idx)
-    heap = [_HeapEntry(count, pair) for pair, count in counts.items()]
-    heapq.heapify(heap)
+    heap = [(-count, key_of[p[0]], key_of[p[1]], p) for p, count in counts.items()
+            if count >= floor]
+    heapify(heap)
 
     while len(tokens) < cfg.vocab_size:
-        while heap and counts.get(heap[0].pair) != heap[0].count:
-            heapq.heappop(heap)
-        if not heap or heap[0].count < cfg.min_frequency:
+        while heap:
+            top = heap[0]
+            count = counts.get(top[3], 0)
+            if count == -top[0]:
+                break
+            heappop(heap)
+            if floor <= count < -top[0]:
+                heappush(heap, (-count, *top[1:]))
+        if not heap or -heap[0][0] < floor:
             break
-        left, right = heapq.heappop(heap).pair
-        merged = left + _strip_prefix(right)
-        delta: dict[tuple[str, str], int] = {}
-        for idx in where.pop((left, right)):
-            seq = seqs[idx]
-            new_seq = _merge_word(seq, left, right, merged)
-            if len(new_seq) == len(seq):
-                continue  # listed under a pair it has since lost
+        best = heappop(heap)[3]
+        merged = name_of[best[0]] + _strip_prefix(name_of[best[1]])
+        x = code(merged)
+        grown = set()
+        for idx in where.pop(best):
+            word = words[idx]
+            new = word.replace(best, x)
+            k = len(word) - len(new)
+            if not k:
+                continue  # listed twice, or under a pair it has since lost
             freq = freqs[idx]
-            old_pairs = list(zip(seq, seq[1:]))
-            new_pairs = list(zip(new_seq, new_seq[1:]))
-            for pair in old_pairs:
-                delta[pair] = delta.get(pair, 0) - freq
-            for pair in new_pairs:
-                delta[pair] = delta.get(pair, 0) + freq
-            for pair in set(new_pairs).difference(old_pairs):
-                where.setdefault(pair, []).append(idx)
-            seqs[idx] = new_seq
-        for pair, change in delta.items():
-            if not change:
-                continue
-            count = counts[pair] = counts.get(pair, 0) + change
-            if count:
-                heapq.heappush(heap, _HeapEntry(count, pair))
-            else:
-                del counts[pair]
+            lo = max(word.find(best) - 1, 0)
+            end = new.rfind(x) + 2
+            old_win, new_win = word[lo:end + k], new[lo:end]
+            for pair in map(str.__add__, old_win, old_win[1:]):
+                counts[pair] -= freq
+            for pair in map(str.__add__, new_win, new_win[1:]):
+                counts[pair] = counts.get(pair, 0) + freq
+                grown.add(pair)
+                if pair not in word:
+                    where.setdefault(pair, []).append(idx)
+            words[idx] = new
+        for pair in grown:
+            heappush(heap, (-counts[pair], key_of[pair[0]], key_of[pair[1]], pair))
         if merged not in token_set:
             tokens.append(merged)
             token_set.add(merged)

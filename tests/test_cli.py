@@ -868,6 +868,65 @@ class TestOutputsCheckedFirst:
         assert calls == []
         assert not out.exists()
 
+    def test_build_vocab_out_is_input(self, tmp_path, train_file, capsys, monkeypatch):
+        import ethikit.tokenizer as tok_mod
+
+        before = train_file.read_bytes()
+        calls = []
+        monkeypatch.setattr(tok_mod, "train_vocab", lambda *a, **k: calls.append(a))
+        assert main(["build-vocab", "--input", str(train_file), "--out", str(train_file),
+                     "--vocab-size", "50"]) == 1
+        assert f"{train_file}: --out would overwrite the --input input" in capsys.readouterr().err
+        assert calls == []
+        assert train_file.read_bytes() == before
+
+    @pytest.mark.parametrize("out_flag, in_flag", [
+        ("--scores", "--data"), ("--report", "--checkpoint"), ("--scores", "--vocab"),
+    ])
+    def test_evaluate_output_is_input(self, tmp_path, train_file, capsys, monkeypatch,
+                                      out_flag, in_flag):
+        import ethikit.trainer as trainer_mod
+
+        run = run_train(tmp_path, train_file)
+        inputs = {"--checkpoint": run / "best.ckpt", "--data": train_file,
+                  "--vocab": run / "vocab.txt"}
+        before = inputs[in_flag].read_bytes()
+        calls = []
+        monkeypatch.setattr(trainer_mod, "evaluate", lambda *a, **k: calls.append(a))
+        # the output is named relative to the working directory, the input in full
+        monkeypatch.chdir(inputs[in_flag].parent)
+        argv = ["evaluate", "--domain", "justice", out_flag, inputs[in_flag].name]
+        for flag, path in inputs.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{inputs[in_flag].name}: {out_flag} would overwrite the {in_flag} input" in err
+        assert calls == []
+        assert inputs[in_flag].read_bytes() == before
+
+    @pytest.mark.parametrize("out_flag, in_flag", [
+        ("--out", "--pool"), ("--scores-out", "--dev"), ("--out", "--vocab"),
+    ])
+    def test_filter_hard_output_is_input(self, tmp_path, train_file, vocab_file, capsys,
+                                         monkeypatch, out_flag, in_flag):
+        import ethikit.hard_filter as hard_mod
+
+        dev = tmp_path / "dev.csv"
+        dev.write_bytes(train_file.read_bytes())
+        inputs = {"--dev": dev, "--pool": train_file, "--vocab": vocab_file}
+        before = inputs[in_flag].read_bytes()
+        calls = []
+        monkeypatch.setattr(hard_mod, "train_proxies", lambda *a, **k: calls.append(a))
+        outputs = {"--out": tmp_path / "h.csv", out_flag: inputs[in_flag]}
+        argv = ["filter-hard", "--domain", "justice"]
+        for flag, path in (*inputs.items(), *outputs.items()):
+            argv += [flag, str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{inputs[in_flag]}: {out_flag} would overwrite the {in_flag} input" in err
+        assert calls == []
+        assert inputs[in_flag].read_bytes() == before
+
 
 class TestNonFiniteTraining:
     def test_nan_gradient_exit_1_without_checkpoint(self, tmp_path, train_file,

@@ -1,10 +1,19 @@
+import hashlib
+import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ethikit.errors import DuplicateToken, EmptyCorpus, IdOutOfRange, MalformedVocab
+from ethikit import tokenizer as tok_mod
+from ethikit.errors import (
+    DuplicateToken,
+    EmptyCorpus,
+    IdOutOfRange,
+    MalformedVocab,
+    TooManySymbols,
+)
 from ethikit.tokenizer import (
     CONTINUATION_PREFIX,
     SPECIAL_TOKENS,
@@ -85,13 +94,35 @@ def _reference_train_vocab(corpus, cfg: TokenizerConfig) -> Vocab:
     return Vocab(tokens)
 
 
+def _corpora_over(alphabet: str):
+    """Corpora of 1-6 lines, each of 1-8 words of 1-8 characters of ``alphabet``."""
+    word = st.text(alphabet=alphabet, min_size=1, max_size=8)
+    line = st.lists(word, min_size=1, max_size=8).map(" ".join)
+    return st.lists(line, min_size=1, max_size=6)
+
+
 @st.composite
 def _small_alphabet_corpora(draw):
     """Lines over 1-5 letters, so runs like aaaa and abab force overlapping merges."""
-    letters = "abcde"[: draw(st.integers(1, 5))]
-    word = st.text(alphabet=letters, min_size=1, max_size=8)
-    line = st.lists(word, min_size=1, max_size=8).map(" ".join)
-    return draw(st.lists(line, min_size=1, max_size=6))
+    return draw(_corpora_over("abcde"[: draw(st.integers(1, 5))]))
+
+
+# '#' and brackets, so merged names collide with ## forms and specials; the
+# lowest and highest code points, a letter outside the BMP and a lone surrogate
+_WIDE_ALPHABET_CORPORA = _corpora_over("ab#[]\x00\x01é\U0001d538\U0010fffe\U0010ffff\ud800")
+
+
+def _golden_corpus() -> list[str]:
+    """1,500 distinct words of 1-5 syllables, each once, then 300 lines drawn Zipf-like."""
+    rng = random.Random(2016)
+    syllables = ["ka", "to", "ri", "mu", "sel", "an", "qu", "ee", "th", "ing", "é", "s"]
+    words = set()
+    while len(words) < 1500:
+        words.add("".join(rng.choice(syllables) for _ in range(rng.randint(1, 5))))
+    words = sorted(words)
+    weights = [1 / (rank + 1) for rank in range(len(words))]
+    lines = [" ".join(words[i:i + 10]) for i in range(0, len(words), 10)]
+    return lines + [" ".join(rng.choices(words, weights, k=12)) for _ in range(300)]
 
 
 class TestTrainVocab:
@@ -140,14 +171,46 @@ class TestTrainVocab:
         assert encode_word("a" * 99, vocab) == [14] + [9] * 48
 
     @given(
-        corpus=_small_alphabet_corpora(),
+        corpus=st.one_of(_small_alphabet_corpora(), _WIDE_ALPHABET_CORPORA),
         vocab_size=st.integers(6, 60),
         min_frequency=st.integers(1, 4),
     )
-    @settings(max_examples=300, deadline=None)
+    # a string key for the heap (each code point mirrored, U+10FFFF appended)
+    # would tie U+0000 with that end marker and learn this corpus wrongly
+    @example(corpus=["\U0010ffff[ \U0010ffff\x00 \U0010ffff\x00["], vocab_size=10,
+             min_frequency=1)
+    # # + ### and then ###x give a first-position ##x, the name of the ##x
+    # in axy, so the two are one symbol and ##x + ##y counts both words
+    @example(corpus=["##x ##x ##x ##x ##x ##xy ##xy axy axy"], vocab_size=16,
+             min_frequency=1)
+    @settings(max_examples=600, deadline=None)
     def test_matches_full_recount(self, corpus, vocab_size, min_frequency):
         cfg = TokenizerConfig(vocab_size=vocab_size, min_frequency=min_frequency)
         assert train_vocab(corpus, cfg).tokens == _reference_train_vocab(corpus, cfg).tokens
+
+    @pytest.mark.parametrize("cfg, size, digest", [
+        (TokenizerConfig(vocab_size=2000, min_frequency=1), 2000,
+         "5f56082f6fb4620e716c076ca289f7c2ef20fcd803f3a21b27390cf8a95ea743"),
+        (TokenizerConfig(), 1339,
+         "808488745f298fa564880950320677e5ec41c47a62baaa8c6b86df9e2e01aa78"),
+    ], ids=["2000-min1", "defaults"])
+    def test_golden_digest(self, cfg, size, digest):
+        # the sha256 of the tokens joined by newlines pins every merge and its order
+        tokens = train_vocab(_golden_corpus(), cfg).tokens
+        assert len(tokens) == size
+        assert hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest() == digest
+
+    def test_symbol_limit(self, monkeypatch):
+        # a, b, ##a and ##b, then the merge a + ##b adds a fifth symbol
+        cfg = TokenizerConfig(vocab_size=50, min_frequency=1)
+        monkeypatch.setattr(tok_mod, "MAX_SYMBOLS", 5)
+        assert train_vocab(["ab ab"], cfg).tokens == SPECIAL_TOKENS + ("a", "b", "ab")
+        monkeypatch.setattr(tok_mod, "MAX_SYMBOLS", 4)
+        with pytest.raises(TooManySymbols, match="more than 4 symbols"):
+            train_vocab(["ab ab"], cfg)
+        monkeypatch.setattr(tok_mod, "MAX_SYMBOLS", 3)
+        with pytest.raises(TooManySymbols):
+            train_vocab(["ab ab"], cfg)
 
     def test_merge_into_existing_token_applied_but_not_added(self):
         # Merging [PAD + ##] yields "[PAD]", already a special token: it adds
