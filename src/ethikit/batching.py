@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ethikit import tokenizer
-from ethikit.errors import EmptyBatch, InvalidConfig, InvalidLength
+from ethikit.errors import ConfigError, EmptyBatch, InvalidLength
 from ethikit.tokenizer import CLS_ID, PAD_ID, SEP_ID, Vocab
 
 DEFAULT_MAX_LEN = 128
@@ -111,7 +111,7 @@ def make_batches(
     row indices. The last partial batch is kept.
     """
     if batch_size < 1:
-        raise InvalidConfig("batch_size must be >= 1")
+        raise ConfigError("batch_size must be >= 1")
     rows = list(encoded) if order is None else [encoded[i] for i in order]
     seqs = [truncate(row.ids, max_len) for row in rows]
     labels = [row.label for row in rows]

@@ -1,9 +1,10 @@
 """Command-line entry point wiring the toolkit into reproducible runs.
 
 Subcommands: normalize, build-vocab, train, evaluate, filter-hard, report.
-Every training run writes a manifest (resolved config, seed, input hashes)
-sufficient to replay it bit-exactly via ``train --replay``, which first
-checks the tool version and re-hashes every recorded input.
+Every training run writes a manifest (each train setting by flag, and the
+hash of each input file) sufficient to replay it bit-exactly via
+``train --replay``, which first checks the tool version and re-hashes every
+recorded input.
 
 Exit codes: 0 success, 1 runtime error, 2 configuration error.
 """
@@ -49,7 +50,12 @@ _TRAIN_DEFAULTS = trainer_mod.TrainConfig(model=ModelConfig(vocab_size=len(tok_m
 
 # The train settings that name input files. A manifest records each one's
 # hash, and a replay reads only the files it hashed.
-_INPUTS = ("train_file", "vocab_file")
+_INPUTS = ("train_file", "vocab")
+
+# The train settings, by flag dest, that a manifest's config records: all a
+# replay needs, each once.
+_RECORDED = ("domain", *_INPUTS, "val_ratio",
+             *_TOKENIZER_FLAGS, *_TRAIN_FLAGS, *_MODEL_FLAGS, *_OPTIM_FLAGS)
 
 
 def _fields(values: dict, table: dict) -> dict:
@@ -91,18 +97,9 @@ def _normalized(examples) -> list[Example]:
             for ex in examples]
 
 
-def _settings(flags: dict) -> dict:
-    """The vocab file and config-backed flags in ``flags``, as a manifest's config holds them."""
-    return {
-        "vocab_file": flags["vocab"],
-        **{dest: flags[dest] for dest in (*_TOKENIZER_FLAGS, *_TRAIN_FLAGS) if dest in flags},
-        "model": _fields(flags, _MODEL_FLAGS),
-        "optim": _fields(flags, _OPTIM_FLAGS),
-    }
-
-
 def _configs(settings: dict, train: trainer_mod.TrainConfig, tok: tok_mod.TokenizerConfig):
-    """The training and tokenizer configs that ``settings`` set over ``train`` and ``tok``.
+    """The training and tokenizer configs that ``settings``, keyed by flag dest, set over
+    ``train`` and ``tok``.
 
     The tokenizer config is None when the settings name a vocab file, which
     then must leave every tokenizer setting at its value in ``tok``. Each
@@ -110,11 +107,11 @@ def _configs(settings: dict, train: trainer_mod.TrainConfig, tok: tok_mod.Tokeni
     """
     train = dataclasses.replace(
         train,
-        model=dataclasses.replace(train.model, **settings["model"]),
-        optim=dataclasses.replace(train.optim, **settings["optim"]),
+        model=dataclasses.replace(train.model, **_fields(settings, _MODEL_FLAGS)),
+        optim=dataclasses.replace(train.optim, **_fields(settings, _OPTIM_FLAGS)),
         **_fields(settings, _TRAIN_FLAGS),
     )
-    if settings["vocab_file"]:
+    if settings["vocab"]:
         inert = _changed(settings, {dest: getattr(tok, field)
                                     for dest, field in _TOKENIZER_FLAGS.items() if dest in settings})
         if inert:
@@ -222,14 +219,10 @@ def _input_hashes(settings: dict) -> dict[str, str]:
 def _write_manifest(path: Path, settings: dict, hashes: dict[str, str]) -> None:
     """Record a train run's settings with the hash of each input file they name."""
     manifest = {
-        "tool": "ethikit",
         "version": ethikit.__version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "command": "train",
-        "seed": settings["model"]["seed"],
         "config": settings,
-        "inputs": {name: {"path": str(Path(settings[name])), "sha256": sha256}
-                   for name, sha256 in hashes.items()},
+        "sha256": hashes,
     }
     _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -245,7 +238,7 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
     trainer_mod.check_ratio(settings["val_ratio"])
     spec = dataset_mod.default_specs()[settings["domain"]]
     examples = _normalized(dataset_mod.load_split(settings["train_file"], spec))
-    vocab = tok_mod.load_vocab(settings["vocab_file"]) if settings["vocab_file"] else None
+    vocab = tok_mod.load_vocab(settings["vocab"]) if settings["vocab"] else None
     hashes = _input_hashes(settings)
     with reading(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,15 +268,11 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
 
 
 def _replay_schema() -> dict:
-    """The type of each value ``train`` records in a manifest's config, by key."""
-    tok, train = tok_mod.TokenizerConfig(), _TRAIN_DEFAULTS
-    return {
-        "domain": str, "train_file": str, "vocab_file": str | None, "val_ratio": float,
-        **{dest: type(getattr(tok, field)) for dest, field in _TOKENIZER_FLAGS.items()},
-        **{dest: type(getattr(train, field)) for dest, field in _TRAIN_FLAGS.items()},
-        "model": {field: type(getattr(train.model, field)) for field in _MODEL_FLAGS.values()},
-        "optim": {field: type(getattr(train.optim, field)) for field in _OPTIM_FLAGS.values()},
-    }
+    """The type of each value ``train`` records in a manifest's config, by key: that of
+    its flag's default, save for the settings whose flags default to None."""
+    defaults = vars(build_parser().parse_args(["train"]))
+    return {dest: type(defaults[dest]) for dest in _RECORDED} | {
+        "domain": str, "train_file": str, "vocab": str | None}
 
 
 def _check_object(obj, schema: dict, where: str) -> None:
@@ -298,9 +287,7 @@ def _check_object(obj, schema: dict, where: str) -> None:
         raise ConfigError(f"{where} has unknown keys {unknown}")
     for key, kind in schema.items():
         value = obj[key]
-        if isinstance(kind, dict):
-            _check_object(value, kind, f"{where}.{key}")
-        elif isinstance(value, bool) or not isinstance(value, kind):
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigError(f"{where}.{key} is {value!r}, not {getattr(kind, '__name__', kind)}")
 
 
@@ -328,7 +315,7 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
         raise NotJson(f"{manifest_path}: manifest is not JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise ConfigError(f"{manifest_path}: manifest is not a JSON object")
-    for key in ("config", "inputs"):
+    for key in ("config", "sha256"):
         if not isinstance(manifest.get(key), dict):
             raise ConfigError(f"{manifest_path}: manifest has no {key!r} object")
     config = manifest["config"]
@@ -337,14 +324,9 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
         raise ConfigError(f"{manifest_path}: config.domain {config['domain']!r} is unknown")
     # The replay reads the files its config names, so the manifest must
     # hold a hash of each of them and of no other file.
-    named = {name: config[name] for name in _INPUTS if config[name]}
-    inputs = manifest["inputs"]
-    _check_object(inputs, {name: {"path": str, "sha256": str} for name in named},
-                  f"{manifest_path}: inputs")
-    for name, path in named.items():
-        if Path(inputs[name]["path"]) != Path(path):
-            raise ConfigError(f"{manifest_path}: inputs.{name}.path is "
-                              f"{inputs[name]['path']!r}, config.{name} is {path!r}")
+    recorded = manifest["sha256"]
+    _check_object(recorded, {name: str for name in _INPUTS if config[name]},
+                  f"{manifest_path}: sha256")
     version = manifest.get("version")
     if version != ethikit.__version__:
         raise ReplayMismatch(
@@ -352,10 +334,10 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
             f"this is ethikit {ethikit.__version__}"
         )
     for name, actual in _input_hashes(config).items():
-        if actual != inputs[name]["sha256"]:
+        if actual != recorded[name]:
             raise ReplayMismatch(
-                f"{named[name]} ({name}) changed since the recorded run: "
-                f"sha256 {actual}, manifest has {inputs[name]['sha256']}"
+                f"{config[name]} ({name}) changed since the recorded run: "
+                f"sha256 {actual}, manifest has {recorded[name]}"
             )
     return config
 
@@ -379,12 +361,8 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs --domain, or --replay of a manifest")
 
     train_file = args.train_file or _resolve_split_file(Path(args.data_dir), args.domain, "train")
-    settings = {
-        "domain": args.domain,
-        "train_file": str(Path(train_file)),
-        "val_ratio": args.val_ratio,
-        **_settings(vars(args)),
-    }
+    settings = {dest: getattr(args, dest) for dest in _RECORDED}
+    settings["train_file"] = str(Path(train_file))
     return _train_from_settings(settings, out_dir)
 
 
@@ -426,7 +404,7 @@ def cmd_evaluate(args) -> int:
 def cmd_filter_hard(args) -> int:
     # The flags override the proxy recipe.
     flags = vars(args)
-    proxy, tok_cfg = _configs(_settings(flags), hard_mod.PROXY_RECIPE, hard_mod.PROXY_TOKENIZER)
+    proxy, tok_cfg = _configs(flags, hard_mod.PROXY_RECIPE, hard_mod.PROXY_TOKENIZER)
     cfg = hard_mod.FilterConfig(proxy=proxy, **_fields(flags, _FILTER_FLAGS))
     score_path = args.scores_out or Path(args.out).with_suffix(".scores.csv")
     _check_outputs({"--out": args.out, "--scores-out": score_path},
@@ -463,7 +441,7 @@ def cmd_report(args) -> int:
             source[domain] = path
             accuracies[domain] = row["accuracy"]
     baselines = report_mod.BASELINES.get(args.baselines)
-    print(report_mod.comparison_table(accuracies, name=args.name, baselines=baselines))
+    print(report_mod.comparison_table(accuracies, baselines=baselines))
     return 0
 
 
@@ -536,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="comparison table from evaluation CSVs")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--baselines", choices=[*report_mod.BASELINES, "none"], default="none")
-    p.add_argument("--name", default="ours")
     p.set_defaults(func=cmd_report)
 
     return parser

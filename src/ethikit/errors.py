@@ -142,16 +142,8 @@ class TooFewExamples(EthikitError):
     """Not enough examples to split."""
 
 
-class InvalidConfig(ConfigError):
-    """A training configuration value violates its contract."""
-
-
 class EmptyDataset(EthikitError):
     """An evaluation or training set is empty."""
-
-
-class QuantileOutOfRange(ConfigError):
-    """The keep quantile must lie strictly between 0 and 1."""
 
 
 class NonFiniteTraining(EthikitError):

@@ -14,13 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ethikit.batching import DEFAULT_BATCH_SIZE, encode_examples
-from ethikit.errors import (
-    EmptyDataset,
-    InvalidConfig,
-    LengthMismatch,
-    QuantileOutOfRange,
-    ShapeMismatch,
-)
+from ethikit.errors import ConfigError, EmptyDataset, LengthMismatch, ShapeMismatch
 from ethikit.loss import bce_terms
 from ethikit.metrics import check_finite
 from ethikit.model import ModelConfig, ModelParams
@@ -49,9 +43,9 @@ class FilterConfig:
 
     def __post_init__(self) -> None:
         if self.n_proxies < 1:
-            raise InvalidConfig("n_proxies must be >= 1")
+            raise ConfigError("n_proxies must be >= 1")
         if not 0.0 < self.keep_quantile < 1.0:
-            raise QuantileOutOfRange("keep_quantile must lie in (0, 1)")
+            raise ConfigError("keep_quantile must lie in (0, 1)")
 
 
 def train_proxies(dev_set, cfg: FilterConfig, vocab: Vocab) -> list[ModelParams]:
@@ -84,7 +78,7 @@ def score_examples(proxies, pool, vocab: Vocab,
     if not pool:
         raise EmptyDataset("empty pool")
     if not proxies:
-        raise InvalidConfig("no proxies to score with")
+        raise ConfigError("no proxies to score with")
     labels = np.array([ex.label for ex in pool], dtype=np.float64)
     total = np.zeros(len(pool), dtype=np.float64)
     for proxy in proxies:
@@ -101,7 +95,7 @@ def hard_indices(scores, q: float) -> list[int]:
     place in the order.
     """
     if not 0.0 < q < 1.0:
-        raise QuantileOutOfRange(f"q={q} outside (0, 1)")
+        raise ConfigError(f"q={q} outside (0, 1)")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ShapeMismatch(f"scores of shape {scores.shape}, not a vector")

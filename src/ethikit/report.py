@@ -69,12 +69,9 @@ def read_eval_csv(path) -> dict[str, dict[str, float]]:
     return out
 
 
-def comparison_table(
-    accuracies: dict[str, float],
-    name: str = "ours",
-    baselines: list[dict] | None = None,
-) -> str:
-    """Render model rows with per-domain accuracy percents and an average.
+def comparison_table(accuracies: dict[str, float], baselines: list[dict] | None = None) -> str:
+    """Render the baseline rows, then an "ours" row, with per-domain accuracy percents
+    and an average.
 
     ``accuracies`` maps domain -> fraction in [0, 1]. Baseline rows carry the
     published percents and keep their published averages.
@@ -94,7 +91,7 @@ def comparison_table(
     if not present:
         raise MalformedReport("no domain accuracies to report")
     average = round_half_up(sum(present) / len(present))
-    rows.append([name] + cells + [f"{average:.2f}*"])
+    rows.append(["ours"] + cells + [f"{average:.2f}*"])
 
     widths = [
         max(len(columns[i]), *(len(r[i]) for r in rows)) for i in range(len(columns))

@@ -27,7 +27,7 @@ import numpy as np
 from ethikit import loss as loss_mod
 from ethikit import metrics as metrics_mod
 from ethikit.batching import DEFAULT_BATCH_SIZE, make_batches
-from ethikit.errors import EmptyDataset, InvalidConfig, NonFiniteTraining, TooFewExamples
+from ethikit.errors import ConfigError, EmptyDataset, NonFiniteTraining, TooFewExamples
 from ethikit.model import ModelConfig, ModelParams, backward, classify, forward, init_params
 from ethikit.optim import OptimConfig, accumulate, flush, init_state
 
@@ -41,9 +41,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
-            raise InvalidConfig("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise InvalidConfig("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ TRAIN_RATIO = 0.8  # the train share of ``split_train_val`` and ``train --val-ra
 
 
 def check_ratio(ratio: float) -> None:
-    """Raise InvalidConfig unless a train share lies strictly between 0 and 1."""
+    """Raise ConfigError unless a train share lies strictly between 0 and 1."""
     if not 0.0 < ratio < 1.0:
-        raise InvalidConfig("ratio must lie strictly between 0 and 1")
+        raise ConfigError("ratio must lie strictly between 0 and 1")
 
 
 def split_train_val(examples, ratio: float = TRAIN_RATIO, seed: int = 0):

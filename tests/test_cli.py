@@ -153,33 +153,29 @@ class TestTrainCommand:
         assert args.epochs == 5
 
     def test_default_manifest_config(self, tmp_path, train_file):
-        # The config object a default run records, key for key; a manifest in
+        # The manifest a default run writes, key for key: each train setting
+        # once, by flag dest, and the hash of each input file; a manifest in
         # this format replays to the same checkpoint.
         config = {
-            "batch_size": 32,
-            "domain": "justice",
-            "epochs": 5,
-            "min_freq": 2,
-            "model": {"d_ff": 256, "d_model": 64, "dropout_p": 0.3, "max_len": 128,
-                      "n_heads": 4, "n_layers": 2, "seed": 0},
-            "optim": {"eta0": 6e-05, "n_acc": 4, "weight_decay": 0.01},
-            "train_file": str(train_file),
-            "val_ratio": 0.8,
-            "vocab_file": None,
-            "vocab_size": 8000,
+            "batch_size": 32, "d_ff": 256, "d_model": 64, "domain": "justice", "dropout": 0.3,
+            "epochs": 5, "grad_accum": 4, "heads": 4, "layers": 2, "lr": 6e-05, "max_len": 128,
+            "min_freq": 2, "seed": 0, "train_file": str(train_file), "val_ratio": 0.8,
+            "vocab": None, "vocab_size": 8000, "wd": 0.01,
         }
+        sha256 = {"train_file": hashlib.sha256(train_file.read_bytes()).hexdigest()}
         run = tmp_path / "run"
         assert main(["train", "--train-file", str(train_file), "--domain", "justice",
                      "--out-dir", str(run)]) == 0
         manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest.keys() == {"version", "created_utc", "config", "sha256"}
+        assert manifest["version"] == ethikit.__version__
         assert manifest["config"] == config
+        assert manifest["sha256"] == sha256
 
         pinned = tmp_path / "pinned.json"
         pinned.write_text(json.dumps({
-            "command": "train", "config": config, "created_utc": "2000-01-01T00:00:00Z",
-            "inputs": {"train_file": {"path": str(train_file),
-                                      "sha256": manifest["inputs"]["train_file"]["sha256"]}},
-            "seed": 0, "tool": "ethikit", "version": ethikit.__version__,
+            "config": config, "created_utc": "2000-01-01T00:00:00Z", "sha256": sha256,
+            "version": ethikit.__version__,
         }))
         assert main(["train", "--replay", str(pinned), "--out-dir", str(tmp_path / "re")]) == 0
         assert (tmp_path / "re" / "best.ckpt").read_bytes() == (run / "best.ckpt").read_bytes()
@@ -256,16 +252,16 @@ class TestTrainCommand:
         monkeypatch.setattr(trainer_mod, "train", train_then_edit)
         out_dir = run_train(tmp_path, train_file)
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["inputs"]["train_file"]["sha256"] == read
+        assert manifest["sha256"]["train_file"] == read
 
     def test_run_directory_contents(self, tmp_path, train_file):
         out_dir = run_train(tmp_path, train_file)
         for name in ("best.ckpt", "epochs.csv", "manifest.json", "vocab.txt"):
             assert (out_dir / name).exists(), name
         manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["seed"] == 3
-        assert manifest["config"]["optim"]["eta0"] == 0.01
-        assert "sha256" in manifest["inputs"]["train_file"]
+        assert manifest["config"]["seed"] == 3
+        assert manifest["config"]["lr"] == 0.01
+        assert manifest["sha256"].keys() == {"train_file"}
 
     def test_zero_lr_rejected_with_exit_2(self, tmp_path, train_file):
         code = main([
@@ -315,7 +311,7 @@ class TestTrainCommand:
         assert code == 1
         assert "0.0.0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["config", "inputs", "config.model", "config.val_ratio"])
+    @pytest.mark.parametrize("key", ["config", "sha256", "config.seed", "config.val_ratio"])
     def test_replay_manifest_missing_key_exit_2(self, tmp_path, train_file, capsys, key):
         d1 = run_train(tmp_path, train_file, "run1")
         manifest = json.loads((d1 / "manifest.json").read_text())
@@ -332,13 +328,13 @@ class TestTrainCommand:
         assert not (tmp_path / "replayed").exists()
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda config: config["model"].update(bogus=1), "'bogus'"),
+        (lambda config: config.update(bogus=1), "'bogus'"),
         (lambda config: config.update(epochs="5"), "config.epochs is '5', not int"),
+        (lambda config: config.update(layers=True), "config.layers is True, not int"),
         (lambda config: config.update(domain="nope"), "'nope'"),
-        (lambda config: config.update(model=[]), "config.model is not a JSON object"),
         # json.dumps writes no repeated key: this one is renamed in the text
-        (lambda config: config["model"].update(seed_again=5), "repeats key 'seed'"),
-    ], ids=["unknown-key", "mistyped-value", "unknown-domain", "model-not-object",
+        (lambda config: config.update(seed_again=5), "repeats key 'seed'"),
+    ], ids=["unknown-key", "mistyped-value", "bool-for-number", "unknown-domain",
             "repeated-key"])
     def test_replay_malformed_config_exit_2(self, tmp_path, train_file, capsys, edit, named):
         d1 = run_train(tmp_path, train_file, "run1")
@@ -364,7 +360,8 @@ class TestTrainCommand:
     def test_replay_with_vocab_file(self, tmp_path, train_file, vocab_file):
         d1 = run_train(tmp_path, train_file, vocab=vocab_file)
         manifest = json.loads((d1 / "manifest.json").read_text())
-        assert manifest["inputs"]["vocab_file"]["path"] == str(vocab_file)
+        assert manifest["config"]["vocab"] == str(vocab_file)
+        assert manifest["sha256"].keys() == {"train_file", "vocab"}
         assert _replay(tmp_path, d1 / "manifest.json") == 0
         assert (d1 / "best.ckpt").read_bytes() == (tmp_path / "replayed" / "best.ckpt").read_bytes()
 
@@ -376,20 +373,21 @@ class TestTrainCommand:
         assert str(vocab_file) in err and "changed" in err
         assert not (tmp_path / "replayed" / "best.ckpt").exists()
 
-    @pytest.mark.parametrize("edit, named", [
-        (lambda m, other: m["config"].update(train_file=str(other)), "config.train_file"),
-        (lambda m, other: m["config"].update(vocab_file=str(other)), "config.vocab_file"),
-        (lambda m, other: m["inputs"]["train_file"].update(path=str(other)), "config.train_file"),
-        (lambda m, other: m["config"].update(vocab_file=None), "unknown keys ['vocab_file']"),
-        (lambda m, other: m["inputs"].pop("vocab_file"), "lacks ['vocab_file']"),
-        (lambda m, other: m["inputs"].update(extra=m["inputs"]["train_file"]),
+    @pytest.mark.parametrize("edit, code, named", [
+        (lambda m, other: m["config"].update(train_file=str(other)), 1, "other.csv (train_file)"),
+        (lambda m, other: m["config"].update(vocab=str(other)), 1, "other.csv (vocab)"),
+        (lambda m, other: m["config"].update(vocab=None), 2, "unknown keys ['vocab']"),
+        (lambda m, other: m["sha256"].pop("vocab"), 2, "lacks ['vocab']"),
+        (lambda m, other: m["sha256"].update(extra=m["sha256"]["train_file"]), 2,
          "unknown keys ['extra']"),
-    ], ids=["config-train-file", "config-vocab-file", "inputs-path", "config-drops-vocab",
-            "inputs-lack-vocab", "inputs-add-file"])
-    def test_replay_of_unhashed_input_exit_2(self, tmp_path, train_file, vocab_file, capsys,
-                                             edit, named):
-        # A replay reads only files whose hash it checked, so a manifest
-        # whose inputs and config name different files is refused outright.
+    ], ids=["config-train-file", "config-vocab-file", "config-drops-vocab",
+            "sha256-lacks-vocab", "sha256-adds-file"])
+    def test_replay_of_unhashed_input(self, tmp_path, train_file, vocab_file, capsys,
+                                      edit, code, named):
+        # A replay reads only files whose hash it checked: a file the config
+        # names in place of the hashed one does not match its hash (exit 1),
+        # and a sha256 object that does not hash exactly the files the config
+        # names is refused outright (exit 2).
         d1 = run_train(tmp_path, train_file, vocab=vocab_file)
         other = tmp_path / "other.csv"
         serialize_split(make_separable_examples(40, seed=22), default_specs()["justice"], other)
@@ -397,9 +395,31 @@ class TestTrainCommand:
         edit(manifest, other)
         (d1 / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
-        assert _replay(tmp_path, d1 / "manifest.json") == 2
+        assert _replay(tmp_path, d1 / "manifest.json") == code
         err = capsys.readouterr().err
-        assert "config error" in err and named in err
+        assert ("config error" if code == 2 else "changed") in err and named in err
+        assert not (tmp_path / "replayed").exists()
+
+    def test_replay_of_nested_manifest_exit_2(self, tmp_path, train_file, capsys):
+        # the form manifests took before each setting was recorded once, by flag
+        manifest = tmp_path / "nested.json"
+        manifest.write_text(json.dumps({
+            "command": "train", "created_utc": "2000-01-01T00:00:00Z", "seed": 0,
+            "tool": "ethikit", "version": ethikit.__version__,
+            "config": {
+                "batch_size": 32, "domain": "justice", "epochs": 5, "min_freq": 2,
+                "model": {"d_ff": 256, "d_model": 64, "dropout_p": 0.3, "max_len": 128,
+                          "n_heads": 4, "n_layers": 2, "seed": 0},
+                "optim": {"eta0": 6e-05, "n_acc": 4, "weight_decay": 0.01},
+                "train_file": str(train_file), "val_ratio": 0.8, "vocab_file": None,
+                "vocab_size": 8000,
+            },
+            "inputs": {"train_file": {
+                "path": str(train_file),
+                "sha256": hashlib.sha256(train_file.read_bytes()).hexdigest()}},
+        }))
+        assert _replay(tmp_path, manifest) == 2
+        assert "manifest has no 'sha256' object" in capsys.readouterr().err
         assert not (tmp_path / "replayed").exists()
 
     @pytest.mark.parametrize("extra", [

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from ethikit.batching import Example, encode_examples
-from ethikit.errors import (
-    EmptyDataset,
-    InvalidConfig,
-    LengthMismatch,
-    NonFiniteScore,
-    QuantileOutOfRange,
-)
+from ethikit.errors import ConfigError, EmptyDataset, LengthMismatch, NonFiniteScore
 from ethikit.hard_filter import (
     FilterConfig,
     filter_hard,
@@ -134,7 +128,7 @@ class TestScoreExamples:
             score_examples([], [], separable_vocab)
 
     def test_no_proxies(self, separable_set, separable_vocab):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="no proxies"):
             score_examples([], separable_set, separable_vocab)
 
 
@@ -166,7 +160,7 @@ class TestFilterHard:
         pool = self._pool(3)
         scores = np.arange(3, dtype=np.float64)
         for q in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(QuantileOutOfRange):
+            with pytest.raises(ConfigError, match=r"outside \(0, 1\)"):
                 filter_hard(pool, scores, q)
 
     def test_partition_is_exhaustive_and_disjoint(self):

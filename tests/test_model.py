@@ -459,6 +459,15 @@ class TestBackwardInto:
 _TOLERANCE = {"float64": (1e-12, 1e-9, 1e-13), "float32": (5e-4, 0.0, 1e-3)}
 
 
+def _head_scale(params, h) -> float:
+    """The size of the terms the head sums over the rows of ``h``.
+
+    Logit errors are held to it, which stays a fair scale when those terms
+    cancel to a logit near zero.
+    """
+    return (np.abs(h) @ np.abs(params["head.w"])).max() + abs(float(params["head.b"]))
+
+
 def _assert_close(logits, ref_logits, logit_scale, grads, ref_grads,
                   logit_tol, grad_tol, floor_tol):
     """Logits within ``logit_tol * logit_scale`` and every gradient within tolerance."""
@@ -526,7 +535,7 @@ class TestFullSequenceOracle:
         dl = bce_grad_logits(logits, batch.labels)
         grads = backward(params, cache, dl, params.tensors.zeros_like())
         ref_logits, ref_grads = _reference_train_step(params, batch, head_mask, dl)
-        _assert_close(logits, ref_logits, np.abs(ref_logits).max(), grads, ref_grads,
+        _assert_close(logits, ref_logits, _head_scale(params, cache.h_task), grads, ref_grads,
                       *_TOLERANCE["float64"])
 
     def test_float32_tracks_float64(self):
@@ -590,17 +599,14 @@ class TestRowTiles:
             logits, cache = forward(params, batch, train=True, head_mask=head_mask)
             dl = bce_grad_logits(logits, batch.labels)
             grads = backward(params, cache, dl, params.tensors.zeros_like())
-        # Logits are held to the size of the terms the head sums, which
-        # stays a fair scale when those terms cancel to a logit near zero.
-        w, b = np.abs(params["head.w"]), abs(float(params["head.b"]))
         keep = 1.0 - params.cfg.dropout_p
         tolerance = _TOLERANCE[params.cfg.dtype]
         ref_logits, ref_grads = _reference_train_step(params, batch, head_mask, dl)
-        _assert_close(logits, ref_logits, (np.abs(cache.h_task) @ w).max() + b,
+        _assert_close(logits, ref_logits, _head_scale(params, cache.h_task),
                       grads, ref_grads, *tolerance)
         # Eval mode is the train step with every head input kept at 1 - p.
         ref_eval, _ = _reference_train_step(params, batch, np.full_like(head_mask, keep), dl)
-        eval_scale = keep * (np.abs(cache.h_cls) @ w).max() + b
+        eval_scale = _head_scale(params, keep * cache.h_cls)
         assert np.abs(eval_logits - ref_eval).max() <= tolerance[0] * eval_scale
 
     def test_eval_memory_grows_linearly_with_length(self):

@@ -8,7 +8,7 @@ import pytest
 
 import ethikit.trainer as trainer_mod
 from ethikit.batching import Example, encode_examples
-from ethikit.errors import EmptyDataset, InvalidConfig, NonFiniteTraining, TooFewExamples
+from ethikit.errors import ConfigError, EmptyDataset, NonFiniteTraining, TooFewExamples
 from ethikit.batching import make_batches
 from ethikit.model import (
     ModelConfig,
@@ -86,9 +86,9 @@ class TestTrain:
         assert logs[-1].train_loss < logs[0].train_loss
 
     def test_zero_epochs_rejected(self, separable_vocab):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ConfigError, match="epochs"):
             toy_train_config(separable_vocab, epochs=0)
-        with pytest.raises(InvalidConfig, match="batch_size"):
+        with pytest.raises(ConfigError, match="batch_size"):
             toy_train_config(separable_vocab, batch_size=0)
 
     def test_empty_sets_rejected(self, separable_encoded, separable_vocab):
