@@ -98,25 +98,44 @@ def pad_batch(seqs, labels, l_cap: int) -> TokenBatch:
     return TokenBatch(ids=ids, mask=mask, labels=np.asarray(labels, dtype=np.int64))
 
 
+def _packed_starts(lengths, slots: int) -> list[int]:
+    """Where each batch starts when it takes rows while rows x padded width <= slots."""
+    starts, width = [0], 0
+    for i, n in enumerate(lengths):
+        width = max(width, n)
+        if (i - starts[-1] + 1) * width > slots:
+            starts.append(i)
+            width = n
+    return starts
+
+
 def make_batches(
     encoded,
     batch_size: int = DEFAULT_BATCH_SIZE,
     order=None,
     *,
     max_len: int,
+    pack: bool = False,
 ) -> list[TokenBatch]:
     """Take rows in ``order`` (default: as given), truncate, chunk, and pad.
 
     ``encoded`` holds ``encode_examples`` records; ``order`` is a sequence of
-    row indices. The last partial batch is kept.
+    row indices. A batch holds ``batch_size`` rows. With ``pack``, a batch
+    instead takes rows while its rows x padded width stays within
+    ``batch_size`` x the widest truncated row, the padded size of a full
+    batch of the widest rows; taken in order of length, short rows then
+    share a batch. The last partial batch is kept.
     """
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     rows = list(encoded) if order is None else [encoded[i] for i in order]
     seqs = [truncate(row.ids, max_len) for row in rows]
     labels = [row.label for row in rows]
-    batches = []
-    for start in range(0, len(seqs), batch_size):
-        stop = start + batch_size
-        batches.append(pad_batch(seqs[start:stop], labels[start:stop], max_len))
-    return batches
+    if pack and seqs:
+        lengths = list(map(len, seqs))
+        starts = _packed_starts(lengths, batch_size * max(lengths))
+    else:
+        starts = range(0, len(seqs), batch_size)
+    stops = [*starts[1:], len(seqs)]
+    return [pad_batch(seqs[start:stop], labels[start:stop], max_len)
+            for start, stop in zip(starts, stops)]

@@ -33,7 +33,7 @@ from ethikit.errors import (ConfigError, EthikitError, MalformedReport, NotJson,
                             UnusablePath, reading)
 from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
 
-_SPARK_LEVELS = " .:-=+*#%@"
+_SPARK_LEVELS = ".:-=+*#%@"  # lowest to highest; each is visible
 
 # Each config-backed flag, by its argparse dest, names the config field it
 # sets. The flag takes its default, and its type, from a config instance.
@@ -169,10 +169,13 @@ def _check_outputs(outputs: dict, inputs: dict) -> None:
 
 
 def _sparkline(values) -> str:
+    """One mark per value, scaled from the lowest to the highest; a flat curve,
+    one value included, is all middle marks."""
     lo, hi = min(values), max(values)
-    span = hi - lo or 1.0
-    idx = [int((v - lo) / span * (len(_SPARK_LEVELS) - 1)) for v in values]
-    return "".join(_SPARK_LEVELS[i] for i in idx)
+    top = len(_SPARK_LEVELS) - 1
+    if hi == lo:
+        return _SPARK_LEVELS[top // 2] * len(values)
+    return "".join(_SPARK_LEVELS[int((v - lo) / (hi - lo) * top)] for v in values)
 
 
 # --- normalize ---
@@ -362,7 +365,10 @@ def cmd_train(args) -> int:
 
     train_file = args.train_file or _resolve_split_file(Path(args.data_dir), args.domain, "train")
     settings = {dest: getattr(args, dest) for dest in _RECORDED}
-    settings["train_file"] = str(Path(train_file))
+    # Absolute, so the manifest replays from any working directory.
+    settings["train_file"] = str(Path(train_file).absolute())
+    if args.vocab:
+        settings["vocab"] = str(Path(args.vocab).absolute())
     return _train_from_settings(settings, out_dir)
 
 
@@ -447,11 +453,19 @@ def cmd_report(args) -> int:
 
 # --- wiring ---
 
-def _add_config_flags(p, config, table: dict, *dests: str) -> None:
-    """One flag per dest (default: every dest of ``table``), defaulting to ``config``'s field."""
+def _add_config_flags(p, config, table: dict, *dests: str, helps=None) -> None:
+    """One flag per dest (default: every dest of ``table``), defaulting to ``config``'s field;
+    ``helps`` maps a dest to its help text."""
     for dest in dests or table:
         default = getattr(config, table[dest])
-        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
+                       help=(helps or {}).get(dest))
+
+
+# How each command's scoring packs rows by --batch-size (trainer.scoring_batches).
+_SCORING_BATCHES = ("rows, taken by length, share a batch while rows x padded width stays "
+                    "at most this many times the longest row's truncated length "
+                    "(default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", help="manifest.json of a prior run to replay")
     p.add_argument("--vocab", help="existing vocab file (else trained from the data)")
     _add_config_flags(p, tok_mod.TokenizerConfig(), _TOKENIZER_FLAGS)
-    _add_config_flags(p, _TRAIN_DEFAULTS, _TRAIN_FLAGS)
+    _add_config_flags(p, _TRAIN_DEFAULTS, _TRAIN_FLAGS, helps={
+        "batch_size": "rows per training batch; in each epoch's scoring, " + _SCORING_BATCHES})
     _add_config_flags(p, _TRAIN_DEFAULTS.model, _MODEL_FLAGS)
     _add_config_flags(p, _TRAIN_DEFAULTS.optim, _OPTIM_FLAGS)
     p.add_argument("--val-ratio", type=float, default=trainer_mod.TRAIN_RATIO,
@@ -493,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="vocab file (default: alongside the checkpoint)")
     p.add_argument("--report", help="write metrics CSV here")
     p.add_argument("--scores", help="write per-example scores CSV here")
-    _add_config_flags(p, _TRAIN_DEFAULTS, _TRAIN_FLAGS, "batch_size")
+    _add_config_flags(p, _TRAIN_DEFAULTS, _TRAIN_FLAGS, "batch_size",
+                      helps={"batch_size": "scoring batches: " + _SCORING_BATCHES})
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("filter-hard", help="build an adversarially hard subset")
@@ -506,7 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores-out")
     p.add_argument("--vocab")
     _add_config_flags(p, hard_mod.PROXY_TOKENIZER, _TOKENIZER_FLAGS, "vocab_size")
-    _add_config_flags(p, recipe, _TRAIN_FLAGS)
+    _add_config_flags(p, recipe, _TRAIN_FLAGS, helps={
+        "batch_size": "rows per proxy training batch; in scoring the pool, " + _SCORING_BATCHES})
     _add_config_flags(p, recipe.model, _MODEL_FLAGS, "max_len", "seed")
     _add_config_flags(p, recipe.optim, _OPTIM_FLAGS, "lr")
     p.set_defaults(func=cmd_filter_hard)

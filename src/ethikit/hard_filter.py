@@ -20,7 +20,7 @@ from ethikit.metrics import check_finite
 from ethikit.model import ModelConfig, ModelParams
 from ethikit.optim import OptimConfig
 from ethikit.tokenizer import SPECIAL_TOKENS, TokenizerConfig, Vocab
-from ethikit.trainer import TrainConfig, predict_probs, split_train_val
+from ethikit.trainer import TrainConfig, predict_probs, scoring_batches, split_train_val
 from ethikit.trainer import train as train_model
 
 
@@ -71,8 +71,8 @@ def score_examples(proxies, pool, vocab: Vocab,
                    batch_size: int = DEFAULT_BATCH_SIZE) -> np.ndarray:
     """Mean per-example cross-entropy across proxies, eval mode, in pool order.
 
-    The pool is encoded once for all proxies; each proxy truncates at its
-    own ``max_len``.
+    The pool is encoded once for all proxies, and batched once for all
+    proxies that share a ``max_len``; each proxy truncates at its own.
     """
     pool = encode_examples(pool, vocab)
     if not pool:
@@ -81,8 +81,12 @@ def score_examples(proxies, pool, vocab: Vocab,
         raise ConfigError("no proxies to score with")
     labels = np.array([ex.label for ex in pool], dtype=np.float64)
     total = np.zeros(len(pool), dtype=np.float64)
+    prepared = {}  # max_len -> the pool's scoring_batches
     for proxy in proxies:
-        probs = predict_probs(proxy, pool, batch_size)
+        max_len = proxy.cfg.max_len
+        if max_len not in prepared:
+            prepared[max_len] = scoring_batches(pool, max_len, batch_size)
+        probs = predict_probs(proxy, pool, prepared=prepared[max_len])
         total += bce_terms(probs, labels)
     return total / len(proxies)
 

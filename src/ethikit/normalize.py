@@ -46,13 +46,9 @@ CONTRACTIONS = MappingProxyType({
     "you'd": "you would", "you'll": "you will", "you're": "you are", "you've": "you have",
 })
 
-# Whole-token, case-insensitive alternation of the keys, longest first.
-_CONTRACTION_RE = re.compile(
-    r"(?<![\w'])("
-    + "|".join(re.escape(k) for k in sorted(sorted(CONTRACTIONS), key=len, reverse=True))
-    + r")(?![\w'])",
-    re.IGNORECASE,
-)
+# A whole token of word characters and apostrophes that holds an apostrophe;
+# whether it is a contraction is one lookup of its lowercase.
+_APOSTROPHE_TOKEN_RE = re.compile(r"(?<![\w'])[\w']*'[\w']*")
 
 
 def _letters(token: str) -> int:
@@ -113,11 +109,11 @@ def normalize_case(text: str) -> str:
 def expand_contractions(text: str) -> str:
     """Replace whole-token contractions with their expansions.
 
-    Matching is case-insensitive; a leading capital on the contraction is
-    carried onto the expansion. Apostrophes that are not part of a table key
-    (possessives, o'clock) are left alone, as is a match whose lowercase is
-    not a key ("it'ſ", with a long s, matches "it's" case-insensitively).
-    Every key holds an apostrophe, so text without one is returned as is.
+    A token is a maximal run of word characters and apostrophes; one whose
+    lowercase is a table key is replaced, and a leading capital on it is
+    carried onto the expansion. Other tokens with an apostrophe
+    (possessives, o'clock, "it'ſ" with a long s) are left alone. Every key
+    holds an apostrophe, so text without one is returned as is.
     """
     if "'" not in text:
         return text
@@ -131,7 +127,7 @@ def expand_contractions(text: str) -> str:
             expansion = expansion[0].upper() + expansion[1:]
         return expansion
 
-    return _CONTRACTION_RE.sub(replace, text)
+    return _APOSTROPHE_TOKEN_RE.sub(replace, text)
 
 
 class _NoiseTable(dict):

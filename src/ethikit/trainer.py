@@ -7,8 +7,9 @@ shuffles the training set and walks its micro-batches in windows of
 runs forward/loss/backward, backward adding its gradients into the optimizer's
 ``g_acc``, and ``optim.accumulate`` then counts it; each window ends in one
 flush, which divides by that count. Each epoch then records eval-mode loss
-and accuracy on both splits. The best checkpoint by validation accuracy
-(ties to lower validation loss) is retained.
+and accuracy on both splits, scored in batches built at the first epoch's
+end. The best checkpoint by validation accuracy (ties to lower validation
+loss) is retained.
 
 One micro-batch's activations are alive at a time: its logits and cache are
 dropped once backward has added its gradients, before the next forward or
@@ -109,29 +110,41 @@ def split_train_val(examples, ratio: float = TRAIN_RATIO, seed: int = 0):
     return train, val
 
 
-def predict_probs(params: ModelParams, dataset,
-                  batch_size: int = DEFAULT_BATCH_SIZE) -> np.ndarray:
+def scoring_batches(dataset, max_len: int, batch_size: int = DEFAULT_BATCH_SIZE):
+    """``(order, batches)`` that score ``dataset``, truncated at ``max_len``.
+
+    ``order`` lists the rows by truncated length (stable), and ``batches``
+    are those rows packed by ``make_batches``: each holds rows while rows x
+    padded width stays within ``batch_size`` x the widest truncated row, so
+    short rows share a call and no call is larger than a full batch of the
+    widest rows.
+    """
+    lengths = np.fromiter((min(len(ex.ids), max_len) for ex in dataset),
+                          dtype=np.int64, count=len(dataset))
+    order = np.argsort(lengths, kind="stable")
+    return order, make_batches(dataset, batch_size, order=order, max_len=max_len, pack=True)
+
+
+def predict_probs(params: ModelParams, dataset, batch_size: int = DEFAULT_BATCH_SIZE, *,
+                  prepared=None) -> np.ndarray:
     """Eval-mode probabilities for every encoded example, in dataset order.
 
-    Sequences are truncated at the model's own ``max_len``. Rows are batched
-    in order of truncated length, so each batch pads to little more than its
-    own rows, and the probabilities are scattered back into dataset order.
+    Rows are scored in the ``scoring_batches`` of ``dataset`` at the model's
+    own ``max_len``: ``prepared``, when a caller scoring the same set again
+    has kept them, else built here. The probabilities are scattered back
+    into dataset order.
     """
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("nothing to score")
-    max_len = params.cfg.max_len
-    lengths = np.fromiter((min(len(ex.ids), max_len) for ex in dataset),
-                          dtype=np.int64, count=len(dataset))
-    order = np.argsort(lengths, kind="stable")
-    batches = make_batches(dataset, batch_size, order=order, max_len=max_len)
+    order, batches = prepared or scoring_batches(dataset, params.cfg.max_len, batch_size)
     probs = np.empty(len(dataset), dtype=np.float64)
     probs[order] = np.concatenate([classify(params, b) for b in batches])
     return probs
 
 
-def _eval_loss_acc(params, dataset, batch_size):
-    probs = predict_probs(params, dataset, batch_size)
+def _eval_loss_acc(params, dataset, prepared):
+    probs = predict_probs(params, dataset, prepared=prepared)
     labels = np.array([ex.label for ex in dataset], dtype=np.float64)
     mean_loss = loss_mod.bce(probs, labels)
     preds = (probs >= metrics_mod.THRESHOLD).astype(np.int64)
@@ -203,6 +216,7 @@ def train(train_set, val_set, cfg: TrainConfig):
     logs: list[EpochLog] = []
     best_params = params.copy()
     best_key: tuple[float, float] | None = None
+    scoring = None  # the scoring_batches of both sets, built once
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
@@ -223,8 +237,11 @@ def train(train_set, val_set, cfg: TrainConfig):
                 _require_finite(epoch, state.t + 1, state.g_acc, "gradient of ")
             flush(params, state, cfg.optim)
 
-        train_loss, train_acc = _eval_loss_acc(params, train_set, cfg.batch_size)
-        val_loss, val_acc = _eval_loss_acc(params, val_set, cfg.batch_size)
+        if scoring is None:  # at the first epoch's end, so set-up does not wait on it
+            scoring = [scoring_batches(s, cfg.model.max_len, cfg.batch_size)
+                       for s in (train_set, val_set)]
+        train_loss, train_acc = _eval_loss_acc(params, train_set, scoring[0])
+        val_loss, val_acc = _eval_loss_acc(params, val_set, scoring[1])
         logs.append(EpochLog(
             epoch=epoch,
             train_loss=train_loss,

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ethikit.batching import (
+    EncodedExample,
     Example,
     encode_examples,
     format_sequence,
@@ -180,3 +183,37 @@ class TestMakeBatches:
                 assert np.array_equal(x.ids, y.ids)
                 assert np.array_equal(x.mask, y.mask)
                 assert np.array_equal(x.labels, y.labels)
+
+
+class TestPackedBatches:
+    @given(st.lists(st.integers(2, 40), min_size=1, max_size=60), st.integers(1, 9),
+           st.integers(2, 32), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_fill_a_full_batch_of_the_widest(self, lengths, batch_size, max_len, by_length):
+        # label i marks row i, so each row is traced to where it lands
+        encoded = [EncodedExample(ids=(CLS_ID, *[7] * (n - 2), SEP_ID), label=i)
+                   for i, n in enumerate(lengths)]
+        cut = [min(n, max_len) for n in lengths]
+        order = np.argsort(cut, kind="stable") if by_length else np.arange(len(cut))
+        batches = make_batches(encoded, batch_size, order=order, max_len=max_len, pack=True)
+        slots = batch_size * max(cut)
+        # every row once, in the order given, cut at max_len
+        assert np.concatenate([b.labels for b in batches]).tolist() == order.tolist()
+        assert np.concatenate([b.mask.sum(axis=1) for b in batches]).tolist() == \
+            [cut[i] for i in order]
+        assert all(len(b) * b.length <= slots for b in batches)
+        # a batch ends only where its next row would not fit
+        taken = 0
+        for batch in batches[:-1]:
+            taken += len(batch)
+            assert (len(batch) + 1) * max(batch.length, cut[order[taken]]) > slots
+        # any batch_size rows fit, so packing never makes more batches
+        assert len(batches) <= -(-len(cut) // batch_size)
+
+    def test_short_rows_share_a_batch(self, tiny_vocab):
+        examples = [Example(text_a=" ".join(["a"] * n)) for n in (1, 1, 1, 1, 10)]
+        encoded = encode_examples(examples, tiny_vocab)
+        # the widest row holds 12 tokens, so a packed batch holds up to 24 slots
+        for pack, expected in ((True, [(4, 3), (1, 12)]), (False, [(2, 3), (2, 3), (1, 12)])):
+            batches = make_batches(encoded, 2, max_len=128, pack=pack)
+            assert [(len(b), b.length) for b in batches] == expected

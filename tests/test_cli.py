@@ -12,7 +12,7 @@ import pytest
 
 import ethikit
 from ethikit import trainer as trainer_mod
-from ethikit.cli import main
+from ethikit.cli import _sparkline, main
 from ethikit.dataset import default_specs, load_split, serialize_split
 from ethikit.errors import UnusablePath
 from ethikit.metrics import DegenerateMetricWarning
@@ -289,6 +289,23 @@ class TestTrainCommand:
         assert (d1 / "best.ckpt").read_bytes() == (replay_dir / "best.ckpt").read_bytes()
         assert (d1 / "vocab.txt").read_bytes() == (replay_dir / "vocab.txt").read_bytes()
 
+    def test_relative_inputs_replay_from_another_directory(self, tmp_path, train_file,
+                                                           vocab_file, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "train.csv").write_bytes(train_file.read_bytes())
+        (sub / "vocab.txt").write_bytes(vocab_file.read_bytes())
+        monkeypatch.chdir(sub)
+        assert main(["train", "--train-file", "train.csv", "--domain", "justice",
+                     "--vocab", "vocab.txt", "--out-dir", "run", *FAST_MODEL_FLAGS]) == 0
+        config = json.loads((sub / "run" / "manifest.json").read_text())["config"]
+        assert config["train_file"] == str(sub.resolve() / "train.csv")
+        assert config["vocab"] == str(sub.resolve() / "vocab.txt")
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--replay", "sub/run/manifest.json", "--out-dir", "replayed"]) == 0
+        assert (tmp_path / "replayed" / "best.ckpt").read_bytes() == \
+            (sub / "run" / "best.ckpt").read_bytes()
+
     def test_replay_of_changed_input_exit_1(self, tmp_path, train_file, capsys):
         d1 = run_train(tmp_path, train_file, "run1")
         data = bytearray(train_file.read_bytes())
@@ -452,6 +469,27 @@ class TestTrainCommand:
         assert main(["train", "--train-file", str(train_file), "--domain", "justice",
                      "--out-dir", str(tmp_path / "run"), "--vocab", str(vocab_file),
                      *FAST_MODEL_FLAGS, "--vocab-size", "8000", "--min-freq", "2"]) == 0
+
+
+class TestSparkline:
+    def test_flat_and_one_epoch_curves_are_visible(self):
+        mark = _sparkline([0.5])
+        assert len(mark) == 1 and not mark.isspace()
+        assert _sparkline([0.5] * 5) == mark * 5
+
+    def test_marks_rise_with_the_values(self):
+        line = _sparkline([0.1, 0.3, 0.2, 0.9, 0.5])
+        assert len(line) == 5 and not any(ch.isspace() for ch in line)
+        levels = [_sparkline([0.1, 0.9, v])[2] for v in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        assert levels == sorted(set(levels), key=levels.index)  # distinct, in order
+        assert line[0] == levels[0] and line[3] == levels[-1]
+
+    def test_train_prints_one_mark_per_epoch(self, tmp_path, train_file, capsys):
+        run_train(tmp_path, train_file)
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("val_acc per epoch: "))
+        marks = line.removeprefix("val_acc per epoch: ").split(" (final")[0]
+        assert len(marks) == 2 and not any(ch.isspace() for ch in marks)
 
 
 class TestEvaluateCommand:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ethikit.batching import Example, encode_examples
+import ethikit.trainer as trainer_mod
 from ethikit.errors import ConfigError, EmptyDataset, LengthMismatch, NonFiniteScore
 from ethikit.hard_filter import (
     FilterConfig,
@@ -12,9 +13,10 @@ from ethikit.hard_filter import (
     score_examples,
     train_proxies,
 )
+from ethikit.loss import bce_terms
 from ethikit.model import ModelConfig, init_params
 from ethikit.optim import OptimConfig
-from ethikit.trainer import TrainConfig, evaluate, split_train_val, train
+from ethikit.trainer import TrainConfig, evaluate, predict_probs, split_train_val, train
 from tests.conftest import make_separable_examples
 
 
@@ -130,6 +132,33 @@ class TestScoreExamples:
     def test_no_proxies(self, separable_set, separable_vocab):
         with pytest.raises(ConfigError, match="no proxies"):
             score_examples([], separable_set, separable_vocab)
+
+
+class TestPoolBatchedOnce:
+    def test_one_make_batches_per_max_len(self, separable_set, separable_vocab, monkeypatch):
+        proxies = [
+            init_params(ModelConfig(vocab_size=len(separable_vocab), max_len=max_len,
+                                    n_layers=1, n_heads=2, d_model=16, d_ff=32, seed=seed))
+            for seed, max_len in enumerate((16, 16, 6, 16))
+        ]
+        pool = encode_examples(separable_set, separable_vocab)
+        labels = np.array([ex.label for ex in pool], dtype=np.float64)
+        total = np.zeros(len(pool), dtype=np.float64)
+        for proxy in proxies:
+            total += bce_terms(predict_probs(proxy, pool), labels)
+        expected = total / len(proxies)
+
+        cuts = []
+        real_make_batches = trainer_mod.make_batches
+
+        def counted_make_batches(*args, **kwargs):
+            cuts.append(kwargs["max_len"])
+            return real_make_batches(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "make_batches", counted_make_batches)
+        scores = score_examples(proxies, separable_set, separable_vocab)
+        assert cuts == [16, 6]
+        assert scores.tobytes() == expected.tobytes()
 
 
 class TestFilterHard:

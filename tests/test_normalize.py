@@ -50,7 +50,7 @@ def _reference_normalize_case(text):
 
 
 def _reference_expand_contractions(text):
-    """The table's matcher run on every text, apostrophe or not."""
+    """A case-insensitive alternation of the keys, run on every text, apostrophe or not."""
     ordered = sorted(CONTRACTIONS, key=len, reverse=True)
     alternation = "|".join(re.escape(k) for k in ordered)
     pattern = re.compile(rf"(?<![\w'])({alternation})(?![\w'])", re.IGNORECASE)
@@ -92,6 +92,21 @@ _unicode_text = st.lists(
 ).map("".join)
 
 
+# Contractions in every case, with look-alike letters and the characters
+# that do or do not end a token around them.
+_contraction = st.tuples(
+    st.sampled_from(sorted(CONTRACTIONS)),
+    st.sampled_from([str.lower, str.upper, str.title, str.capitalize,
+                     lambda k: k.replace("s", "\u017f"), lambda k: k.replace("i", "\u0130")]),
+).map(lambda pair: pair[1](pair[0]))
+_apostrophe_text = st.lists(
+    st.one_of(_contraction,
+              st.sampled_from(["'", "''", " ", "(", ")", "_", "-", "ve", "s", "é", "K", "٣"]),
+              st.text(alphabet="acdeilmnorstuvw'", max_size=5)),
+    max_size=12,
+).map("".join)
+
+
 class TestAgainstReferences:
     """Each stage gives the per-occurrence reference's output."""
 
@@ -110,6 +125,14 @@ class TestAgainstReferences:
         assert normalize_case(text) == _reference_normalize_case(text)
         assert expand_contractions(text) == _reference_expand_contractions(text)
         assert strip_noise(text) == _reference_strip_noise(text)
+
+    @given(_apostrophe_text)
+    @settings(max_examples=500, deadline=None)
+    @example("it'\u017f \u0130'm (can't) can't've Won't")
+    def test_contractions_against_the_alternation(self, text):
+        # the reference matches the table's keys by a case-insensitive
+        # alternation; expand_contractions looks whole tokens up instead
+        assert expand_contractions(text) == _reference_expand_contractions(text)
 
     @given(_unicode_text)
     @settings(max_examples=300, deadline=None)

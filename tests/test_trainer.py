@@ -24,6 +24,7 @@ from ethikit.trainer import (
     epoch_logs_csv,
     evaluate,
     predict_probs,
+    scoring_batches,
     split_train_val,
     train,
 )
@@ -277,6 +278,70 @@ class TestEvaluate:
         ])
         assert np.abs(batched - single).max() <= tol
         assert np.ptp(single) > 1e-4  # rows score 100x the float32 tolerance apart
+
+
+class TestScoringBatches:
+    def _varied(self, vocab, n=45):
+        rng = np.random.default_rng(11)
+        words = ["the", "cat", "sat", "good", "bad", "mat", "dog"]
+        return encode_examples([
+            Example(text_a=" ".join(rng.choice(words, size=int(k))), label=i % 2)
+            for i, k in enumerate(rng.integers(1, 30, size=n))
+        ], vocab)
+
+    def test_each_row_once_in_length_order(self, separable_vocab):
+        encoded = self._varied(separable_vocab)
+        order, batches = scoring_batches(encoded, 16, batch_size=4)
+        lengths = [min(len(ex.ids), 16) for ex in encoded]
+        assert sorted(order.tolist()) == list(range(len(encoded)))
+        assert [lengths[i] for i in order] == sorted(lengths)
+        assert np.concatenate([b.mask.sum(axis=1) for b in batches]).tolist() == sorted(lengths)
+        assert np.concatenate([b.labels for b in batches]).tolist() == \
+            [encoded[i].label for i in order]
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 32])
+    def test_no_batch_above_a_full_batch_of_the_widest_row(self, separable_vocab, batch_size):
+        encoded = self._varied(separable_vocab)
+        _, batches = scoring_batches(encoded, 16, batch_size)
+        widest = max(min(len(ex.ids), 16) for ex in encoded)
+        assert max(b.mask.size for b in batches) <= batch_size * widest
+        assert len(batches) <= -(-len(encoded) // batch_size)
+
+    def test_bad_batch_size(self, separable_encoded):
+        with pytest.raises(ConfigError):
+            scoring_batches(separable_encoded, 16, 0)
+
+    def test_prepared_batches_score_bit_for_bit(self, separable_vocab):
+        encoded = self._varied(separable_vocab)
+        cfg = ModelConfig(vocab_size=len(separable_vocab), max_len=16, n_layers=2,
+                          n_heads=2, d_model=16, d_ff=32, seed=5)
+        params = init_params(cfg)
+        prepared = scoring_batches(encoded, cfg.max_len, 4)
+        assert predict_probs(params, encoded, 4).tobytes() == \
+            predict_probs(params, encoded, prepared=prepared).tobytes()
+
+    def test_eval_batches_built_once_across_epochs(self, separable_encoded, separable_vocab,
+                                                   monkeypatch):
+        events = []
+        real_make_batches = trainer_mod.make_batches
+        real_forward = trainer_mod.forward
+
+        def counted_make_batches(*args, **kwargs):
+            events.append("pack" if kwargs.get("pack") else "train")
+            return real_make_batches(*args, **kwargs)
+
+        def counted_forward(*args, **kwargs):
+            events.append("forward")
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "make_batches", counted_make_batches)
+        monkeypatch.setattr(trainer_mod, "forward", counted_forward)
+        cfg = toy_train_config(separable_vocab, epochs=3)
+        train(separable_encoded[:48], separable_encoded[48:], cfg)
+        assert events.count("train") == 3
+        # the train and validation sets, once each, after the first training step
+        assert events.count("pack") == 2
+        assert events.index("pack") > events.index("forward")
 
 
 class TestEpochCsv:
