@@ -233,9 +233,9 @@ def _write_manifest(path: Path, settings: dict, hashes: dict[str, str]) -> None:
 def _train_from_settings(settings: dict, out_dir: Path) -> int:
     """Shared by fresh runs and manifest replays; settings are plain JSON types.
 
-    The inputs are read, checked and hashed before ``out_dir`` is made, so a
-    bad input leaves no run directory and the manifest holds the hashes of
-    the bytes the run read.
+    The inputs are read, checked, hashed and split before ``out_dir`` is
+    made, so a bad input leaves no run directory and the manifest holds the
+    hashes of the bytes the run read.
     """
     train_cfg, tok_cfg = _configs(settings, _TRAIN_DEFAULTS, tok_mod.TokenizerConfig())
     trainer_mod.check_ratio(settings["val_ratio"])
@@ -243,6 +243,9 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
     examples = _normalized(dataset_mod.load_split(settings["train_file"], spec))
     vocab = tok_mod.load_vocab(settings["vocab"]) if settings["vocab"] else None
     hashes = _input_hashes(settings)
+    train_set, val_set = trainer_mod.split_train_val(
+        examples, ratio=settings["val_ratio"], seed=train_cfg.model.seed
+    )
     with reading(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     if vocab is None:
@@ -250,9 +253,6 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
     tok_mod.save_vocab(vocab, out_dir / "vocab.txt")
     train_cfg = _sized(train_cfg, vocab)
 
-    train_set, val_set = trainer_mod.split_train_val(
-        examples, ratio=settings["val_ratio"], seed=train_cfg.model.seed
-    )
     best_params, logs = trainer_mod.train(
         encode_examples(train_set, vocab), encode_examples(val_set, vocab), train_cfg
     )
@@ -352,6 +352,16 @@ def _replay_conflicts(args) -> list[str]:
     return _changed(vars(args), defaults)
 
 
+def _check_run_files(out_dir: Path, inputs: dict) -> None:
+    """Raise UnusablePath if a file that ``train`` writes in ``out_dir`` is one of
+    ``inputs``, keyed by flag; None is no path."""
+    input_of = {Path(path).resolve(): flag for flag, path in inputs.items() if path is not None}
+    for name in ("vocab.txt", "best.ckpt", "epochs.csv", "manifest.json"):
+        flag = input_of.get((out_dir / name).resolve())
+        if flag:
+            raise UnusablePath(f"{out_dir / name}: --out-dir would overwrite the {flag} input")
+
+
 def cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     if args.replay:
@@ -359,34 +369,37 @@ def cmd_train(args) -> int:
         if conflicts:
             raise ConfigError(f"--replay takes every setting from its manifest; "
                               f"drop {' '.join(conflicts)}")
-        return _train_from_settings(_verified_replay_settings(Path(args.replay)), out_dir)
-    if args.domain is None:
+        settings = _verified_replay_settings(Path(args.replay))
+    elif args.domain is None:
         raise ConfigError("train needs --domain, or --replay of a manifest")
-
-    train_file = args.train_file or _resolve_split_file(Path(args.data_dir), args.domain, "train")
-    settings = {dest: getattr(args, dest) for dest in _RECORDED}
-    # Absolute, so the manifest replays from any working directory.
-    settings["train_file"] = str(Path(train_file).absolute())
-    if args.vocab:
-        settings["vocab"] = str(Path(args.vocab).absolute())
+    else:
+        train_file = args.train_file or _resolve_split_file(Path(args.data_dir), args.domain,
+                                                            "train")
+        settings = {dest: getattr(args, dest) for dest in _RECORDED}
+        # Absolute, so the manifest replays from any working directory.
+        settings["train_file"] = str(Path(train_file).absolute())
+        if args.vocab:
+            settings["vocab"] = str(Path(args.vocab).absolute())
+    _check_run_files(out_dir, {"--train-file": settings["train_file"], "--vocab": settings["vocab"],
+                               "--replay": args.replay})
     return _train_from_settings(settings, out_dir)
 
 
 # --- evaluate ---
 
 def cmd_evaluate(args) -> int:
-    _check_outputs({"--report": args.report, "--scores": args.scores},
-                   {"--checkpoint": args.checkpoint, "--data": args.data, "--vocab": args.vocab})
     ckpt_path = Path(args.checkpoint)
-    params = load_checkpoint(ckpt_path)
     vocab_path = Path(args.vocab) if args.vocab else ckpt_path.parent / "vocab.txt"
+    _check_outputs({"--report": args.report, "--scores": args.scores},
+                   {"--checkpoint": args.checkpoint, "--data": args.data, "--vocab": vocab_path})
+    params = load_checkpoint(ckpt_path)
     vocab = tok_mod.load_vocab(vocab_path)
 
     spec = dataset_mod.default_specs()[args.domain]
     examples = _normalized(dataset_mod.load_split(args.data, spec))
     encoded = encode_examples(examples, vocab)
 
-    report = trainer_mod.evaluate(params, encoded, batch_size=args.batch_size)
+    report = trainer_mod.evaluate(params, encoded)
     print(metrics_mod.render_confusion(report.confusion))
     print(f"accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} f1={report.f1:.4f} auc={report.auc:.4f} "
@@ -423,7 +436,7 @@ def cmd_filter_hard(args) -> int:
     vocab = tok_mod.load_vocab(args.vocab) if args.vocab else _learned_vocab(tok_cfg, dev + pool)
     cfg = dataclasses.replace(cfg, proxy=_sized(proxy, vocab))
     proxies = hard_mod.train_proxies(dev, cfg, vocab)
-    scores = hard_mod.score_examples(proxies, pool, vocab, args.batch_size)
+    scores = hard_mod.score_examples(proxies, pool, vocab)
     # Partition the raw (pre-normalization) rows, parallel to the scored
     # pool, so the output keeps the pool's texts. It holds only the spec's
     # columns: other pool columns are dropped and packed texts re-joined.
@@ -453,19 +466,11 @@ def cmd_report(args) -> int:
 
 # --- wiring ---
 
-def _add_config_flags(p, config, table: dict, *dests: str, helps=None) -> None:
-    """One flag per dest (default: every dest of ``table``), defaulting to ``config``'s field;
-    ``helps`` maps a dest to its help text."""
+def _add_config_flags(p, config, table: dict, *dests: str) -> None:
+    """One flag per dest (default: every dest of ``table``), defaulting to ``config``'s field."""
     for dest in dests or table:
         default = getattr(config, table[dest])
-        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
-                       help=(helps or {}).get(dest))
-
-
-# How each command's scoring packs rows by --batch-size (trainer.scoring_batches).
-_SCORING_BATCHES = ("rows, taken by length, share a batch while rows x padded width stays "
-                    "at most this many times the longest row's truncated length "
-                    "(default %(default)s)")
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", help="manifest.json of a prior run to replay")
     p.add_argument("--vocab", help="existing vocab file (else trained from the data)")
     _add_config_flags(p, tok_mod.TokenizerConfig(), _TOKENIZER_FLAGS)
-    _add_config_flags(p, _TRAIN_DEFAULTS, _TRAIN_FLAGS, helps={
-        "batch_size": "rows per training batch; in each epoch's scoring, " + _SCORING_BATCHES})
+    _add_config_flags(p, _TRAIN_DEFAULTS, _TRAIN_FLAGS)
     _add_config_flags(p, _TRAIN_DEFAULTS.model, _MODEL_FLAGS)
     _add_config_flags(p, _TRAIN_DEFAULTS.optim, _OPTIM_FLAGS)
     p.add_argument("--val-ratio", type=float, default=trainer_mod.TRAIN_RATIO,
@@ -508,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", help="vocab file (default: alongside the checkpoint)")
     p.add_argument("--report", help="write metrics CSV here")
     p.add_argument("--scores", help="write per-example scores CSV here")
-    _add_config_flags(p, _TRAIN_DEFAULTS, _TRAIN_FLAGS, "batch_size",
-                      helps={"batch_size": "scoring batches: " + _SCORING_BATCHES})
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("filter-hard", help="build an adversarially hard subset")
@@ -522,8 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores-out")
     p.add_argument("--vocab")
     _add_config_flags(p, hard_mod.PROXY_TOKENIZER, _TOKENIZER_FLAGS, "vocab_size")
-    _add_config_flags(p, recipe, _TRAIN_FLAGS, helps={
-        "batch_size": "rows per proxy training batch; in scoring the pool, " + _SCORING_BATCHES})
+    _add_config_flags(p, recipe, _TRAIN_FLAGS)
     _add_config_flags(p, recipe.model, _MODEL_FLAGS, "max_len", "seed")
     _add_config_flags(p, recipe.optim, _OPTIM_FLAGS, "lr")
     p.set_defaults(func=cmd_filter_hard)

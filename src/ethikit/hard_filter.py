@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ethikit.batching import DEFAULT_BATCH_SIZE, encode_examples
+from ethikit.batching import encode_examples
 from ethikit.errors import ConfigError, EmptyDataset, LengthMismatch, ShapeMismatch
 from ethikit.loss import bce_terms
 from ethikit.metrics import check_finite
@@ -67,8 +67,7 @@ def train_proxies(dev_set, cfg: FilterConfig, vocab: Vocab) -> list[ModelParams]
     return proxies
 
 
-def score_examples(proxies, pool, vocab: Vocab,
-                   batch_size: int = DEFAULT_BATCH_SIZE) -> np.ndarray:
+def score_examples(proxies, pool, vocab: Vocab) -> np.ndarray:
     """Mean per-example cross-entropy across proxies, eval mode, in pool order.
 
     The pool is encoded once for all proxies, and batched once for all
@@ -85,7 +84,7 @@ def score_examples(proxies, pool, vocab: Vocab,
     for proxy in proxies:
         max_len = proxy.cfg.max_len
         if max_len not in prepared:
-            prepared[max_len] = scoring_batches(pool, max_len, batch_size)
+            prepared[max_len] = scoring_batches(pool, max_len)
         probs = predict_probs(proxy, pool, prepared=prepared[max_len])
         total += bce_terms(probs, labels)
     return total / len(proxies)

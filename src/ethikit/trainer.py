@@ -80,7 +80,10 @@ def check_ratio(ratio: float) -> None:
 
 
 def split_train_val(examples, ratio: float = TRAIN_RATIO, seed: int = 0):
-    """Seeded, label-stratified split; train gets floor(n * ratio) examples."""
+    """Seeded, label-stratified split; train gets floor(n * ratio) examples.
+
+    A ratio that leaves no example to train on raises TooFewExamples.
+    """
     examples = list(examples)
     n = len(examples)
     if n < 2:
@@ -107,26 +110,30 @@ def split_train_val(examples, ratio: float = TRAIN_RATIO, seed: int = 0):
             take_neg += 1
     train = pos[:take_pos] + neg[:take_neg]
     val = pos[take_pos:] + neg[take_neg:]
+    if not train:  # floor(n * ratio) < n, so validation always keeps a row
+        raise TooFewExamples(f"cannot split {n} example(s) at ratio {ratio}: "
+                             "the training set would be empty")
     return train, val
 
 
-def scoring_batches(dataset, max_len: int, batch_size: int = DEFAULT_BATCH_SIZE):
+def scoring_batches(dataset, max_len: int):
     """``(order, batches)`` that score ``dataset``, truncated at ``max_len``.
 
     ``order`` lists the rows by truncated length (stable), and ``batches``
     are those rows packed by ``make_batches``: each holds rows while rows x
-    padded width stays within ``batch_size`` x the widest truncated row, so
-    short rows share a call and no call is larger than a full batch of the
-    widest rows.
+    padded width stays within ``DEFAULT_BATCH_SIZE`` x the widest truncated
+    row, so short rows share a call and no call is larger than a full batch
+    of the widest rows. This is the one scoring budget; the training batch
+    size does not set it.
     """
     lengths = np.fromiter((min(len(ex.ids), max_len) for ex in dataset),
                           dtype=np.int64, count=len(dataset))
     order = np.argsort(lengths, kind="stable")
-    return order, make_batches(dataset, batch_size, order=order, max_len=max_len, pack=True)
+    return order, make_batches(dataset, DEFAULT_BATCH_SIZE, order=order, max_len=max_len,
+                               pack=True)
 
 
-def predict_probs(params: ModelParams, dataset, batch_size: int = DEFAULT_BATCH_SIZE, *,
-                  prepared=None) -> np.ndarray:
+def predict_probs(params: ModelParams, dataset, *, prepared=None) -> np.ndarray:
     """Eval-mode probabilities for every encoded example, in dataset order.
 
     Rows are scored in the ``scoring_batches`` of ``dataset`` at the model's
@@ -137,7 +144,7 @@ def predict_probs(params: ModelParams, dataset, batch_size: int = DEFAULT_BATCH_
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("nothing to score")
-    order, batches = prepared or scoring_batches(dataset, params.cfg.max_len, batch_size)
+    order, batches = prepared or scoring_batches(dataset, params.cfg.max_len)
     probs = np.empty(len(dataset), dtype=np.float64)
     probs[order] = np.concatenate([classify(params, b) for b in batches])
     return probs
@@ -152,14 +159,12 @@ def _eval_loss_acc(params, dataset, prepared):
     return mean_loss, acc
 
 
-def evaluate(
-    params: ModelParams, dataset, batch_size: int = DEFAULT_BATCH_SIZE
-) -> metrics_mod.EvalReport:
+def evaluate(params: ModelParams, dataset) -> metrics_mod.EvalReport:
     """Full metric report at ``metrics.THRESHOLD`` over a labeled, encoded dataset."""
     dataset = list(dataset)
     if not dataset:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    probs = predict_probs(params, dataset, batch_size)
+    probs = predict_probs(params, dataset)
     labels = np.array([ex.label for ex in dataset], dtype=np.int64)
     return metrics_mod.build_report(probs, labels)
 
@@ -238,8 +243,7 @@ def train(train_set, val_set, cfg: TrainConfig):
             flush(params, state, cfg.optim)
 
         if scoring is None:  # at the first epoch's end, so set-up does not wait on it
-            scoring = [scoring_batches(s, cfg.model.max_len, cfg.batch_size)
-                       for s in (train_set, val_set)]
+            scoring = [scoring_batches(s, cfg.model.max_len) for s in (train_set, val_set)]
         train_loss, train_acc = _eval_loss_acc(params, train_set, scoring[0])
         val_loss, val_acc = _eval_loss_acc(params, val_set, scoring[1])
         logs.append(EpochLog(

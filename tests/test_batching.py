@@ -12,7 +12,7 @@ from ethikit.batching import (
     pad_batch,
     truncate,
 )
-from ethikit.errors import EmptyBatch, InvalidLength
+from ethikit.errors import ConfigError, EmptyBatch, InvalidLength
 from ethikit.tokenizer import CLS_ID, PAD_ID, SEP_ID
 from ethikit.trainer import split_train_val
 
@@ -209,6 +209,25 @@ class TestPackedBatches:
             assert (len(batch) + 1) * max(batch.length, cut[order[taken]]) > slots
         # any batch_size rows fit, so packing never makes more batches
         assert len(batches) <= -(-len(cut) // batch_size)
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 32])
+    def test_no_batch_above_a_full_batch_of_the_widest_row(self, tiny_vocab, batch_size):
+        rng = np.random.default_rng(11)
+        words = ["a", "b", "the", "cat", "good", "bad", "unhappiness", "zzz"]
+        encoded = encode_examples([
+            Example(text_a=" ".join(rng.choice(words, size=int(k))), label=i % 2)
+            for i, k in enumerate(rng.integers(1, 30, size=45))
+        ], tiny_vocab)
+        cut = [min(len(ex.ids), 16) for ex in encoded]
+        order = np.argsort(cut, kind="stable")
+        batches = make_batches(encoded, batch_size, order=order, max_len=16, pack=True)
+        assert max(b.mask.size for b in batches) <= batch_size * max(cut)
+        assert len(batches) <= -(-len(encoded) // batch_size)
+
+    def test_bad_batch_size(self, tiny_vocab):
+        encoded = encode_examples([Example(text_a="a")], tiny_vocab)
+        with pytest.raises(ConfigError):
+            make_batches(encoded, 0, max_len=16, pack=True)
 
     def test_short_rows_share_a_batch(self, tiny_vocab):
         examples = [Example(text_a=" ".join(["a"] * n)) for n in (1, 1, 1, 1, 10)]

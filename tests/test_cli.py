@@ -470,6 +470,54 @@ class TestTrainCommand:
                      "--out-dir", str(tmp_path / "run"), "--vocab", str(vocab_file),
                      *FAST_MODEL_FLAGS, "--vocab-size", "8000", "--min-freq", "2"]) == 0
 
+    def test_split_without_training_rows_leaves_no_run_directory(self, tmp_path, fixtures_dir,
+                                                                  capsys, monkeypatch):
+        import ethikit.tokenizer as tok_mod
+
+        calls = []
+        monkeypatch.setattr(tok_mod, "train_vocab", lambda *a, **k: calls.append(a))
+        out_dir = tmp_path / "r1"
+        # 4 rows at a train share of 0.05 leave no row to train on
+        assert main(["train", "--train-file", str(fixtures_dir / "justice_test.csv"),
+                     "--domain", "justice", "--out-dir", str(out_dir), "--epochs", "1",
+                     "--val-ratio", "0.05", "--vocab-size", "300", "--min-freq", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "cannot split 4 example(s) at ratio 0.05" in err
+        assert "training set would be empty" in err
+        assert calls == []
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name, flag", [
+        ("vocab.txt", "--vocab"), ("epochs.csv", "--train-file"), ("manifest.json", "--replay"),
+    ])
+    def test_run_file_is_input_exit_1(self, tmp_path, train_file, vocab_file, capsys,
+                                      monkeypatch, name, flag):
+        out_dir = tmp_path / "r"
+        target = out_dir / name
+        if flag == "--replay":
+            run_train(tmp_path, train_file, "r")
+            argv = ["--replay", str(target)]
+        else:
+            out_dir.mkdir()
+            inputs = {"--train-file": train_file, "--vocab": vocab_file}
+            # without its final newline, a vocab read in would be written back changed
+            target.write_bytes(inputs[flag].read_bytes().rstrip(b"\n"))
+            inputs[flag] = target
+            argv = ["--domain", "justice", *FAST_MODEL_FLAGS]
+            for input_flag, path in inputs.items():
+                argv += [input_flag, str(path)]
+        before = target.read_bytes()
+        calls = []
+        monkeypatch.setattr(trainer_mod, "train", lambda *a, **k: calls.append(a))
+        # the run directory is named relative to the working directory, the input in full
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["train", *argv, "--out-dir", "r"]) == 1
+        err = capsys.readouterr().err
+        assert f"{Path('r') / name}: --out-dir would overwrite the {flag} input" in err
+        assert calls == []
+        assert target.read_bytes() == before
+
 
 class TestSparkline:
     def test_flat_and_one_epoch_curves_are_visible(self):
@@ -660,16 +708,12 @@ class TestBadNumbers:
         ("train", ["--d-model", "0"]),
         ("train", ["--d-ff", "0"]),
         ("train", ["--layers", "-1"]),
-        ("evaluate", ["--batch-size", "0"]),
         ("filter-hard", ["--proxies", "0"]),
     ])
     def test_config_error_exit_2(self, tmp_path, train_file, capsys, command, flags):
         if command == "train":
             argv = ["train", "--train-file", str(train_file), "--domain", "justice",
                     "--out-dir", str(tmp_path / "bad"), *FAST_TRAIN_FLAGS]
-        elif command == "evaluate":
-            argv = ["evaluate", "--checkpoint", str(run_train(tmp_path, train_file) / "best.ckpt"),
-                    "--data", str(train_file), "--domain", "justice"]
         else:
             argv = ["filter-hard", "--dev", str(train_file), "--pool", str(train_file),
                     "--domain", "justice", "--out", str(tmp_path / "hard.csv"),
@@ -938,11 +982,14 @@ class TestOutputsCheckedFirst:
         assert calls == []
         assert train_file.read_bytes() == before
 
-    @pytest.mark.parametrize("out_flag, in_flag", [
-        ("--scores", "--data"), ("--report", "--checkpoint"), ("--scores", "--vocab"),
+    @pytest.mark.parametrize("out_flag, in_flag, vocab_given", [
+        ("--scores", "--data", True), ("--report", "--checkpoint", True),
+        ("--scores", "--vocab", True),
+        # without --vocab, the vocab beside the checkpoint is the input
+        ("--scores", "--vocab", False),
     ])
     def test_evaluate_output_is_input(self, tmp_path, train_file, capsys, monkeypatch,
-                                      out_flag, in_flag):
+                                      out_flag, in_flag, vocab_given):
         import ethikit.trainer as trainer_mod
 
         run = run_train(tmp_path, train_file)
@@ -955,7 +1002,8 @@ class TestOutputsCheckedFirst:
         monkeypatch.chdir(inputs[in_flag].parent)
         argv = ["evaluate", "--domain", "justice", out_flag, inputs[in_flag].name]
         for flag, path in inputs.items():
-            argv += [flag, str(path)]
+            if flag != "--vocab" or vocab_given:
+                argv += [flag, str(path)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"{inputs[in_flag].name}: {out_flag} would overwrite the {in_flag} input" in err

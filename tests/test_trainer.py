@@ -9,7 +9,7 @@ import pytest
 import ethikit.trainer as trainer_mod
 from ethikit.batching import Example, encode_examples
 from ethikit.errors import ConfigError, EmptyDataset, NonFiniteTraining, TooFewExamples
-from ethikit.batching import make_batches
+from ethikit.batching import DEFAULT_BATCH_SIZE, make_batches
 from ethikit.model import (
     ModelConfig,
     classify,
@@ -76,6 +76,10 @@ class TestSplit:
     def test_too_few(self):
         with pytest.raises(TooFewExamples):
             split_train_val([Example(text_a="x", label=1)])
+
+    def test_empty_training_side(self):
+        with pytest.raises(TooFewExamples, match="4 example\\(s\\) at ratio 0.05"):
+            split_train_val(self._balanced(4), 0.05)
 
 
 class TestTrain:
@@ -205,7 +209,7 @@ class TestTrain:
         path = tmp_path / "best.ckpt"
         save_checkpoint(best, path)
         reloaded = load_checkpoint(path)
-        report = evaluate(reloaded, val_set, batch_size=cfg.batch_size)
+        report = evaluate(reloaded, val_set)
         assert report.accuracy == best_val_acc
 
 
@@ -270,7 +274,9 @@ class TestEvaluate:
         params = init_params(cfg)
         for tensor in params.tensors.values():
             tensor[...] = rng.normal(0.0, 0.5, tensor.shape)
-        batched = predict_probs(params, encoded, batch_size=8)
+        _, batches = scoring_batches(encoded, cfg.max_len)
+        assert len(batches) > 1
+        batched = predict_probs(params, encoded)
         single = np.array([
             classify(params, batch)[0]
             for ex in encoded
@@ -291,7 +297,8 @@ class TestScoringBatches:
 
     def test_each_row_once_in_length_order(self, separable_vocab):
         encoded = self._varied(separable_vocab)
-        order, batches = scoring_batches(encoded, 16, batch_size=4)
+        order, batches = scoring_batches(encoded, 16)
+        assert len(batches) > 1
         lengths = [min(len(ex.ids), 16) for ex in encoded]
         assert sorted(order.tolist()) == list(range(len(encoded)))
         assert [lengths[i] for i in order] == sorted(lengths)
@@ -299,26 +306,43 @@ class TestScoringBatches:
         assert np.concatenate([b.labels for b in batches]).tolist() == \
             [encoded[i].label for i in order]
 
-    @pytest.mark.parametrize("batch_size", [1, 4, 32])
-    def test_no_batch_above_a_full_batch_of_the_widest_row(self, separable_vocab, batch_size):
+    def test_no_batch_above_a_full_default_batch_of_the_widest_row(self, separable_vocab):
         encoded = self._varied(separable_vocab)
-        _, batches = scoring_batches(encoded, 16, batch_size)
+        _, batches = scoring_batches(encoded, 16)
         widest = max(min(len(ex.ids), 16) for ex in encoded)
-        assert max(b.mask.size for b in batches) <= batch_size * widest
-        assert len(batches) <= -(-len(encoded) // batch_size)
-
-    def test_bad_batch_size(self, separable_encoded):
-        with pytest.raises(ConfigError):
-            scoring_batches(separable_encoded, 16, 0)
+        assert max(b.mask.size for b in batches) <= DEFAULT_BATCH_SIZE * widest
+        assert len(batches) <= -(-len(encoded) // DEFAULT_BATCH_SIZE)
 
     def test_prepared_batches_score_bit_for_bit(self, separable_vocab):
         encoded = self._varied(separable_vocab)
         cfg = ModelConfig(vocab_size=len(separable_vocab), max_len=16, n_layers=2,
                           n_heads=2, d_model=16, d_ff=32, seed=5)
         params = init_params(cfg)
-        prepared = scoring_batches(encoded, cfg.max_len, 4)
-        assert predict_probs(params, encoded, 4).tobytes() == \
+        prepared = scoring_batches(encoded, cfg.max_len)
+        assert len(prepared[1]) > 1
+        assert predict_probs(params, encoded).tobytes() == \
             predict_probs(params, encoded, prepared=prepared).tobytes()
+
+    def test_epoch_end_batches_do_not_depend_on_the_training_batch_size(
+        self, separable_encoded, separable_vocab, monkeypatch
+    ):
+        real_scoring_batches = trainer_mod.scoring_batches
+        built = []
+
+        def listed(order, batches):
+            return order.tolist(), [(b.ids.tolist(), b.labels.tolist()) for b in batches]
+
+        def recorded(*args, **kwargs):
+            prepared = real_scoring_batches(*args, **kwargs)
+            built.append(listed(*prepared))
+            return prepared
+
+        monkeypatch.setattr(trainer_mod, "scoring_batches", recorded)
+        sets = (separable_encoded[:48], separable_encoded[48:])
+        for batch_size in (4, 16, 48):
+            built.clear()
+            train(*sets, toy_train_config(separable_vocab, epochs=1, batch_size=batch_size))
+            assert built == [listed(*real_scoring_batches(s, 16)) for s in sets]
 
     def test_eval_batches_built_once_across_epochs(self, separable_encoded, separable_vocab,
                                                    monkeypatch):
