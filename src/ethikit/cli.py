@@ -1,10 +1,10 @@
 """Command-line entry point wiring the toolkit into reproducible runs.
 
-Subcommands: normalize, build-vocab, train, evaluate, filter-hard, report.
-Every training run writes a manifest (each train setting by flag, and the
-hash of each input file) sufficient to replay it bit-exactly via
-``train --replay``, which first checks the tool version and re-hashes every
-recorded input.
+Subcommands: normalize, build-vocab, train, replay, evaluate, filter-hard,
+report. Every training run writes a manifest (each train setting by flag, and
+the hash of each input file) sufficient to replay it bit-exactly via
+``replay``, which first checks the tool version and re-hashes every recorded
+input.
 
 Exit codes: 0 success, 1 runtime error, 2 configuration error.
 """
@@ -30,7 +30,7 @@ from ethikit import trainer as trainer_mod
 from ethikit.batching import Example, encode_examples
 from ethikit.dataset import DOMAINS
 from ethikit.errors import (ConfigError, EthikitError, MalformedReport, NotJson, ReplayMismatch,
-                            UnusablePath, reading)
+                            ShapeMismatch, UnusablePath, reading)
 from ethikit.model import ModelConfig, load_checkpoint, save_checkpoint
 
 _SPARK_LEVELS = ".:-=+*#%@"  # lowest to highest; each is visible
@@ -63,32 +63,6 @@ def _fields(values: dict, table: dict) -> dict:
     return {field: values[dest] for dest, field in table.items() if dest in values}
 
 
-def _changed(values: dict, defaults: dict) -> list[str]:
-    """The flags, by name, of each dest in ``defaults`` whose value in ``values`` differs."""
-    return ["--" + dest.replace("_", "-") for dest, default in defaults.items()
-            if values[dest] != default]
-
-
-def _resolve_split_file(data_dir: Path, domain: str, split: str) -> Path:
-    """Find a split file under either the flat or the per-domain layout."""
-    prefix = "cm" if domain == "commonsense" else domain
-    # dict.fromkeys drops the repeats a domain named like its prefix makes.
-    candidates = list(dict.fromkeys([
-        data_dir / f"{domain}_{split}.csv",
-        data_dir / f"{prefix}_{split}.csv",
-        data_dir / domain / f"{prefix}_{split}.csv",
-        data_dir / domain / f"{domain}_{split}.csv",
-    ]))
-    for cand in candidates:
-        if cand.exists():
-            return cand
-    raise UnusablePath(
-        f"no {split} file for {domain} under {data_dir} (tried "
-        + ", ".join(str(c) for c in candidates)
-        + ")"
-    )
-
-
 def _normalized(examples) -> list[Example]:
     """``examples`` with every text normalized by the default table."""
     return [Example(text_a=norm_mod.normalize(ex.text_a),
@@ -112,8 +86,8 @@ def _configs(settings: dict, train: trainer_mod.TrainConfig, tok: tok_mod.Tokeni
         **_fields(settings, _TRAIN_FLAGS),
     )
     if settings["vocab"]:
-        inert = _changed(settings, {dest: getattr(tok, field)
-                                    for dest, field in _TOKENIZER_FLAGS.items() if dest in settings})
+        inert = ["--" + dest.replace("_", "-") for dest, field in _TOKENIZER_FLAGS.items()
+                 if dest in settings and settings[dest] != getattr(tok, field)]
         if inert:
             raise ConfigError(f"--vocab fixes the vocabulary, so {' '.join(inert)} "
                               "would have no effect; drop them")
@@ -230,15 +204,21 @@ def _write_manifest(path: Path, settings: dict, hashes: dict[str, str]) -> None:
     _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _train_from_settings(settings: dict, out_dir: Path) -> int:
-    """Shared by fresh runs and manifest replays; settings are plain JSON types.
+def _train_from_settings(settings: dict, out_dir: Path, manifest: Path | None = None) -> int:
+    """Shared by fresh runs and replays of ``manifest``; settings are plain JSON types.
 
-    The inputs are read, checked, hashed and split before ``out_dir`` is
-    made, so a bad input leaves no run directory and the manifest holds the
-    hashes of the bytes the run read.
+    The files the run writes are checked against its inputs when ``out_dir``
+    exists, and the inputs are read, checked, hashed and split before it is
+    made, so a bad path or input leaves no run directory and the manifest
+    holds the hashes of the bytes the run read.
     """
     train_cfg, tok_cfg = _configs(settings, _TRAIN_DEFAULTS, tok_mod.TokenizerConfig())
     trainer_mod.check_ratio(settings["val_ratio"])
+    if out_dir.is_dir():
+        inputs = {"--train-file": settings["train_file"], "--vocab": settings["vocab"],
+                  "manifest": manifest}
+        for name in ("vocab.txt", "best.ckpt", "epochs.csv", "manifest.json"):
+            _check_outputs({"--out-dir": out_dir / name}, inputs)
     spec = dataset_mod.default_specs()[settings["domain"]]
     examples = _normalized(dataset_mod.load_split(settings["train_file"], spec))
     vocab = tok_mod.load_vocab(settings["vocab"]) if settings["vocab"] else None
@@ -270,12 +250,19 @@ def _train_from_settings(settings: dict, out_dir: Path) -> int:
     return 0
 
 
+def _train_config_tables() -> tuple:
+    """Each config whose fields ``train`` sets by flag, with the table of those flags."""
+    return ((tok_mod.TokenizerConfig(), _TOKENIZER_FLAGS), (_TRAIN_DEFAULTS, _TRAIN_FLAGS),
+            (_TRAIN_DEFAULTS.model, _MODEL_FLAGS), (_TRAIN_DEFAULTS.optim, _OPTIM_FLAGS))
+
+
 def _replay_schema() -> dict:
     """The type of each value ``train`` records in a manifest's config, by key: that of
-    its flag's default, save for the settings whose flags default to None."""
-    defaults = vars(build_parser().parse_args(["train"]))
-    return {dest: type(defaults[dest]) for dest in _RECORDED} | {
-        "domain": str, "train_file": str, "vocab": str | None}
+    its flag's default, from the config it is taken from."""
+    return {dest: type(getattr(config, field)) for config, table in _train_config_tables()
+            for dest, field in table.items()} | {
+        "domain": str, "train_file": str, "vocab": str | None,
+        "val_ratio": type(trainer_mod.TRAIN_RATIO)}
 
 
 def _check_object(obj, schema: dict, where: str) -> None:
@@ -345,44 +332,18 @@ def _verified_replay_settings(manifest_path: Path) -> dict:
     return config
 
 
-def _replay_conflicts(args) -> list[str]:
-    """The flags besides --replay and --out-dir that ``args`` set off their defaults."""
-    defaults = vars(build_parser().parse_args(["train"]))
-    del defaults["replay"], defaults["out_dir"]
-    return _changed(vars(args), defaults)
-
-
-def _check_run_files(out_dir: Path, inputs: dict) -> None:
-    """Raise UnusablePath if a file that ``train`` writes in ``out_dir`` is one of
-    ``inputs``, keyed by flag; None is no path."""
-    input_of = {Path(path).resolve(): flag for flag, path in inputs.items() if path is not None}
-    for name in ("vocab.txt", "best.ckpt", "epochs.csv", "manifest.json"):
-        flag = input_of.get((out_dir / name).resolve())
-        if flag:
-            raise UnusablePath(f"{out_dir / name}: --out-dir would overwrite the {flag} input")
-
-
 def cmd_train(args) -> int:
-    out_dir = Path(args.out_dir)
-    if args.replay:
-        conflicts = _replay_conflicts(args)
-        if conflicts:
-            raise ConfigError(f"--replay takes every setting from its manifest; "
-                              f"drop {' '.join(conflicts)}")
-        settings = _verified_replay_settings(Path(args.replay))
-    elif args.domain is None:
-        raise ConfigError("train needs --domain, or --replay of a manifest")
-    else:
-        train_file = args.train_file or _resolve_split_file(Path(args.data_dir), args.domain,
-                                                            "train")
-        settings = {dest: getattr(args, dest) for dest in _RECORDED}
-        # Absolute, so the manifest replays from any working directory.
-        settings["train_file"] = str(Path(train_file).absolute())
-        if args.vocab:
-            settings["vocab"] = str(Path(args.vocab).absolute())
-    _check_run_files(out_dir, {"--train-file": settings["train_file"], "--vocab": settings["vocab"],
-                               "--replay": args.replay})
-    return _train_from_settings(settings, out_dir)
+    settings = {dest: getattr(args, dest) for dest in _RECORDED}
+    # Absolute, so the manifest replays from any working directory.
+    for name in _INPUTS:
+        if settings[name]:
+            settings[name] = str(Path(settings[name]).absolute())
+    return _train_from_settings(settings, Path(args.out_dir))
+
+
+def cmd_replay(args) -> int:
+    manifest = Path(args.manifest)
+    return _train_from_settings(_verified_replay_settings(manifest), Path(args.out_dir), manifest)
 
 
 # --- evaluate ---
@@ -394,6 +355,9 @@ def cmd_evaluate(args) -> int:
                    {"--checkpoint": args.checkpoint, "--data": args.data, "--vocab": vocab_path})
     params = load_checkpoint(ckpt_path)
     vocab = tok_mod.load_vocab(vocab_path)
+    if len(vocab) != params.cfg.vocab_size:
+        raise ShapeMismatch(f"{vocab_path} holds {len(vocab)} tokens, but {ckpt_path} "
+                            f"was trained on vocab_size={params.cfg.vocab_size}")
 
     spec = dataset_mod.default_specs()[args.domain]
     examples = _normalized(dataset_mod.load_split(args.data, spec))
@@ -490,20 +454,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("train", help="fine-tune a classifier on one domain")
-    p.add_argument("--data-dir", default=".")
-    p.add_argument("--domain", choices=DOMAINS)
-    p.add_argument("--train-file", help="explicit training CSV (overrides --data-dir)")
+    p.add_argument("--domain", choices=DOMAINS, required=True)
+    p.add_argument("--train-file", required=True, help="training CSV")
     p.add_argument("--out-dir", default="run")
-    p.add_argument("--replay", help="manifest.json of a prior run to replay")
     p.add_argument("--vocab", help="existing vocab file (else trained from the data)")
-    _add_config_flags(p, tok_mod.TokenizerConfig(), _TOKENIZER_FLAGS)
-    _add_config_flags(p, _TRAIN_DEFAULTS, _TRAIN_FLAGS)
-    _add_config_flags(p, _TRAIN_DEFAULTS.model, _MODEL_FLAGS)
-    _add_config_flags(p, _TRAIN_DEFAULTS.optim, _OPTIM_FLAGS)
+    for config, table in _train_config_tables():
+        _add_config_flags(p, config, table)
     p.add_argument("--val-ratio", type=float, default=trainer_mod.TRAIN_RATIO,
                    help="share of the rows to train on; the rest validate "
                         "(default %(default)s)")
     p.set_defaults(func=cmd_train)
+
+    p = sub.add_parser("replay", help="rerun a train run bit for bit from its manifest")
+    p.add_argument("manifest", help="manifest.json of the run")
+    p.add_argument("--out-dir", default="run")
+    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("evaluate", help="score a checkpoint on a labeled file")
     p.add_argument("--checkpoint", required=True)

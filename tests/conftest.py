@@ -14,6 +14,13 @@ def fixtures_dir() -> Path:
     return FIXTURES
 
 
+def ethics_split_file(root, domain: str, split: str) -> Path:
+    """Where the ETHICS archive keeps a domain's split: ``<root>/<domain>/<prefix>_<split>.csv``,
+    whose prefix is the domain's name, or ``cm`` for commonsense."""
+    prefix = "cm" if domain == "commonsense" else domain
+    return Path(root) / domain / f"{prefix}_{split}.csv"
+
+
 @pytest.fixture(scope="session")
 def tiny_vocab() -> Vocab:
     """Hand-assembled vocab with a few whole words and continuation pieces."""

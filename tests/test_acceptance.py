@@ -8,7 +8,6 @@ fixtures exercise the same code paths unconditionally.
 import math
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +37,7 @@ from ethikit.tokenizer import (
     train_vocab,
 )
 from ethikit.trainer import TrainConfig, evaluate, train
-from tests.conftest import make_separable_examples
+from tests.conftest import ethics_split_file, make_separable_examples
 
 pytestmark = pytest.mark.filterwarnings("ignore::ethikit.metrics.DegenerateMetricWarning")
 
@@ -412,13 +411,12 @@ def test_c12_data_counts(fixtures_dir):
 
     data_dir = os.environ.get("ETHICS_DATA_DIR")
     if data_dir:
-        from ethikit.cli import _resolve_split_file
         from ethikit.dataset import HARD_TEST_COUNTS, TEST_COUNTS
 
         for domain in specs:
-            test_file = _resolve_split_file(Path(data_dir), domain, "test")
+            test_file = ethics_split_file(data_dir, domain, "test")
             assert len(load_split(test_file, specs[domain])) == TEST_COUNTS[domain]
-            hard_file = _resolve_split_file(Path(data_dir), domain, "test_hard")
+            hard_file = ethics_split_file(data_dir, domain, "test_hard")
             assert len(load_split(hard_file, specs[domain])) == HARD_TEST_COUNTS[domain]
         _report(12, "fixture split counts verified and real split counts match the "
                     "published table")

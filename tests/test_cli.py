@@ -14,7 +14,6 @@ import ethikit
 from ethikit import trainer as trainer_mod
 from ethikit.cli import _sparkline, main
 from ethikit.dataset import default_specs, load_split, serialize_split
-from ethikit.errors import UnusablePath
 from ethikit.metrics import DegenerateMetricWarning
 from tests.conftest import make_separable_examples
 
@@ -57,8 +56,7 @@ def vocab_file(tmp_path, train_file) -> Path:
 
 
 def _replay(tmp_path, manifest: Path, *extra: str) -> int:
-    return main(["train", "--replay", str(manifest), "--out-dir", str(tmp_path / "replayed"),
-                 *extra])
+    return main(["replay", str(manifest), "--out-dir", str(tmp_path / "replayed"), *extra])
 
 
 def _stdin(data: bytes) -> io.TextIOWrapper:
@@ -144,7 +142,7 @@ class TestTrainCommand:
     def test_recipe_defaults(self):
         from ethikit.cli import build_parser
 
-        args = build_parser().parse_args(["train"])
+        args = build_parser().parse_args(["train", "--domain", "justice", "--train-file", "t.csv"])
         assert args.lr == 6e-5
         assert args.batch_size == 32
         assert args.grad_accum == 4
@@ -177,66 +175,24 @@ class TestTrainCommand:
             "config": config, "created_utc": "2000-01-01T00:00:00Z", "sha256": sha256,
             "version": ethikit.__version__,
         }))
-        assert main(["train", "--replay", str(pinned), "--out-dir", str(tmp_path / "re")]) == 0
+        assert main(["replay", str(pinned), "--out-dir", str(tmp_path / "re")]) == 0
         assert (tmp_path / "re" / "best.ckpt").read_bytes() == (run / "best.ckpt").read_bytes()
 
-    @pytest.mark.parametrize("extra", [[], ["--train-file", "missing.csv"]])
-    def test_no_domain_exit_2(self, tmp_path, capsys, extra):
-        # the data dir and the train file do not exist: exit 2 proves neither was opened
+    @pytest.mark.parametrize("extra, missing", [
+        ([], ["--domain", "--train-file"]),
+        (["--train-file", "missing.csv"], ["--domain"]),
+        (["--domain", "justice"], ["--train-file"]),
+    ])
+    def test_no_domain_exit_2(self, tmp_path, capsys, extra, missing):
+        # argparse refuses the run before any file is opened
         out_dir = tmp_path / "run"
-        code = main(["train", "--data-dir", str(tmp_path / "nowhere"),
-                     "--out-dir", str(out_dir), *extra])
-        assert code == 2
-        assert "--domain" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--out-dir", str(out_dir), *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required" in err
+        assert all(flag in err for flag in missing)
         assert not out_dir.exists()
-
-    def _train_from_data_dir(self, tmp_path, data_dir: Path, domain: str) -> int:
-        return main(["train", "--data-dir", str(data_dir), "--domain", domain,
-                     "--out-dir", str(tmp_path / "run"), *FAST_TRAIN_FLAGS])
-
-    def test_data_dir_flat_layout(self, tmp_path, fixtures_dir):
-        data_dir = tmp_path / "data"
-        data_dir.mkdir()
-        flat = data_dir / "cm_train.csv"
-        flat.write_bytes((fixtures_dir / "cm_test.csv").read_bytes())
-        assert self._train_from_data_dir(tmp_path, data_dir, "commonsense") == 0
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-        assert manifest["config"]["train_file"] == str(flat)
-
-    def test_data_dir_archive_layout(self, tmp_path, train_file):
-        # the ETHICS archive keeps each domain's splits in a folder of its own
-        nested = tmp_path / "data" / "justice" / "justice_train.csv"
-        nested.parent.mkdir(parents=True)
-        nested.write_bytes(train_file.read_bytes())
-        assert self._train_from_data_dir(tmp_path, tmp_path / "data", "justice") == 0
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-        assert manifest["config"]["train_file"] == str(nested)
-
-    def test_data_dir_missing_split_exit_1(self, tmp_path, capsys):
-        data_dir = tmp_path / "data"
-        data_dir.mkdir()
-        assert self._train_from_data_dir(tmp_path, data_dir, "commonsense") == 1
-        err = capsys.readouterr().err
-        for tried in ("commonsense_train.csv", "cm_train.csv",
-                      "commonsense/cm_train.csv", "commonsense/commonsense_train.csv"):
-            assert str(data_dir / tried) in err
-        assert not (tmp_path / "run").exists()
-
-    def test_missing_split_is_unusable_path(self, tmp_path):
-        from ethikit.cli import _resolve_split_file
-
-        with pytest.raises(UnusablePath, match="no train file for virtue"):
-            _resolve_split_file(tmp_path, "virtue", "train")
-
-    def test_data_dir_missing_split_names_each_path_once(self, tmp_path, capsys):
-        # justice files use the domain name as their prefix, so the flat and
-        # the per-domain layout give one path each
-        data_dir = tmp_path / "data"
-        data_dir.mkdir()
-        assert self._train_from_data_dir(tmp_path, data_dir, "justice") == 1
-        err = capsys.readouterr().err
-        for tried in ("justice_train.csv", "justice/justice_train.csv"):
-            assert err.count(str(data_dir / tried)) == 1, tried
 
     def test_manifest_hashes_the_bytes_read(self, tmp_path, train_file, monkeypatch):
         # the train file changes while the run trains; the manifest vouches
@@ -283,8 +239,7 @@ class TestTrainCommand:
     def test_replay_from_manifest(self, tmp_path, train_file):
         d1 = run_train(tmp_path, train_file, "run1")
         replay_dir = tmp_path / "replayed"
-        code = main(["train", "--replay", str(d1 / "manifest.json"),
-                     "--out-dir", str(replay_dir)])
+        code = main(["replay", str(d1 / "manifest.json"), "--out-dir", str(replay_dir)])
         assert code == 0
         assert (d1 / "best.ckpt").read_bytes() == (replay_dir / "best.ckpt").read_bytes()
         assert (d1 / "vocab.txt").read_bytes() == (replay_dir / "vocab.txt").read_bytes()
@@ -302,7 +257,7 @@ class TestTrainCommand:
         assert config["train_file"] == str(sub.resolve() / "train.csv")
         assert config["vocab"] == str(sub.resolve() / "vocab.txt")
         monkeypatch.chdir(tmp_path)
-        assert main(["train", "--replay", "sub/run/manifest.json", "--out-dir", "replayed"]) == 0
+        assert main(["replay", "sub/run/manifest.json", "--out-dir", "replayed"]) == 0
         assert (tmp_path / "replayed" / "best.ckpt").read_bytes() == \
             (sub / "run" / "best.ckpt").read_bytes()
 
@@ -311,8 +266,7 @@ class TestTrainCommand:
         data = bytearray(train_file.read_bytes())
         data[-2] ^= 0x01
         train_file.write_bytes(bytes(data))
-        code = main(["train", "--replay", str(d1 / "manifest.json"),
-                     "--out-dir", str(tmp_path / "replayed")])
+        code = _replay(tmp_path, d1 / "manifest.json")
         assert code == 1
         err = capsys.readouterr().err
         assert str(train_file) in err and "changed" in err
@@ -323,8 +277,7 @@ class TestTrainCommand:
         manifest = json.loads((d1 / "manifest.json").read_text())
         manifest["version"] = "0.0.0"
         (d1 / "manifest.json").write_text(json.dumps(manifest))
-        code = main(["train", "--replay", str(d1 / "manifest.json"),
-                     "--out-dir", str(tmp_path / "replayed")])
+        code = _replay(tmp_path, d1 / "manifest.json")
         assert code == 1
         assert "0.0.0" in capsys.readouterr().err
 
@@ -338,8 +291,7 @@ class TestTrainCommand:
             obj = obj[parent]
         del obj[name]
         (d1 / "manifest.json").write_text(json.dumps(manifest))
-        code = main(["train", "--replay", str(d1 / "manifest.json"),
-                     "--out-dir", str(tmp_path / "replayed")])
+        code = _replay(tmp_path, d1 / "manifest.json")
         assert code == 2
         assert repr(name) in capsys.readouterr().err
         assert not (tmp_path / "replayed").exists()
@@ -359,8 +311,7 @@ class TestTrainCommand:
         edit(manifest["config"])
         (d1 / "manifest.json").write_text(json.dumps(manifest).replace('"seed_again"', '"seed"'))
         capsys.readouterr()
-        code = main(["train", "--replay", str(d1 / "manifest.json"),
-                     "--out-dir", str(tmp_path / "replayed")])
+        code = _replay(tmp_path, d1 / "manifest.json")
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and named in err
@@ -441,15 +392,22 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("extra", [
         ["--epochs", "3"], ["--domain", "virtue"], ["--train-file", "nope.csv"],
-        ["--vocab", "v.txt"], ["--data-dir", "data"], ["--val-ratio", "0.5"],
+        ["--vocab", "v.txt"], ["--val-ratio", "0.5"],
         ["--epochs", "3", "--domain", "virtue", "--train-file", "nope.csv"],
     ])
-    def test_replay_with_other_settings_exit_2(self, tmp_path, capsys, extra):
-        # the manifest does not exist: exit 2 proves it was not read
-        assert _replay(tmp_path, tmp_path / "manifest.json", *extra) == 2
+    def test_replay_with_other_settings_exit_2(self, tmp_path, capsys, monkeypatch, extra):
+        # replay takes every setting from its manifest, so argparse refuses any
+        # other flag before the manifest is read
+        calls = []
+        monkeypatch.setattr("ethikit.cli._verified_replay_settings",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            _replay(tmp_path, tmp_path / "manifest.json", *extra)
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--replay" in err
+        assert "unrecognized arguments" in err
         assert all(flag in err for flag in extra if flag.startswith("--"))
+        assert calls == []
         assert not (tmp_path / "replayed").exists()
 
     def test_vocab_file_with_tokenizer_flags_exit_2(self, tmp_path, train_file, vocab_file,
@@ -488,22 +446,22 @@ class TestTrainCommand:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("name, flag", [
-        ("vocab.txt", "--vocab"), ("epochs.csv", "--train-file"), ("manifest.json", "--replay"),
+        ("vocab.txt", "--vocab"), ("epochs.csv", "--train-file"), ("manifest.json", "manifest"),
     ])
     def test_run_file_is_input_exit_1(self, tmp_path, train_file, vocab_file, capsys,
                                       monkeypatch, name, flag):
         out_dir = tmp_path / "r"
         target = out_dir / name
-        if flag == "--replay":
+        if flag == "manifest":
             run_train(tmp_path, train_file, "r")
-            argv = ["--replay", str(target)]
+            argv = ["replay", str(target)]
         else:
             out_dir.mkdir()
             inputs = {"--train-file": train_file, "--vocab": vocab_file}
             # without its final newline, a vocab read in would be written back changed
             target.write_bytes(inputs[flag].read_bytes().rstrip(b"\n"))
             inputs[flag] = target
-            argv = ["--domain", "justice", *FAST_MODEL_FLAGS]
+            argv = ["train", "--domain", "justice", *FAST_MODEL_FLAGS]
             for input_flag, path in inputs.items():
                 argv += [input_flag, str(path)]
         before = target.read_bytes()
@@ -512,11 +470,27 @@ class TestTrainCommand:
         # the run directory is named relative to the working directory, the input in full
         monkeypatch.chdir(tmp_path)
         capsys.readouterr()
-        assert main(["train", *argv, "--out-dir", "r"]) == 1
+        assert main([*argv, "--out-dir", "r"]) == 1
         err = capsys.readouterr().err
         assert f"{Path('r') / name}: --out-dir would overwrite the {flag} input" in err
         assert calls == []
         assert target.read_bytes() == before
+
+    @pytest.mark.parametrize("name", ["vocab.txt", "best.ckpt", "epochs.csv", "manifest.json"])
+    def test_run_file_is_directory_exit_1(self, tmp_path, train_file, capsys, monkeypatch,
+                                          name):
+        import ethikit.tokenizer as tok_mod
+
+        calls = []
+        monkeypatch.setattr(tok_mod, "train_vocab", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(trainer_mod, "train", lambda *a, **k: calls.append(a))
+        out_dir = tmp_path / "r"
+        (out_dir / name).mkdir(parents=True)
+        assert main(["train", "--train-file", str(train_file), "--domain", "justice",
+                     "--out-dir", str(out_dir), *FAST_TRAIN_FLAGS]) == 1
+        assert f"{out_dir / name}: is a directory" in capsys.readouterr().err
+        assert calls == []
+        assert sorted(p.name for p in out_dir.iterdir()) == [name]
 
 
 class TestSparkline:
@@ -618,6 +592,30 @@ class TestEvaluateCommand:
         assert report_csv.read_text().splitlines()[1].endswith(",nan")
         assert main(["report", "--inputs", str(report_csv)]) == 0
         assert "ours" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:-1], lambda lines: [*lines, "zzzz"],
+    ], ids=["fewer-tokens", "more-tokens"])
+    def test_vocab_of_another_size_exit_1(self, tmp_path, train_file, capsys, monkeypatch,
+                                          edit):
+        import ethikit.dataset as dataset_mod
+
+        out_dir = run_train(tmp_path, train_file)
+        ckpt = out_dir / "best.ckpt"
+        tokens = (out_dir / "vocab.txt").read_text(encoding="utf-8").splitlines()
+        vocab = tmp_path / "other.txt"
+        vocab.write_text("\n".join(edit(tokens)) + "\n", encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(dataset_mod, "load_split", lambda *a, **k: calls.append(a))
+        report = tmp_path / "report.csv"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                     "--data", str(train_file), "--domain", "justice",
+                     "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert (f"{vocab} holds {len(edit(tokens))} tokens, but {ckpt} was trained on "
+                f"vocab_size={len(tokens)}") in err
+        assert calls == []
+        assert not report.exists()
 
     def test_oversized_tensor_dims_exit_1(self, tmp_path, train_file, capsys):
         out_dir = run_train(tmp_path, train_file)
@@ -784,14 +782,14 @@ class TestUnreadableInputs:
         assert "is a directory" in capsys.readouterr().err
 
     def test_directory_as_replay_manifest(self, tmp_path, capsys):
-        code = main(["train", "--replay", str(tmp_path), "--out-dir", str(tmp_path / "run")])
+        code = main(["replay", str(tmp_path), "--out-dir", str(tmp_path / "run")])
         assert code == 1
         assert "is a directory" in capsys.readouterr().err
 
     def test_replay_manifest_not_json(self, tmp_path, capsys):
         manifest = tmp_path / "bad.json"
         manifest.write_text("label,scenario\n", encoding="utf-8")
-        code = main(["train", "--replay", str(manifest), "--out-dir", str(tmp_path / "run")])
+        code = main(["replay", str(manifest), "--out-dir", str(tmp_path / "run")])
         assert code == 1
         assert f"{manifest}: manifest is not JSON" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()

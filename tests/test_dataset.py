@@ -1,6 +1,5 @@
 import os
 import re
-from pathlib import Path
 
 import pytest
 
@@ -21,6 +20,7 @@ from ethikit.errors import (
     RaggedRow,
     UnusablePath,
 )
+from tests.conftest import ethics_split_file
 
 
 class TestLoadSplit:
@@ -178,11 +178,8 @@ ETHICS_DIR = os.environ.get("ETHICS_DATA_DIR")
 class TestRealData:
     @pytest.mark.parametrize("domain", ["commonsense", "justice", "virtue", "deontology"])
     def test_counts_match_published_tables(self, domain):
-        from ethikit.cli import _resolve_split_file
-
         spec = default_specs()[domain]
-        root = Path(ETHICS_DIR)
-        test_file = _resolve_split_file(root, domain, "test")
+        test_file = ethics_split_file(ETHICS_DIR, domain, "test")
         assert len(load_split(test_file, spec)) == TEST_COUNTS[domain]
-        hard_file = _resolve_split_file(root, domain, "test_hard")
+        hard_file = ethics_split_file(ETHICS_DIR, domain, "test_hard")
         assert len(load_split(hard_file, spec)) == HARD_TEST_COUNTS[domain]
