@@ -52,7 +52,9 @@ def train_proxies(dev_set, cfg: FilterConfig, vocab: Vocab) -> list[ModelParams]
     """Independently seeded proxy trainings on the development set.
 
     Proxy ``i`` trains with seed ``cfg.proxy.model.seed + i``. The set is
-    encoded once; every proxy splits and trains on those ids.
+    encoded once; every proxy splits and trains on those ids. At each
+    epoch's end a proxy scores only its validation split, which picks its
+    best epoch: no proxy's training metrics are read, so none are computed.
     """
     dev_set = encode_examples(dev_set, vocab)
     if not dev_set:
@@ -62,7 +64,7 @@ def train_proxies(dev_set, cfg: FilterConfig, vocab: Vocab) -> list[ModelParams]
         seed = cfg.proxy.model.seed + i
         proxy_cfg = replace(cfg.proxy, model=replace(cfg.proxy.model, seed=seed))
         dev_train, dev_val = split_train_val(dev_set, seed=seed)
-        params, _ = train_model(dev_train, dev_val, proxy_cfg)
+        params, _ = train_model(dev_train, dev_val, proxy_cfg, score_train=False)
         proxies.append(params)
     return proxies
 

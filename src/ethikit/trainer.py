@@ -7,9 +7,10 @@ shuffles the training set and walks its micro-batches in windows of
 runs forward/loss/backward, backward adding its gradients into the optimizer's
 ``g_acc``, and ``optim.accumulate`` then counts it; each window ends in one
 flush, which divides by that count. Each epoch then records eval-mode loss
-and accuracy on both splits, scored in batches built at the first epoch's
-end. The best checkpoint by validation accuracy (ties to lower validation
-loss) is retained.
+and accuracy on the validation split, and on the training split unless the
+caller reads no training metrics (``train(..., score_train=False)``), each
+scored in batches built at the first epoch's end. The best checkpoint by
+validation accuracy (ties to lower validation loss) is retained.
 
 One micro-batch's activations are alive at a time: its logits and cache are
 dropped once backward has added its gradients, before the next forward or
@@ -50,8 +51,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class EpochLog:
     epoch: int
-    train_loss: float
-    train_acc: float
+    train_loss: float | None  # None when the training split was not scored
+    train_acc: float | None
     val_loss: float
     val_acc: float
     seconds: float
@@ -199,12 +200,19 @@ def _keep_freed_heap() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as the rule sets it
 
 
-def train(train_set, val_set, cfg: TrainConfig):
+def train(train_set, val_set, cfg: TrainConfig, *, score_train: bool = True):
     """Run the fine-tuning loop on encoded sets; returns (best params, logs).
 
     Batches are cut at ``cfg.model.max_len``; ``cfg.model.seed`` seeds both
     the per-epoch shuffle and the dropout masks. A NaN or infinite logit, or
     accumulated gradient at a flush, raises ``NonFiniteTraining``.
+
+    At each epoch's end the validation split is scored in eval mode; its
+    accuracy, ties to its lower loss, alone picks the best epoch. The
+    training split is scored too when ``score_train`` is true, as
+    ``ethikit train`` does for ``epochs.csv``. The filter-hard proxies read
+    no logs and pass false: the training split then gets no scoring batches,
+    and each log's ``train_loss`` and ``train_acc`` are None.
     """
     train_set = list(train_set)
     val_set = list(val_set)
@@ -219,9 +227,9 @@ def train(train_set, val_set, cfg: TrainConfig):
     dropout_rng = np.random.default_rng(cfg.model.seed)
 
     logs: list[EpochLog] = []
-    best_params = params.copy()
     best_key: tuple[float, float] | None = None
-    scoring = None  # the scoring_batches of both sets, built once
+    scored = (train_set, val_set) if score_train else (val_set,)
+    scoring = None  # the scoring_batches of the scored sets, built once
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
@@ -243,9 +251,11 @@ def train(train_set, val_set, cfg: TrainConfig):
             flush(params, state, cfg.optim)
 
         if scoring is None:  # at the first epoch's end, so set-up does not wait on it
-            scoring = [scoring_batches(s, cfg.model.max_len) for s in (train_set, val_set)]
-        train_loss, train_acc = _eval_loss_acc(params, train_set, scoring[0])
-        val_loss, val_acc = _eval_loss_acc(params, val_set, scoring[1])
+            scoring = [scoring_batches(s, cfg.model.max_len) for s in scored]
+        train_loss = train_acc = None
+        if score_train:
+            train_loss, train_acc = _eval_loss_acc(params, train_set, scoring[0])
+        val_loss, val_acc = _eval_loss_acc(params, val_set, scoring[-1])
         logs.append(EpochLog(
             epoch=epoch,
             train_loss=train_loss,

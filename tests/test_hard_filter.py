@@ -58,6 +58,29 @@ class TestTrainProxies:
         for name in alone.names:
             assert np.array_equal(second[name], alone[name]), name
 
+    def test_proxies_score_only_their_validation_split(self, separable_set, separable_vocab,
+                                                       monkeypatch):
+        built, scored = [], []
+        real_scoring_batches = trainer_mod.scoring_batches
+        real_predict_probs = trainer_mod.predict_probs
+
+        def recorded_scoring_batches(dataset, max_len):
+            built.append(len(dataset))
+            return real_scoring_batches(dataset, max_len)
+
+        def recorded_predict_probs(params, dataset, **kwargs):
+            scored.append(len(dataset))
+            return real_predict_probs(params, dataset, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "scoring_batches", recorded_scoring_batches)
+        monkeypatch.setattr(trainer_mod, "predict_probs", recorded_predict_probs)
+        cfg = FilterConfig(proxy=proxy_train_config(separable_vocab, epochs=3), n_proxies=2)
+        train_proxies(separable_set, cfg, separable_vocab)
+        dev_train, dev_val = split_train_val(separable_set)
+        assert len(dev_train) != len(dev_val)
+        assert built == [len(dev_val)] * 2  # once per proxy
+        assert scored == [len(dev_val)] * 6  # once per proxy and epoch
+
 
 class TestEncodeOnce:
     def test_one_encode_call_per_text_field(self, separable_vocab, monkeypatch):

@@ -150,8 +150,9 @@ class TestTrain:
         with pytest.raises(NonFiniteTraining, match="epoch 1, flush step 2: logits"):
             train(separable_encoded, separable_encoded[:16], cfg)
 
+    @pytest.mark.parametrize("score_train, scored", [(True, [7, 7, 14, 14]), (False, [7, 14])])
     def test_one_cache_alive_at_a_time(self, separable_encoded, separable_vocab,
-                                       monkeypatch):
+                                       monkeypatch, score_train, scored):
         real_forward = trainer_mod.forward
         real_predict_probs = trainer_mod.predict_probs
         caches = []
@@ -176,9 +177,9 @@ class TestTrain:
         monkeypatch.setattr(trainer_mod, "predict_probs", checked_predict_probs)
         # 64 examples / batch 10 -> 7 micro-batches per epoch, flushed 4 + 3
         cfg = toy_train_config(separable_vocab, epochs=2, batch_size=10, n_acc=4)
-        train(separable_encoded, separable_encoded[:8], cfg)
+        train(separable_encoded, separable_encoded[:8], cfg, score_train=score_train)
         assert len(caches) == 14
-        assert starts == [7, 7, 14, 14]  # train and val scoring after each epoch
+        assert starts == scored  # train (if scored) and val scoring after each epoch
 
     def test_allocator_call_is_harmless_where_it_cannot_act(
         self, separable_encoded, separable_vocab, monkeypatch
@@ -198,6 +199,59 @@ class TestTrain:
             got, _ = train(train_set, val_set, cfg)
             for name in expected.names:
                 assert got[name].tobytes() == expected[name].tobytes()
+
+    def test_unscored_training_split_changes_no_params_or_validation_log(
+        self, separable_encoded, separable_vocab
+    ):
+        cfg = toy_train_config(separable_vocab, epochs=3)
+        train_set, val_set = separable_encoded[:48], separable_encoded[48:]
+        scored, scored_logs = train(train_set, val_set, cfg)
+        unscored, unscored_logs = train(train_set, val_set, cfg, score_train=False)
+        for name in scored.names:
+            assert unscored[name].tobytes() == scored[name].tobytes()
+        strip = lambda log: dataclasses.replace(log, train_loss=None, train_acc=None,
+                                                seconds=0.0)
+        assert [strip(log) for log in unscored_logs] == [strip(log) for log in scored_logs]
+        assert all(log.train_loss is None and log.train_acc is None for log in unscored_logs)
+        assert all(log.train_loss is not None for log in scored_logs)
+
+    def test_best_epoch_is_the_highest_val_acc_ties_to_the_lower_val_loss(
+        self, separable_encoded, separable_vocab, monkeypatch
+    ):
+        train_set, val_set = separable_encoded[:48], separable_encoded[48:]
+        # (loss, acc) per epoch. Epochs 1, 2 and 4 share the highest accuracy;
+        # 2 and 4 share the lowest loss among them, so the earlier one wins.
+        # Epoch 3 has the lowest loss overall but not the highest accuracy.
+        val_metrics = [(0.69, 0.5), (0.6, 0.75), (0.5, 0.75), (0.1, 0.7), (0.5, 0.75)]
+        # The training metrics point at other epochs, and must not count.
+        train_metrics = [(0.01, 1.0), (0.9, 0.1), (0.9, 0.1), (0.02, 0.99), (0.9, 0.1)]
+
+        def run(score_train):
+            script = {len(train_set): iter(train_metrics), len(val_set): iter(val_metrics)}
+            at_val_scoring = []
+
+            def scripted(params, dataset, prepared):
+                if len(dataset) == len(val_set):
+                    at_val_scoring.append(params.copy())
+                return next(script[len(dataset)])
+
+            monkeypatch.setattr(trainer_mod, "_eval_loss_acc", scripted)
+            cfg = toy_train_config(separable_vocab, epochs=5)
+            best, logs = train(train_set, val_set, cfg, score_train=score_train)
+            assert [(log.val_loss, log.val_acc) for log in logs] == val_metrics
+            expected_train = train_metrics if score_train else [(None, None)] * 5
+            assert [(log.train_loss, log.train_acc) for log in logs] == expected_train
+            return best, at_val_scoring
+
+        for score_train in (True, False):
+            best, at_val_scoring = run(score_train)
+            assert len(at_val_scoring) == 5
+            for name in best.names:
+                assert best[name].tobytes() == at_val_scoring[2][name].tobytes()
+            # the epochs' params differ, so matching epoch 2 singles it out
+            for other in (0, 1, 3, 4):
+                assert any(best[name].tobytes() != at_val_scoring[other][name].tobytes()
+                           for name in best.names)
 
     def test_best_checkpoint_fidelity(self, tmp_path, separable_encoded, separable_vocab):
         cfg = toy_train_config(separable_vocab, epochs=4)
@@ -340,12 +394,15 @@ class TestScoringBatches:
         monkeypatch.setattr(trainer_mod, "scoring_batches", recorded)
         sets = (separable_encoded[:48], separable_encoded[48:])
         for batch_size in (4, 16, 48):
-            built.clear()
-            train(*sets, toy_train_config(separable_vocab, epochs=1, batch_size=batch_size))
-            assert built == [listed(*real_scoring_batches(s, 16)) for s in sets]
+            for score_train, scored in ((True, sets), (False, sets[1:])):
+                built.clear()
+                train(*sets, toy_train_config(separable_vocab, epochs=1, batch_size=batch_size),
+                      score_train=score_train)
+                assert built == [listed(*real_scoring_batches(s, 16)) for s in scored]
 
+    @pytest.mark.parametrize("score_train, n_scored", [(True, 2), (False, 1)])
     def test_eval_batches_built_once_across_epochs(self, separable_encoded, separable_vocab,
-                                                   monkeypatch):
+                                                   monkeypatch, score_train, n_scored):
         events = []
         real_make_batches = trainer_mod.make_batches
         real_forward = trainer_mod.forward
@@ -361,10 +418,11 @@ class TestScoringBatches:
         monkeypatch.setattr(trainer_mod, "make_batches", counted_make_batches)
         monkeypatch.setattr(trainer_mod, "forward", counted_forward)
         cfg = toy_train_config(separable_vocab, epochs=3)
-        train(separable_encoded[:48], separable_encoded[48:], cfg)
+        train(separable_encoded[:48], separable_encoded[48:], cfg, score_train=score_train)
         assert events.count("train") == 3
-        # the train and validation sets, once each, after the first training step
-        assert events.count("pack") == 2
+        # the scored sets (the train set only if scored, then validation), once
+        # each, after the first training step
+        assert events.count("pack") == n_scored
         assert events.index("pack") > events.index("forward")
 
 
